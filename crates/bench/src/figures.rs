@@ -6,10 +6,9 @@
 //! formatting that turns them into the paper's tables. The engine memoises
 //! the cells, so rendering several figures in one process — the `figures`
 //! driver binary — computes the stand-alone reference and every shared
-//! (setup, pair) cell exactly once. The `figureNN` binaries are thin
-//! wrappers dispatching into the same [`registry`](all) via
-//! [`run_standalone_binary`], which guarantees their output is identical to
-//! the driver's.
+//! (setup, pair) cell exactly once. `figures <name>` renders a single
+//! [`registry`](all) entry; the `tables` binary renders the tables entry's
+//! function directly so it can also emit JSON.
 
 use std::fmt::Write as _;
 
@@ -27,7 +26,7 @@ use sim_stats::{det_sum, DistributionSummary};
 use stretch::{PinnedStretch, RobSkew, StretchMode};
 
 use crate::engine::Engine;
-use crate::harness::{parallel_map, ExperimentConfig, PairOutcome};
+use crate::harness::{parallel_map, PairOutcome};
 use crate::report::{format_distribution_row, json, TableWriter};
 
 macro_rules! w {
@@ -37,7 +36,7 @@ macro_rules! w {
 
 /// One figure or table of the paper, as an entry in the registry.
 pub struct FigureSpec {
-    /// Binary / CLI name (`figure03`, `tables`).
+    /// Name on the `figures` command line (`figure03`, `tables`).
     pub name: &'static str,
     /// One-line description shown by `figures --list`.
     pub title: &'static str,
@@ -142,22 +141,6 @@ pub fn by_name(name: &str) -> Option<&'static FigureSpec> {
 pub fn render_many(engine: &Engine, specs: &[&FigureSpec], workers: usize) -> Vec<String> {
     let indices: Vec<usize> = (0..specs.len()).collect();
     parallel_map(indices, workers, |&i| (specs[i].render)(engine))
-}
-
-/// Shared `main` of the thin `figureNN` binaries: parse `--quick`, build a
-/// fresh (uncached) engine, render the named figure and print it. Because
-/// this dispatches into the same registry as the `figures` driver, a
-/// standalone binary's output is identical to the driver's for that figure.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the registry.
-pub fn run_standalone_binary(name: &str) {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::standard() };
-    let engine = Engine::new(cfg);
-    let spec = by_name(name).unwrap_or_else(|| panic!("unknown figure {name}"));
-    print!("{}", (spec.render)(&engine));
 }
 
 /// Figure 1: Web Search average, 95th- and 99th-percentile latency as a
@@ -1178,6 +1161,7 @@ pub fn tables(_engine: &Engine, as_json: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::ExperimentConfig;
 
     #[test]
     fn registry_covers_every_binary() {

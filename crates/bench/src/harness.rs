@@ -41,7 +41,7 @@ impl ExperimentConfig {
         }
     }
 
-    /// A reduced configuration for tests and criterion benches.
+    /// A reduced configuration for tests and quick figure runs (`--quick`).
     pub fn quick() -> ExperimentConfig {
         ExperimentConfig {
             core: CoreConfig::default(),

@@ -5,9 +5,9 @@
 //! the repository root.
 //!
 //! The `figures` driver binary regenerates any subset of the paper's
-//! evaluation in a single process; the `figureNN` binaries are thin wrappers
-//! over the same figure definitions. This library holds the shared
-//! machinery:
+//! evaluation in a single process (`figures figure03` renders one figure);
+//! the `tables` binary prints Tables I-III, also as JSON. This library holds
+//! the shared machinery:
 //!
 //! * [`engine`] — the shared experiment engine: runs every distinct
 //!   experiment cell exactly once (in-process memoisation + in-flight
@@ -16,7 +16,8 @@
 //!   collision-free canonical digest of core config, setup, pairing, seed
 //!   and simulation length;
 //! * [`figures`] — every figure/table of the paper as a declarative
-//!   renderer over the engine, plus the registry the binaries dispatch on;
+//!   renderer over the engine, plus the registry the `figures` driver
+//!   dispatches on;
 //! * [`harness`] — the experiment configuration, the shared
 //!   [`harness::parallel_map`] worker pool, and the per-cell
 //!   [`cpu_sim::Scenario`] runners the engine memoises: SMT colocations of
@@ -25,15 +26,10 @@
 //!   baselines go through one interface, and the cache digest covers the
 //!   policy identities;
 //! * [`report`] — plain-text table formatting and cache-statistics reporting
-//!   shared by the binaries;
-//! * [`perf`] — the performance subsystem: a registry of fixed-length
-//!   benchmarks over all three simulation layers, warmup + median-of-N
-//!   wall-clock measurement, the schema-versioned `BENCH_<label>.json`
-//!   report, and the regression gate behind the `perf` binary and the CI
-//!   perf job.
+//!   shared by the binaries.
 //!
-//! The same entry points back the criterion benches in `benches/`, scaled
-//! down via [`cpu_sim::SimLength::quick`].
+//! Nothing here reads a wall clock. Speed is measured from outside by the
+//! repository benchmark (`BENCHMARK.json`, `repobench/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +37,6 @@
 pub mod engine;
 pub mod figures;
 pub mod harness;
-pub mod perf;
 pub mod report;
 pub mod store;
 

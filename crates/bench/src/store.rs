@@ -43,9 +43,8 @@ pub trait JsonCodec: Sized {
     fn from_json(value: &Value) -> Option<Self>;
 }
 
-/// Builds a JSON object from `(key, value)` pairs (shared with the perf
-/// report codecs).
-pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
+/// Builds a JSON object from `(key, value)` pairs.
+fn obj(fields: Vec<(&str, Value)>) -> Value {
     let mut map = serde_json::Map::new();
     for (k, v) in fields {
         map.insert(k.to_string(), v);

@@ -327,12 +327,33 @@ mod tests {
         assert_eq!(s.tail(TailMetric::Timeout), 4.0);
     }
 
+    fn summary_bits(s: &LatencySummary) -> [u64; 6] {
+        let ms = [s.mean_ms, s.p95_ms, s.p99_ms, s.p995_ms, s.max_ms].map(f64::to_bits);
+        [ms[0], ms[1], ms[2], ms[3], ms[4], s.requests as u64]
+    }
+
     #[test]
     fn deterministic_for_same_seed() {
         let sim = web_search_sim();
-        let a = sim.run_at_rate(300.0, SimParams::quick(42));
-        let b = sim.run_at_rate(300.0, SimParams::quick(42));
-        assert_eq!(a, b);
+        let run = || summary_bits(&sim.run_at_rate(300.0, SimParams::quick(42)));
+        assert_eq!(run(), run());
+        // The curves built on the server (a peak bisection, then runs per
+        // load point) are bit-identical for the same seed as well.
+        let spec = ServiceSpec::web_search();
+        let latency_curve = || -> Vec<(u64, [u64; 6])> {
+            crate::latency_vs_load(&spec, SimParams::quick(11), 0.2, 6)
+                .iter()
+                .map(|p| (p.load.to_bits(), summary_bits(&p.latency)))
+                .collect()
+        };
+        assert_eq!(latency_curve(), latency_curve());
+        let slack_curve = || -> Vec<(u64, u64, bool)> {
+            crate::slack_curve(&spec, SimParams::quick(12), &[0.3, 0.6, 0.9])
+                .iter()
+                .map(|p| (p.load.to_bits(), p.required_performance.to_bits(), p.feasible))
+                .collect()
+        };
+        assert_eq!(slack_curve(), slack_curve());
     }
 
     #[test]

@@ -75,9 +75,7 @@ pub const RULES: &[RuleInfo] = &[
         id: NONDET_TIME,
         summary: "no Instant::now/SystemTime/thread_rng/env reads: simulation time comes from \
                   the cycle counter and entropy from seeded SimRng streams",
-        scope: "all first-party non-test code; module-scoped exemption: bench::perf (the perf \
-                harness measures wall clocks by design); the vendored criterion shim is outside \
-                the scan scope",
+        scope: "all first-party non-test code, with no module-scoped exemption",
     },
     RuleInfo {
         id: FLOAT_EQ,
@@ -139,7 +137,7 @@ pub const RULES: &[RuleInfo] = &[
         summary: "line waivers must not duplicate a module-scoped exemption: if the module is \
                   already exempt from a rule, a simlint: allow for that rule is stale noise",
         scope: "every scanned file; built-in exemptions: bench::engine (nondet-collections), \
-                bench::perf (nondet-time), stats::reduce (reduction-order)",
+                stats::reduce (reduction-order)",
     },
 ];
 

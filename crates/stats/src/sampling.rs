@@ -3,8 +3,8 @@
 //! The paper uses SimFlex-style statistical sampling: many short samples, each
 //! consisting of a functional warm-up, a detailed warm-up of core structures
 //! (100 K instructions), and a 50 K-instruction measurement window. The
-//! reproduction keeps the same structure with configurable sizes so that the
-//! criterion benches can run scaled-down versions.
+//! reproduction keeps the same structure with configurable sizes so that
+//! tests and quick figure runs can use scaled-down versions.
 
 use serde::{Deserialize, Serialize};
 
@@ -34,7 +34,7 @@ impl SamplingPlan {
         SamplingPlan { samples: 2, warmup_instructions: 10_000, measured_instructions: 20_000 }
     }
 
-    /// A small plan for unit/integration tests and criterion benches.
+    /// A small plan for unit/integration tests and quick figure runs.
     pub fn quick() -> SamplingPlan {
         SamplingPlan { samples: 1, warmup_instructions: 3_000, measured_instructions: 8_000 }
     }

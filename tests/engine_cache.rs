@@ -1,7 +1,7 @@
 //! Integration tests for the shared experiment engine and its persistent
 //! result store: save → load round-trips, cache invalidation, and the
-//! determinism guarantee that the single-process `figures` driver renders
-//! exactly what the standalone figure binaries render.
+//! determinism guarantee that rendering many figures in one process renders
+//! exactly what rendering each figure on its own does.
 //!
 //! Everything runs at `--quick` scale on a small sub-matrix so `cargo test`
 //! stays fast; the code paths are identical to the full-size runs.
@@ -112,8 +112,8 @@ fn store_digests_distinguish_policies_not_just_setups() {
 #[test]
 fn single_process_driver_output_matches_standalone_binaries() {
     // The `figures` driver renders every figure from ONE engine, so cells are
-    // shared across figures; each standalone binary renders from a FRESH
-    // engine. Outputs must be identical — memoisation must never change
+    // shared across figures; a single-figure run (`figures figure03`)
+    // renders from a FRESH engine. Outputs must be identical — memoisation must never change
     // numbers. (Figure 3 covers matrix cells plus the stand-alone reference,
     // Figure 7 stand-alone MLP runs; quick 1 × 2 sub-matrix scale keeps the
     // test fast on the single-core CI runner.)

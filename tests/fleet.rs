@@ -249,9 +249,9 @@ fn starved_server_intervals_are_skipped_not_counted_as_perfect_tails() {
 /// The full acceptance-scale run: a 10 000-server day (19.2M requests),
 /// sharded as 125 racks, bit-identical at 1 and 8 workers. Ignored by
 /// default because it costs several release-mode seconds (minutes in
-/// debug); run it with `cargo test --release -- --ignored`. CI exercises
-/// the same configuration every run through the `cluster/fleet-10k` perf
-/// benchmark.
+/// debug); run it with `cargo test --release --test fleet -- --ignored`, as
+/// CI does. The repository benchmark's `fleet-datacenter` workload runs the
+/// same configuration and pins its report digest.
 #[test]
 #[ignore = "datacenter scale: run explicitly in release mode"]
 fn datacenter_day_is_bit_identical_across_worker_counts() {

@@ -1,5 +1,5 @@
 //! Smoke test for the figure harness: drives `stretch_bench`'s engine — the
-//! code path behind every `figureNN` binary — on a `SimLength::quick()`
+//! code path behind the `figures` driver — on a `SimLength::quick()`
 //! 2 × 2 sub-matrix, so `cargo test` exercises the harness without paying
 //! for the full 4 × 29 study.
 
