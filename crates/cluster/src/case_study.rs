@@ -111,66 +111,14 @@ impl CaseStudy {
     /// matching the accounting's assumption that disengaged intervals run
     /// at baseline throughput.
     pub fn fleet_config(&self, balancer: LoadBalancer, scale: FleetScale) -> FleetConfig {
-        self.calibrated_fleet_config(balancer, scale).0
-    }
-
-    /// The study's fleet configuration before threshold calibration (the
-    /// monitor field is a placeholder default).
-    fn base_fleet_config(&self, balancer: LoadBalancer, scale: FleetScale) -> FleetConfig {
-        let service = self.service();
-        let arrivals = ArrivalProcess::bursty(100.0);
-        let table = PerformanceTable {
-            baseline: ModePerformance::paper_defaults(StretchMode::Baseline),
-            b_mode: ModePerformance {
-                ls_performance: ModePerformance::paper_defaults(StretchMode::BatchBoost(
-                    RobSkew::recommended_b_mode(),
-                ))
-                .ls_performance,
-                batch_speedup: self.b_mode_batch_speedup,
-            },
-            q_mode: ModePerformance::paper_defaults(StretchMode::QosBoost(
-                RobSkew::recommended_q_mode(),
-            )),
-        };
-        FleetConfig {
-            servers: scale.servers,
-            service,
-            arrivals,
-            pattern: self.pattern,
-            balancer,
-            topology: FleetTopology::Flat,
-            tails: TailAccumulation::Exact,
-            days: 1,
-            interval_hours: self.interval_hours,
-            requests_per_server: scale.requests_per_server,
-            stretch: StretchConfig::b_mode_only(RobSkew::recommended_b_mode()),
-            monitor: MonitorConfig::default(),
-            table,
-            seed: scale.seed,
-        }
-    }
-
-    /// The calibration loop shared by [`CaseStudy::fleet`] and
-    /// [`CaseStudy::fleet_config`]: one peak bisection, one threshold
-    /// calibration, one owned config — `fleet_config` used to build (and
-    /// throw away) an entire `Fleet` just to clone its config back out.
-    fn calibrated_fleet_config(
-        &self,
-        balancer: LoadBalancer,
-        scale: FleetScale,
-    ) -> (FleetConfig, f64) {
-        let mut cfg = self.base_fleet_config(balancer, scale);
-        let peak_rps = fleet::measured_peak_rps(&cfg);
-        cfg.monitor = fleet::calibrated_monitor_with_peak(&cfg, self.engage_below, peak_rps);
-        (cfg, peak_rps)
+        self.fleet_config_with(balancer, scale, FleetTopology::Flat, TailAccumulation::Exact, 1)
     }
 
     /// Builds the measured fleet for this study, running the peak bisection
     /// once and reusing it for both the threshold calibration and the day's
     /// run (the peak does not depend on the monitor being derived).
     pub fn fleet(&self, balancer: LoadBalancer, scale: FleetScale) -> Fleet {
-        let (cfg, peak_rps) = self.calibrated_fleet_config(balancer, scale);
-        Fleet::with_peak(cfg, peak_rps)
+        self.fleet_with(balancer, scale, FleetTopology::Flat, TailAccumulation::Exact, 1)
     }
 
     /// Convenience: build and run the measured fleet for this study.
@@ -206,7 +154,7 @@ impl CaseStudy {
         tails: TailAccumulation,
         days: usize,
     ) -> FleetConfig {
-        self.calibrated_fleet_config_with(balancer, scale, topology, tails, days).0
+        self.calibrated_fleet(balancer, scale, topology, tails, days).0
     }
 
     /// [`CaseStudy::fleet`] over [`CaseStudy::fleet_config_with`]'s
@@ -219,12 +167,14 @@ impl CaseStudy {
         tails: TailAccumulation,
         days: usize,
     ) -> Fleet {
-        let (cfg, peak_rps) =
-            self.calibrated_fleet_config_with(balancer, scale, topology, tails, days);
+        let (cfg, peak_rps) = self.calibrated_fleet(balancer, scale, topology, tails, days);
         Fleet::with_peak(cfg, peak_rps)
     }
 
-    fn calibrated_fleet_config_with(
+    /// The study's fleet configuration with calibrated monitor thresholds,
+    /// and the measured per-server peak it was calibrated against: one peak
+    /// bisection, one threshold calibration.
+    fn calibrated_fleet(
         &self,
         balancer: LoadBalancer,
         scale: FleetScale,
@@ -232,10 +182,36 @@ impl CaseStudy {
         tails: TailAccumulation,
         days: usize,
     ) -> (FleetConfig, f64) {
-        let mut cfg = self.base_fleet_config(balancer, scale);
-        cfg.topology = topology;
-        cfg.tails = tails;
-        cfg.days = days;
+        let table = PerformanceTable {
+            baseline: ModePerformance::paper_defaults(StretchMode::Baseline),
+            b_mode: ModePerformance {
+                ls_performance: ModePerformance::paper_defaults(StretchMode::BatchBoost(
+                    RobSkew::recommended_b_mode(),
+                ))
+                .ls_performance,
+                batch_speedup: self.b_mode_batch_speedup,
+            },
+            q_mode: ModePerformance::paper_defaults(StretchMode::QosBoost(
+                RobSkew::recommended_q_mode(),
+            )),
+        };
+        let mut cfg = FleetConfig {
+            servers: scale.servers,
+            service: self.service(),
+            arrivals: ArrivalProcess::bursty(100.0),
+            pattern: self.pattern,
+            balancer,
+            topology,
+            tails,
+            days,
+            interval_hours: self.interval_hours,
+            requests_per_server: scale.requests_per_server,
+            stretch: StretchConfig::b_mode_only(RobSkew::recommended_b_mode()),
+            // A placeholder: the thresholds are calibrated below.
+            monitor: MonitorConfig::default(),
+            table,
+            seed: scale.seed,
+        };
         let peak_rps = fleet::measured_peak_rps(&cfg);
         cfg.monitor = fleet::calibrated_monitor_with_peak(&cfg, self.engage_below, peak_rps);
         (cfg, peak_rps)

@@ -7,8 +7,8 @@
 //! core pair whose mode is picked by its own
 //! [`stretch::ClosedLoopStretch`] controller — fed by one diurnal-modulated
 //! open-loop arrival stream that a pluggable [`LoadBalancer`] spreads across
-//! the machines. Requests queue per server exactly as in
-//! [`sim_qos::ServerSim`] (FCFS over the service's worker threads,
+//! the machines. Each server is a [`sim_qos::WorkerQueue`], the queue
+//! [`sim_qos::ServerSim`] runs on (FCFS over the service's worker threads,
 //! log-normal service times whose CPU-bound part stretches with the engaged
 //! mode's delivered performance), and queues persist across control
 //! intervals on a continuous clock, so tails near saturation reflect real
@@ -20,7 +20,7 @@
 //! fiat.
 //!
 //! The engagement thresholds are calibrated against the fleet itself
-//! ([`calibrated_monitor`]): short pinned-mode runs at the paper's
+//! ([`calibrated_monitor_with_peak`]): short pinned-mode runs at the paper's
 //! 85%-of-peak engagement load measure the tail-to-target ratio servers
 //! actually show there — once under the baseline mode's delivered
 //! performance (the engage threshold) and once stretched (the disengage
@@ -58,18 +58,18 @@
 //! Memory stays bounded at scale through [`TailAccumulation::Binned`]
 //! (day- and fleet-level tails in fixed-resolution
 //! [`sim_stats::LatencyHistogram`] bins instead of raw-sample vectors), and
-//! time through a per-server *skip-ahead watermark*: an idle server — one
-//! whose last worker completion is behind the incoming arrival — answers
-//! balancer backlog probes in O(1) without scanning its workers, so a
-//! lightly-loaded fleet's dispatch cost tracks the busy servers, not the
-//! fleet size.
+//! time through each [`sim_qos::WorkerQueue`]'s *skip-ahead watermark*: an
+//! idle server — one whose last worker completion is behind the incoming
+//! arrival — answers balancer backlog probes in O(1) without scanning its
+//! workers, so a lightly-loaded fleet's dispatch cost tracks the busy
+//! servers, not the fleet size.
 
 use crate::diurnal::DiurnalPattern;
 use crate::topology::{FleetTopology, TailAccumulation};
 use cpu_sim::{ColocationPolicy, QosObservation};
 use serde::{Deserialize, Serialize};
 use sim_model::{parallel_map, CanonicalKey, KeyEncoder, SimRng};
-use sim_qos::{ArrivalGenerator, ArrivalProcess, ServiceSpec};
+use sim_qos::{bisect_peak_rps, ArrivalGenerator, ArrivalProcess, ServiceSpec, WorkerQueue};
 use sim_stats::{det_merge, det_sum, percentile, LatencyHistogram, Percentiles};
 use stretch::orchestrator::PerformanceTable;
 use stretch::{ClosedLoopStretch, MonitorConfig, QosPolicy, StretchConfig};
@@ -332,55 +332,26 @@ pub fn rack_seed(fleet_seed: u64, rack: usize) -> u64 {
 /// offers a rack its even share of the load), which keeps 10k-server
 /// construction cheap; for a flat fleet it is the whole fleet, exactly as
 /// before. Server-intervals that measured zero requests are skipped — a
-/// starved server has no tail, not a perfect 0 ms one.
+/// starved server has no tail, not a perfect 0 ms one. When even 5% of a
+/// server's capacity misses the target, the result is that 5% floor: the
+/// day's run still needs a positive rate.
+///
+/// # Panics
+///
+/// Panics if `cfg` is invalid.
 pub fn measured_peak_rps(cfg: &FleetConfig) -> f64 {
-    let cal = calibration_config(cfg);
-    let cfg = &cal;
+    cfg.validate().expect("invalid fleet configuration");
+    let cfg = &calibration_config(cfg);
     let spec = &cfg.service;
     let baseline_perf = cfg.table.baseline.ls_performance.clamp(0.05, 1.0);
-    // Hard ceiling: the no-queueing throughput of one server's workers.
-    let capacity_rps = spec.workers as f64 * 1000.0 / spec.mean_service_ms(baseline_perf);
-    // Invariant across every bisection probe: hoist the per-server slowdown
-    // table and metric out of the closure instead of rebuilding them per
-    // probe.
-    let slowdowns = vec![spec.slowdown(baseline_perf); cfg.servers];
-    let metric = spec.tail_metric.percentile();
-    let meets = |per_server_rps: f64| -> bool {
-        let mut state = DispatchState::new(cfg, cfg.seed ^ 0x9ea4);
-        let mut tails = Vec::with_capacity(4 * cfg.servers);
-        for t in 0..6u64 {
-            let (per_server, _) = run_interval(
-                cfg,
-                &mut state,
-                cfg.balancer,
-                per_server_rps * cfg.servers as f64,
-                &slowdowns,
-                t,
-            );
-            if t >= 2 {
-                for stats in &per_server {
-                    if let Some(tail) = stats.percentile(metric) {
-                        tails.push(tail);
-                    }
-                }
-            }
-        }
+    let peak = bisect_peak_rps(spec, baseline_perf, |per_server_rps| {
+        let rate = per_server_rps * cfg.servers as f64;
+        let tails = pinned_tails(cfg, baseline_perf, rate, 0x9ea4, 6);
         percentile(&tails, 50.0).expect("peak calibration produced samples") <= spec.qos_target_ms
-    };
-    let mut lo = capacity_rps * 0.05;
-    let mut hi = capacity_rps;
-    if !meets(lo) {
-        return lo; // the target is hopeless; keep a positive rate for the run
+    });
+    match peak {
+        Ok(rps) | Err(rps) => rps,
     }
-    for _ in 0..12 {
-        let mid = 0.5 * (lo + hi);
-        if meets(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 /// The configuration peak measurement and threshold calibration run on:
@@ -402,14 +373,11 @@ fn calibration_config(cfg: &FleetConfig) -> FleetConfig {
 }
 
 /// Dispatch state shared by every interval of one shard of one fleet run:
-/// per-server worker availability (queues persist across intervals), the
-/// per-server skip-ahead watermark (each server's latest worker-completion
-/// time, so idle servers answer backlog probes in O(1)), per-server
-/// service-time streams, the balancer's round-robin cursor and RNG, the
-/// arrival-stream root and the continuous clock.
+/// one [`WorkerQueue`] per server (queues persist across intervals),
+/// per-server service-time streams, the balancer's round-robin cursor and
+/// RNG, the arrival-stream root and the continuous clock.
 struct DispatchState {
-    workers: Vec<Vec<f64>>,
-    max_avail: Vec<f64>,
+    queues: Vec<WorkerQueue>,
     service_rngs: Vec<SimRng>,
     rr_next: usize,
     balancer_rng: SimRng,
@@ -418,11 +386,6 @@ struct DispatchState {
 }
 
 impl DispatchState {
-    /// State for a whole (flat) fleet — the calibration paths.
-    fn new(cfg: &FleetConfig, seed: u64) -> DispatchState {
-        DispatchState::for_servers(cfg, seed, cfg.servers)
-    }
-
     /// State for one shard of `servers` machines under shard seed `seed`.
     /// Service streams are keyed by the shard seed and the shard-*local*
     /// index — for shard 0 of a run (and any flat fleet) this is exactly
@@ -432,8 +395,7 @@ impl DispatchState {
         let arrival_root = root.fork(1);
         let balancer_rng = root.fork(2);
         DispatchState {
-            workers: vec![vec![0.0; cfg.service.workers]; servers],
-            max_avail: vec![0.0; servers],
+            queues: vec![WorkerQueue::new(cfg.service.workers); servers],
             service_rngs: (0..servers).map(|s| SimRng::new(server_seed(seed, s))).collect(),
             rr_next: 0,
             balancer_rng,
@@ -515,7 +477,7 @@ fn run_interval(
     slowdowns: &[f64],
     interval_idx: u64,
 ) -> (Vec<Percentiles>, TailAcc) {
-    let n = state.workers.len();
+    let n = state.queues.len();
     let spec = &cfg.service;
     let mut arrivals = ArrivalGenerator::new(
         cfg.arrivals.with_rate(rate_rps),
@@ -535,8 +497,9 @@ fn run_interval(
             }
             LoadBalancer::LeastLoaded => (0..n)
                 .min_by(|&a, &b| {
-                    backlog(&state.workers[a], state.max_avail[a], arrival)
-                        .partial_cmp(&backlog(&state.workers[b], state.max_avail[b], arrival))
+                    state.queues[a]
+                        .backlog(arrival)
+                        .partial_cmp(&state.queues[b].backlog(arrival))
                         .expect("no NaN backlogs")
                 })
                 .expect("at least one server"),
@@ -551,32 +514,16 @@ fn run_interval(
                 } else {
                     a
                 };
-                let backlog_a = backlog(&state.workers[a], state.max_avail[a], arrival);
-                let backlog_b = backlog(&state.workers[b], state.max_avail[b], arrival);
-                if backlog_a <= backlog_b {
+                if state.queues[a].backlog(arrival) <= state.queues[b].backlog(arrival) {
                     a
                 } else {
                     b
                 }
             }
         };
-        // Earliest-available worker on the chosen server (FCFS with greedy
-        // assignment, as in `sim_qos::ServerSim`).
-        let (widx, avail) = state.workers[s]
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN worker times"))
-            .expect("at least one worker");
-        let start = arrival.max(avail);
-        let service_time = state.service_rngs[s]
+        let service_ms = state.service_rngs[s]
             .log_normal(spec.service_median_ms * slowdowns[s], spec.service_sigma);
-        let done = start + service_time;
-        state.workers[s][widx] = done;
-        if done > state.max_avail[s] {
-            state.max_avail[s] = done;
-        }
-        let sojourn = done - arrival;
+        let sojourn = state.queues[s].admit(arrival, service_ms);
         per_server[s].record(sojourn);
         fleet.record(sojourn);
     }
@@ -584,18 +531,25 @@ fn run_interval(
     (per_server, fleet)
 }
 
-/// Total queued work (ms) ahead of a request arriving `now` on one server.
-///
-/// `max_avail` is the server's skip-ahead watermark (its latest worker
-/// completion): when it is already behind `now` the server is fully idle
-/// and the backlog is exactly the `0.0` the scan would compute — answered
-/// in O(1), which is what keeps balancer probes cheap on a mostly-idle
-/// fleet.
-fn backlog(workers: &[f64], max_avail: f64, now: f64) -> f64 {
-    if max_avail <= now {
-        return 0.0;
+/// Per-server tails (ms) of a pinned-mode run on fresh queues: every server
+/// at delivered performance `perf`, `intervals` control intervals at
+/// `rate_rps` through the configured balancer, RNG streams rooted at
+/// `cfg.seed ^ tag`. The first two intervals are discarded as queue
+/// warm-up, and server-intervals that measured nothing are skipped: a
+/// starved server contributes no evidence, and a substituted 0.0 would drag
+/// a calibration median toward "all slack".
+fn pinned_tails(cfg: &FleetConfig, perf: f64, rate_rps: f64, tag: u64, intervals: u64) -> Vec<f64> {
+    let mut state = DispatchState::for_servers(cfg, cfg.seed ^ tag, cfg.servers);
+    let slowdowns = vec![cfg.service.slowdown(perf.clamp(0.05, 1.0)); cfg.servers];
+    let metric = cfg.service.tail_metric.percentile();
+    let mut tails = Vec::new();
+    for t in 0..intervals {
+        let (per_server, _) = run_interval(cfg, &mut state, cfg.balancer, rate_rps, &slowdowns, t);
+        if t >= 2 {
+            tails.extend(per_server.iter().filter_map(|stats| stats.percentile(metric)));
+        }
     }
-    workers.iter().map(|&avail| (avail - now).max(0.0)).sum()
+    tails
 }
 
 /// Calibrates tail-latency monitor thresholds so the measured control loop
@@ -619,17 +573,8 @@ fn backlog(workers: &[f64], max_avail: f64, now: f64) -> f64 {
 /// within an interval or two.
 ///
 /// The `monitor` field of `cfg` is ignored (that is what is being derived).
-///
-/// # Panics
-///
-/// Panics if `engage_below_load` is not in `(0, 1]` or `cfg` is invalid.
-pub fn calibrated_monitor(cfg: &FleetConfig, engage_below_load: f64) -> MonitorConfig {
-    calibrated_monitor_with_peak(cfg, engage_below_load, measured_peak_rps(cfg))
-}
-
-/// [`calibrated_monitor`] with the per-server peak already measured (via
-/// [`measured_peak_rps`]), so callers that also construct the fleet can run
-/// the peak bisection once instead of twice.
+/// `peak_rps` is the per-server peak from [`measured_peak_rps`], passed in
+/// so callers that also construct the fleet run the bisection only once.
 ///
 /// # Panics
 ///
@@ -648,30 +593,11 @@ pub fn calibrated_monitor_with_peak(
     cfg.validate().expect("invalid fleet configuration");
     // Like the peak bisection, calibration runs on the fleet's dispatch
     // unit: the whole fleet when flat, one rack when racked.
-    let cal = calibration_config(cfg);
-    let cfg = &cal;
+    let cfg = &calibration_config(cfg);
     let rate = engage_below_load * cfg.servers as f64 * peak_rps;
-    let metric = cfg.service.tail_metric.percentile();
-    let discard = 2usize; // queue warm-up intervals
-    let measure = 6usize;
     let ratios_for = |perf: f64, tag: u64| -> Vec<f64> {
-        let mut state = DispatchState::new(cfg, cfg.seed ^ tag);
-        let slowdowns = vec![cfg.service.slowdown(perf.clamp(0.05, 1.0)); cfg.servers];
-        let mut ratios = Vec::with_capacity(measure * cfg.servers);
-        for t in 0..(discard + measure) as u64 {
-            let (per_server, _) = run_interval(cfg, &mut state, cfg.balancer, rate, &slowdowns, t);
-            if t >= discard as u64 {
-                // Skip server-intervals that measured nothing: a starved
-                // server contributes no evidence, and a substituted 0.0
-                // would drag the calibration median toward "all slack".
-                for stats in &per_server {
-                    if let Some(tail) = stats.percentile(metric) {
-                        ratios.push(tail / cfg.service.qos_target_ms);
-                    }
-                }
-            }
-        }
-        ratios
+        let tails = pinned_tails(cfg, perf, rate, tag, 8);
+        tails.iter().map(|tail| tail / cfg.service.qos_target_ms).collect()
     };
     let baseline = ratios_for(cfg.table.baseline.ls_performance, 0xca1b_0001);
     let stretched = ratios_for(cfg.table.b_mode.ls_performance, 0xca1b_0002);
@@ -789,7 +715,6 @@ impl Fleet {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(cfg: FleetConfig) -> Fleet {
-        cfg.validate().expect("invalid fleet configuration");
         let peak_rps = measured_peak_rps(&cfg);
         Fleet { cfg, peak_rps }
     }
@@ -1180,6 +1105,25 @@ mod tests {
         let mut cfg = quick_fleet(LoadBalancer::RoundRobin);
         cfg.servers = 0;
         let _ = Fleet::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fleet configuration")]
+    fn peak_measurement_rejects_an_invalid_config() {
+        let mut cfg = quick_fleet(LoadBalancer::RoundRobin);
+        cfg.requests_per_server = 0;
+        let _ = measured_peak_rps(&cfg);
+    }
+
+    #[test]
+    fn hopeless_target_keeps_the_floor_as_peak() {
+        let mut cfg = quick_fleet(LoadBalancer::RoundRobin);
+        // Valid (above the median) but unmeetable: the tail of the service
+        // times alone exceeds it, before any queueing.
+        cfg.service.qos_target_ms = cfg.service.service_median_ms * 1.01;
+        let perf = cfg.table.baseline.ls_performance.clamp(0.05, 1.0);
+        let capacity_rps = cfg.service.workers as f64 * 1000.0 / cfg.service.mean_service_ms(perf);
+        assert_eq!(measured_peak_rps(&cfg), capacity_rps * 0.05);
     }
 
     #[test]

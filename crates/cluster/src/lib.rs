@@ -50,8 +50,8 @@ pub mod topology;
 pub use case_study::{CaseStudy, CaseStudyReport};
 pub use diurnal::{day_steps, DiurnalPattern, LoadSample};
 pub use fleet::{
-    calibrated_monitor, calibrated_monitor_with_peak, measured_peak_rps, rack_seed, server_seed,
-    Fleet, FleetConfig, FleetIntervalReport, FleetReport, FleetScale, LoadBalancer, ServerSummary,
+    calibrated_monitor_with_peak, measured_peak_rps, rack_seed, server_seed, Fleet, FleetConfig,
+    FleetIntervalReport, FleetReport, FleetScale, LoadBalancer, ServerSummary,
 };
 pub use server::{MeasuredServer, ServerModeMeasurement, ServerWorkloads};
 pub use topology::{FleetTopology, RackTopology, TailAccumulation};

@@ -24,26 +24,32 @@
 //!   to service-time stretch shared with the fleet simulation).
 //! * [`arrival`] — Poisson and bursty (two-state MMPP) open-loop arrivals,
 //!   validated at construction ([`arrival::ArrivalProcess::validate`]).
-//! * [`server::ServerSim`] — FCFS multi-worker queue, percentile collection.
+//! * [`queue`] — the request model: one server's FCFS queue over its worker
+//!   threads ([`queue::WorkerQueue`]) and the 12-step bisection that finds
+//!   a peak sustainable load ([`queue::bisect_peak_rps`]).
+//! * [`server::ServerSim`] — one server's run over a [`queue::WorkerQueue`],
+//!   percentile collection.
 //! * [`sweep`] — latency-versus-load curves (Figure 1).
 //! * [`slack`] — minimum performance meeting QoS per load level (Figure 2).
 //!
 //! The `cluster_sim` crate scales this single-server model to a datacenter:
-//! its fleet simulation dispatches one arrival stream over N servers whose
-//! per-request queueing follows the same FCFS/worker mechanics modelled
-//! here, and calibrates Stretch's engagement thresholds from the tails the
-//! queueing model produces.
+//! its fleet simulation dispatches one arrival stream over N servers, each a
+//! [`queue::WorkerQueue`] whose backlog its load balancers probe, finds the
+//! fleet's peak with [`queue::bisect_peak_rps`], and calibrates Stretch's
+//! engagement thresholds from the tails the queueing model produces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrival;
+pub mod queue;
 pub mod server;
 pub mod service;
 pub mod slack;
 pub mod sweep;
 
 pub use arrival::{ArrivalGenerator, ArrivalProcess};
+pub use queue::{bisect_peak_rps, WorkerQueue};
 pub use server::{LatencySummary, ServerSim, SimParams};
 pub use service::{ServiceSpec, TailMetric};
 pub use slack::{slack_curve, SlackPoint};

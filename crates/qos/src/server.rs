@@ -1,12 +1,14 @@
 //! Discrete-event simulation of one latency-sensitive server.
 //!
 //! Requests arrive open-loop, wait in a FCFS queue for one of the service's
-//! worker threads, and are processed for a log-normally distributed service
-//! time whose median is scaled by `1 / performance_fraction` — degrading the
-//! core's single-thread performance stretches every request proportionally.
-//! Sojourn (queueing + service) times are collected and summarised.
+//! worker threads ([`WorkerQueue`]), and are processed for a log-normally
+//! distributed service time whose median is scaled by
+//! `1 / performance_fraction` — degrading the core's single-thread
+//! performance stretches every request proportionally. Sojourn (queueing +
+//! service) times are collected and summarised.
 
 use crate::arrival::{ArrivalGenerator, ArrivalProcess};
+use crate::queue::{bisect_peak_rps, WorkerQueue};
 use crate::service::ServiceSpec;
 use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder, SimRng};
@@ -129,25 +131,13 @@ impl ServerSim {
     /// performance: the highest rate at which the tail-latency target is
     /// still met. Determined by bisection over simulation runs, mirroring
     /// how the paper establishes each service's peak load empirically.
+    /// Returns 0.0 when even 5% of capacity violates QoS: the configuration
+    /// is hopeless.
     pub fn find_peak_load_rps(&self, params: SimParams) -> f64 {
-        // Upper bound: the no-queueing throughput of all workers.
-        let mean_service_ms = self.spec.mean_service_ms(params.performance_fraction);
-        let capacity_rps = self.spec.workers as f64 * 1000.0 / mean_service_ms;
-        let mut lo = capacity_rps * 0.05;
-        let mut hi = capacity_rps;
-        // If even 5% of capacity violates QoS the configuration is hopeless.
-        if !self.meets_qos(lo, params) {
-            return 0.0;
-        }
-        for _ in 0..12 {
-            let mid = 0.5 * (lo + hi);
-            if self.meets_qos(mid, params) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        bisect_peak_rps(&self.spec, params.performance_fraction, |rate| {
+            self.meets_qos(rate, params)
+        })
+        .unwrap_or(0.0)
     }
 
     /// Whether the QoS target is met at the given arrival rate.
@@ -162,36 +152,22 @@ impl ServerSim {
         assert!(rate_rps > 0.0, "arrival rate must be positive");
         let mut rng = SimRng::new(params.seed);
         let arrival_rng = rng.fork(1);
-        let service_rng = rng.fork(2);
+        let mut service_rng = rng.fork(2);
         let mut arrivals = ArrivalGenerator::new(self.arrivals.with_rate(rate_rps), arrival_rng);
         // Only the CPU-bound portion of the service time stretches when the
         // core delivers less single-thread performance.
-        let slowdown = self.spec.slowdown(params.performance_fraction);
-        let mut service = ServiceTimes {
-            rng: service_rng,
-            median_ms: self.spec.service_median_ms * slowdown,
-            sigma: self.spec.service_sigma,
-        };
+        let median_ms =
+            self.spec.service_median_ms * self.spec.slowdown(params.performance_fraction);
 
-        // Worker availability times (ms). A request starts on the earliest
-        // available worker, no earlier than its arrival.
-        let mut workers = vec![0.0f64; self.spec.workers];
+        let mut queue = WorkerQueue::new(self.spec.workers);
         let mut sojourn = Percentiles::new();
         let total = params.warmup_requests + params.requests;
         for i in 0..total {
             let arrival = arrivals.next_arrival_ms();
-            // Earliest-available worker (FCFS with greedy assignment).
-            let (widx, &avail) = workers
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN worker times"))
-                .expect("at least one worker");
-            let start = arrival.max(avail);
-            let service_time = service.draw();
-            let finish = start + service_time;
-            workers[widx] = finish;
+            let service_ms = service_rng.log_normal(median_ms, self.spec.service_sigma);
+            let sojourn_ms = queue.admit(arrival, service_ms);
             if i >= params.warmup_requests {
-                sojourn.record(finish - arrival);
+                sojourn.record(sojourn_ms);
             }
         }
 
@@ -213,19 +189,6 @@ impl ServerSim {
     pub fn run_at_load(&self, load: f64, peak_rps: f64, params: SimParams) -> LatencySummary {
         assert!(load > 0.0 && load <= 1.001, "load must be a fraction of peak (got {load})");
         self.run_at_rate(load * peak_rps, params)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct ServiceTimes {
-    rng: SimRng,
-    median_ms: f64,
-    sigma: f64,
-}
-
-impl ServiceTimes {
-    fn draw(&mut self) -> f64 {
-        self.rng.log_normal(self.median_ms, self.sigma)
     }
 }
 
@@ -269,6 +232,16 @@ mod tests {
             p99_growth > mean_growth,
             "tail should grow faster than the mean (mean×{mean_growth:.2}, p99×{p99_growth:.2})"
         );
+    }
+
+    #[test]
+    fn hopeless_target_gives_a_zero_peak() {
+        let mut spec = ServiceSpec::web_search();
+        // Valid (above the median) but unmeetable: the tail of the service
+        // times alone exceeds it, before any queueing.
+        spec.qos_target_ms = spec.service_median_ms * 1.01;
+        let sim = ServerSim::new(spec, ArrivalProcess::bursty(100.0));
+        assert_eq!(sim.find_peak_load_rps(SimParams::quick(7)), 0.0);
     }
 
     #[test]

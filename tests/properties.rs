@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use stretch_repro::model::{CoreConfig, SimRng, ThreadId, TraceGenerator, WorkloadClass};
+use stretch_repro::qos::WorkerQueue;
 use stretch_repro::stats::percentile::percentile;
 use stretch_repro::stats::{DistributionSummary, Histogram};
 use stretch_repro::stretch::{RobSkew, StretchMode};
@@ -195,6 +196,41 @@ proptest! {
                     policy.lsq_limit(&cfg, ThreadId::T0) + policy.lsq_limit(&cfg, ThreadId::T1)
                         <= cfg.lsq_capacity + 8
                 );
+            }
+        }
+    }
+
+    // ---------------- queueing kernel ----------------
+
+    /// `WorkerQueue` against a plain availability vector: admission must be
+    /// lowest-index earliest-worker FCFS, and the idle-watermark fast path
+    /// of `backlog` must return exactly what the full scan computes. Times
+    /// on a 1/8 ms grid make ties between workers common.
+    #[test]
+    fn worker_queue_matches_a_plain_earliest_worker_scan(
+        workers in 1usize..17,
+        requests in prop::collection::vec((0u32..8, 1u32..64, 0.0f64..1.0, any::<bool>()), 1..120),
+    ) {
+        let mut queue = WorkerQueue::new(workers);
+        let mut reference = vec![0.0f64; workers];
+        let mut arrival = 0.0f64;
+        for (gap, units, frac, off_grid) in requests {
+            arrival += gap as f64 * 0.125;
+            let service = units as f64 * 0.125 + if off_grid { frac } else { 0.0 };
+            let sojourn = queue.admit(arrival, service);
+            let mut w = 0;
+            for (i, &avail) in reference.iter().enumerate() {
+                if avail < reference[w] {
+                    w = i;
+                }
+            }
+            let done = arrival.max(reference[w]) + service;
+            reference[w] = done;
+            prop_assert_eq!(sojourn.to_bits(), (done - arrival).to_bits());
+            let latest = reference.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            for now in [arrival, done - 0.5 * service, done, latest - 0.0625, latest, latest + 1.0] {
+                let scan: f64 = reference.iter().map(|&avail| (avail - now).max(0.0)).sum();
+                prop_assert_eq!(queue.backlog(now).to_bits(), scan.to_bits(), "backlog at {}", now);
             }
         }
     }
