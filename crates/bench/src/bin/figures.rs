@@ -95,7 +95,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let batch: usize =
                     batch.parse().map_err(|_| format!("--matrix {spec}: bad batch count"))?;
                 let (max_ls, max_batch) =
-                    (stretch_bench::ls_names().len(), stretch_bench::batch_names().len());
+                    (workloads::latency_sensitive::NAMES.len(), workloads::batch::NAMES.len());
                 if ls < 1 || ls > max_ls || batch < 1 || batch > max_batch {
                     return Err(format!(
                         "--matrix {spec}: LS must be 1..={max_ls} and batch 1..={max_batch}"

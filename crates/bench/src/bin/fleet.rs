@@ -39,9 +39,8 @@
 use std::process::ExitCode;
 
 use cluster_sim::{CaseStudy, FleetScale, FleetTopology, LoadBalancer, TailAccumulation};
-use stretch_bench::engine::Engine;
-use stretch_bench::harness::ExperimentConfig;
 use stretch_bench::store::JsonCodec;
+use stretch_bench::{Engine, ExperimentConfig};
 
 struct Options {
     study: CaseStudy,
@@ -168,11 +167,13 @@ fn main() -> ExitCode {
     // Calibration (peak bisection + threshold fit on the topology's dispatch
     // unit) runs outside the cached cell and on every invocation; it is
     // deterministic and cheap next to the day itself.
-    let cfg = opts.study.fleet_config_with(opts.balancer, scale, topology, tails, opts.days);
-    if let Err(message) = cfg.validate() {
-        eprintln!("invalid fleet configuration: {message}");
-        return ExitCode::from(2);
-    }
+    let fleet = match opts.study.try_fleet_with(opts.balancer, scale, topology, tails, opts.days) {
+        Ok(fleet) => fleet,
+        Err(message) => {
+            eprintln!("invalid fleet configuration: {message}");
+            return ExitCode::from(2);
+        }
+    };
 
     let mut experiment = ExperimentConfig::quick();
     experiment.parallelism = opts.workers;
@@ -195,7 +196,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let report = engine.fleet(&cfg);
+    let report = engine.fleet(&fleet);
     let stats = engine.stats();
     println!(
         "fleet {} x{} {} ({}), {} day(s), {} worker(s): gain {:+.4}%, p99 {:.2} ms, \
@@ -203,7 +204,7 @@ fn main() -> ExitCode {
         opts.study_name,
         opts.servers,
         opts.balancer,
-        cfg.topology,
+        fleet.cfg().topology,
         opts.days,
         opts.workers,
         report.gain() * 100.0,

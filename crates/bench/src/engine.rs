@@ -19,30 +19,156 @@
 //!   (see [`crate::store`]); a warm-cache invocation performs zero
 //!   simulation runs, which [`CacheStats`] makes verifiable.
 //!
-//! All matrix-shaped work is funnelled through the harness's single
-//! [`parallel_map`] pool with the configuration's worker count, so callers
-//! never spawn their own ad-hoc thread pools.
+//! Each cycle-level cell builds its run directly on the `cpu_sim` entry
+//! points: [`Scenario`] for SMT colocations and stand-alone runs,
+//! [`ServerScenario`] for whole servers, so Stretch and every baseline go
+//! through one interface. All matrix-shaped work is funnelled through the
+//! single [`parallel_map`] pool with the configuration's worker count, so
+//! callers never spawn their own ad-hoc thread pools.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex};
 
-use cluster_sim::{CaseStudy, Fleet, FleetConfig, FleetReport, FleetScale, LoadBalancer};
+use cluster_sim::{CaseStudy, Fleet, FleetReport, FleetScale, LoadBalancer};
 use cpu_sim::{
-    AllocationPolicy, ColocationPolicy, PrivateCore, Scenario, ServerSpec, ThreadRunResult,
-    ThreadSpec,
+    AllocationPolicy, ColocationPolicy, PrivateCore, Scenario, ServerScenario, ServerSpec,
+    ServerThread, SimLength, ThreadRunResult, ThreadSpec,
 };
 use serde_json::Value;
-use sim_model::KeyEncoder;
+use sim_model::{parallel_map, CoreConfig, KeyEncoder, ThreadId, TraceSource};
 use sim_qos::{latency_vs_load, slack_curve, LoadPoint, ServiceSpec, SlackPoint};
 use workloads::{batch, latency_sensitive};
 
-use crate::harness::{
-    parallel_map, run_server, run_smt_colocation, ExperimentConfig, PairOutcome, ServerOutcome,
-    SmtOutcome,
-};
 use crate::store::{JsonCodec, ResultStore};
+
+/// Common experiment parameters.
+#[derive(Debug, Clone, Copy)]
+pub struct ExperimentConfig {
+    /// Core configuration (Table II defaults).
+    pub core: CoreConfig,
+    /// Simulation length per run.
+    pub length: SimLength,
+    /// Base RNG seed; every workload pairing derives its own stream from it.
+    pub seed: u64,
+    /// Number of worker threads for the experiment matrix (0 = all cores).
+    pub parallelism: usize,
+}
+
+impl ExperimentConfig {
+    /// The standard configuration used by the figure binaries.
+    pub fn standard() -> ExperimentConfig {
+        ExperimentConfig {
+            core: CoreConfig::default(),
+            length: SimLength::standard(),
+            seed: 42,
+            parallelism: 0,
+        }
+    }
+
+    /// A reduced configuration for tests and quick figure runs (`--quick`).
+    pub fn quick() -> ExperimentConfig {
+        ExperimentConfig {
+            core: CoreConfig::default(),
+            length: SimLength::quick(),
+            seed: 42,
+            parallelism: 0,
+        }
+    }
+
+    /// The effective worker-thread count for this configuration.
+    pub fn workers(&self) -> usize {
+        if self.parallelism > 0 {
+            self.parallelism
+        } else {
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+        }
+    }
+
+    /// Whether this is the reduced (test/CI) scale.
+    pub fn is_quick(&self) -> bool {
+        self.length == SimLength::quick()
+    }
+
+    /// Queueing-simulation parameters matching this configuration's scale:
+    /// quick core simulations pair with quick request-level simulations.
+    pub fn qos_params(&self, seed: u64) -> sim_qos::SimParams {
+        if self.is_quick() {
+            sim_qos::SimParams::quick(seed)
+        } else {
+            sim_qos::SimParams::standard(seed)
+        }
+    }
+}
+
+impl Default for ExperimentConfig {
+    fn default() -> ExperimentConfig {
+        ExperimentConfig::standard()
+    }
+}
+
+/// Outcome of one latency-sensitive × batch colocation run.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct PairOutcome {
+    /// Latency-sensitive workload name (thread 0).
+    pub ls: String,
+    /// Batch workload name (thread 1).
+    pub batch: String,
+    /// UIPC of the latency-sensitive thread.
+    pub ls_uipc: f64,
+    /// UIPC of the batch thread.
+    pub batch_uipc: f64,
+}
+
+/// Outcome of one latency-sensitive × N-batch SMT colocation run: per-slot
+/// workload names and UIPCs, with the latency-sensitive service in slot 0
+/// and the batch co-runners following in offer order.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct SmtOutcome {
+    /// Workload names in hardware-thread slot order (LS service first).
+    pub names: Vec<String>,
+    /// UIPC of each slot, aligned with `names`.
+    pub uipcs: Vec<f64>,
+}
+
+impl SmtOutcome {
+    /// UIPC of the latency-sensitive service (slot 0).
+    pub fn ls_uipc(&self) -> f64 {
+        self.uipcs[0]
+    }
+
+    /// Aggregate UIPC of the batch co-runners (slots 1..).
+    pub fn batch_throughput(&self) -> f64 {
+        sim_stats::det_sum(&self.uipcs[1..])
+    }
+}
+
+/// Outcome of one whole-server run: the placement the allocation policy
+/// chose plus every offered thread's UIPC. Thread 0 is the latency-sensitive
+/// service, the batch jobs follow in offer order (the [`Engine::server`]
+/// cell convention).
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct ServerOutcome {
+    /// Offered workload names (index = thread index, LS service first).
+    pub names: Vec<String>,
+    /// The chosen placement: `cores[c]` lists the thread indices on core `c`.
+    pub cores: Vec<Vec<usize>>,
+    /// UIPC of each offered thread, aligned with `names`.
+    pub uipcs: Vec<f64>,
+}
+
+impl ServerOutcome {
+    /// UIPC of the latency-sensitive service (thread 0).
+    pub fn ls_uipc(&self) -> f64 {
+        self.uipcs[0]
+    }
+
+    /// Aggregate UIPC of the batch threads (threads 1..).
+    pub fn batch_throughput(&self) -> f64 {
+        sim_stats::det_sum(&self.uipcs[1..])
+    }
+}
 
 /// Hit/miss counters for one engine. `misses` equals the number of actual
 /// simulation runs performed — a warm-cache invocation reports `misses == 0`.
@@ -293,8 +419,14 @@ impl Engine {
     /// produce, so two policies can never alias onto one cell; the
     /// slot-ordered name list keys the thread grouping, so the historical
     /// two-thread pairs and the wider SMT4 groupings are distinct cells of
-    /// one `smt/v1` family. The computation is
-    /// [`crate::harness::run_smt_colocation`] — a [`cpu_sim::Scenario`].
+    /// one `smt/v1` family. The computation is one [`Scenario::colocate_n`]
+    /// run, which seeds the grouping with [`cpu_sim::colocation_seed`] over
+    /// the slot-ordered names, so the same grouping sees identical
+    /// instruction streams under every policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any workload name is unknown or `batches` is empty.
     pub fn smt(&self, policy: &dyn ColocationPolicy, ls: &str, batches: &[String]) -> SmtOutcome {
         let mut key = self.core_key("smt/v1");
         policy.encode_key(&mut key);
@@ -303,7 +435,25 @@ impl Engine {
         names.extend(batches.iter().cloned());
         key.list(&names);
         self.run_cached(&key, &format!("smt {}", names.join(" x ")), || {
-            run_smt_colocation(&self.cfg, policy, ls, batches)
+            let ls_profile =
+                latency_sensitive::profile_by_name(ls).expect("known latency-sensitive name");
+            let batch_profiles: Vec<Box<dyn TraceSource + Send + Sync>> = batches
+                .iter()
+                .map(|name| {
+                    Box::new(batch::profile_by_name(name).expect("known batch name"))
+                        as Box<dyn TraceSource + Send + Sync>
+                })
+                .collect();
+            let result = Scenario::colocate_n(ls_profile, batch_profiles)
+                .config(self.cfg.core)
+                .boxed_policy(policy.clone_policy())
+                .length(self.cfg.length)
+                .seed(self.cfg.seed)
+                .run();
+            let uipcs = (0..names.len())
+                .map(|slot| result.expect_thread(ThreadId::from_index(slot)).uipc)
+                .collect();
+            SmtOutcome { names, uipcs }
         })
     }
 
@@ -360,7 +510,22 @@ impl Engine {
         let what =
             format!("server {} threads on {}x{}", names.len(), spec.cores, spec.threads_per_core);
         self.run_cached(&key, &what, || {
-            run_server(&self.cfg, spec, allocation, colocation, &threads)
+            let mut scenario = ServerScenario::new(spec)
+                .config(self.cfg.core)
+                .boxed_allocation(allocation.clone_policy())
+                .boxed_colocation(colocation.clone_policy())
+                .length(self.cfg.length)
+                .seed(self.cfg.seed);
+            for thread in threads {
+                let profile = workloads::profile_by_name(&thread.name)
+                    .unwrap_or_else(|| panic!("unknown workload {}", thread.name));
+                scenario = scenario.thread(ServerThread::new(thread, Box::new(profile)));
+            }
+            let result = scenario.run();
+            let uipcs = (0..names.len())
+                .map(|t| result.thread_uipc(t).expect("every offered thread was placed and ran"))
+                .collect();
+            ServerOutcome { names, cores: result.placement.cores().to_vec(), uipcs }
         })
     }
 
@@ -449,23 +614,26 @@ impl Engine {
         })
     }
 
-    /// A multi-day fleet simulation under an explicit [`FleetConfig`] (the
-    /// measured §VI-D datacenter run). The cell's digest is the complete
-    /// canonical config identity, so any knob change — balancer, scale,
-    /// topology, tail retention, day count, thresholds, table, seed —
-    /// recomputes. The run shards over the configuration's worker count;
-    /// the worker count is deliberately *not* part of the digest because
-    /// the sharded merge is bit-identical at every count.
-    pub fn fleet(&self, cfg: &FleetConfig) -> FleetReport {
+    /// A multi-day run of an already-calibrated [`Fleet`] (the measured
+    /// §VI-D datacenter run). The cell's digest is the complete canonical
+    /// config identity plus the bits of the fleet's measured per-server
+    /// peak, so any knob change — balancer, scale, topology, tail
+    /// retention, day count, thresholds, table, seed — recomputes, and two
+    /// fleets calibrated to different peaks never share a cell. The run
+    /// shards over the configuration's worker count; the worker count is
+    /// deliberately *not* part of the digest because the sharded merge is
+    /// bit-identical at every count.
+    pub fn fleet(&self, fleet: &Fleet) -> FleetReport {
+        let cfg = fleet.cfg();
         let mut key = KeyEncoder::new();
-        key.str("fleet/v2").field(cfg);
+        key.str("fleet/v3").field(cfg).f64(fleet.peak_rps());
         self.run_cached(
             &key,
             &format!(
                 "fleet {} x{} {} ({})",
                 cfg.service.name, cfg.servers, cfg.balancer, cfg.topology
             ),
-            || Fleet::new(cfg.clone()).run_with_workers(self.cfg.workers()),
+            || fleet.run_with_workers(self.cfg.workers()),
         )
     }
 

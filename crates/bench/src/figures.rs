@@ -20,13 +20,12 @@ use cpu_sim::{
     AllocationPolicy, ColocationPolicy, EqualPartition, Greedy, RoundRobin, ServerSpec,
     StudiedResource, SymbiosisAware,
 };
-use sim_model::{CoreConfig, ThreadId};
+use sim_model::{parallel_map, CoreConfig, ThreadId};
 use sim_qos::ServiceSpec;
 use sim_stats::{det_sum, DistributionSummary};
 use stretch::{PinnedStretch, RobSkew, StretchMode};
 
-use crate::engine::Engine;
-use crate::harness::{parallel_map, PairOutcome};
+use crate::engine::{Engine, PairOutcome, ServerOutcome};
 use crate::report::{format_distribution_row, json, TableWriter};
 
 macro_rules! w {
@@ -970,7 +969,7 @@ pub fn figure15_allocation(engine: &Engine) -> String {
         engine.server(spec, allocations[*a].1, colocations[*c].1, ls, &batches)
     });
 
-    let placement_label = |outcome: &crate::harness::ServerOutcome| -> String {
+    let placement_label = |outcome: &ServerOutcome| -> String {
         outcome
             .cores
             .iter()
@@ -1161,7 +1160,7 @@ pub fn tables(_engine: &Engine, as_json: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::ExperimentConfig;
+    use crate::engine::ExperimentConfig;
 
     #[test]
     fn registry_covers_every_binary() {

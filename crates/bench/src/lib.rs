@@ -9,22 +9,17 @@
 //! the `tables` binary prints Tables I-III, also as JSON. This library holds
 //! the shared machinery:
 //!
-//! * [`engine`] — the shared experiment engine: runs every distinct
-//!   experiment cell exactly once (in-process memoisation + in-flight
-//!   deduplication) and persists results via [`store`];
+//! * [`engine`] — the shared experiment engine and its
+//!   [`ExperimentConfig`]: runs every distinct experiment cell exactly once
+//!   (in-process memoisation + in-flight deduplication), each cycle-level
+//!   cell as one [`cpu_sim::Scenario`] or [`cpu_sim::ServerScenario`] run,
+//!   and persists results via [`store`];
 //! * [`store`] — the content-addressed on-disk result store, keyed by a
 //!   collision-free canonical digest of core config, setup, pairing, seed
 //!   and simulation length;
 //! * [`figures`] — every figure/table of the paper as a declarative
 //!   renderer over the engine, plus the registry the `figures` driver
 //!   dispatches on;
-//! * [`harness`] — the experiment configuration, the shared
-//!   [`harness::parallel_map`] worker pool, and the per-cell
-//!   [`cpu_sim::Scenario`] runners the engine memoises: SMT colocations of
-//!   `1 + N` threads under a [`cpu_sim::ColocationPolicy`] and whole-server
-//!   runs under a [`cpu_sim::AllocationPolicy`] above it — Stretch and all
-//!   baselines go through one interface, and the cache digest covers the
-//!   policy identities;
 //! * [`report`] — plain-text table formatting and cache-statistics reporting
 //!   shared by the binaries.
 //!
@@ -36,13 +31,9 @@
 
 pub mod engine;
 pub mod figures;
-pub mod harness;
 pub mod report;
 pub mod store;
 
-pub use engine::{CacheStats, Engine};
-pub use harness::{
-    batch_names, ls_names, pair_seed, ExperimentConfig, PairOutcome, ServerOutcome, SmtOutcome,
-};
+pub use engine::{CacheStats, Engine, ExperimentConfig, PairOutcome, ServerOutcome, SmtOutcome};
 pub use report::{format_cache_stats, format_distribution_row, format_percent, TableWriter};
 pub use store::{JsonCodec, ResultStore};

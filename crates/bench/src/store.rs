@@ -20,7 +20,9 @@
 //! rather than `Serialize`. Round-trips are bit-exact for `f64` because the
 //! serialiser prints shortest-representation floats and the parser restores
 //! the identical bits — a warm-cache figure run renders byte-identical
-//! tables.
+//! tables. That includes `-0.0`, `±∞` and NaN, which the shim writes as
+//! `-0`, `Infinity`/`-Infinity` and `NaN`/`-NaN` (see `vendor/README.md`),
+//! so such a cell decodes on a warm run instead of being simulated again.
 
 use cluster_sim::{FleetIntervalReport, FleetReport, ServerSummary};
 use cpu_sim::ThreadRunResult;
@@ -31,7 +33,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::harness::{PairOutcome, ServerOutcome, SmtOutcome};
+use crate::engine::{ServerOutcome, SmtOutcome};
 
 /// Explicit JSON conversion for store payloads (the vendored serde derives
 /// are no-op markers, so each payload type spells out its encoding).
@@ -85,25 +87,6 @@ impl JsonCodec for usize {
     }
     fn from_json(value: &Value) -> Option<usize> {
         usize::try_from(value.as_u64()?).ok()
-    }
-}
-
-impl JsonCodec for PairOutcome {
-    fn to_json(&self) -> Value {
-        obj(vec![
-            ("ls", Value::from(self.ls.as_str())),
-            ("batch", Value::from(self.batch.as_str())),
-            ("ls_uipc", Value::from(self.ls_uipc)),
-            ("batch_uipc", Value::from(self.batch_uipc)),
-        ])
-    }
-    fn from_json(value: &Value) -> Option<PairOutcome> {
-        Some(PairOutcome {
-            ls: value.get("ls")?.as_str()?.to_string(),
-            batch: value.get("batch")?.as_str()?.to_string(),
-            ls_uipc: value.get("ls_uipc")?.as_f64()?,
-            batch_uipc: value.get("batch_uipc")?.as_f64()?,
-        })
     }
 }
 
@@ -410,20 +393,19 @@ mod tests {
 
     #[test]
     fn save_load_round_trips_pair_outcomes() {
+        // The Engine stores a pair as a two-slot `smt/v1` cell.
         let store = temp_store("pair");
-        let outcome = PairOutcome {
-            ls: "web-search".to_string(),
-            batch: "zeusmp".to_string(),
-            ls_uipc: 1.2345678901234567,
-            batch_uipc: 0.9876543210987654,
+        let outcome = SmtOutcome {
+            names: vec!["web-search".to_string(), "zeusmp".to_string()],
+            uipcs: vec![1.2345678901234567, 0.9876543210987654],
         };
         store
-            .save("abc123", "pair web-search x zeusmp", &outcome.to_json())
+            .save("abc123", "smt web-search x zeusmp", &outcome.to_json())
             .expect("a fresh temp store is writable");
-        let loaded = PairOutcome::from_json(&store.load("abc123").expect("present"))
+        let loaded = SmtOutcome::from_json(&store.load("abc123").expect("present"))
             .expect("a saved outcome decodes back");
         assert_eq!(loaded, outcome);
-        assert_eq!(loaded.ls_uipc.to_bits(), outcome.ls_uipc.to_bits(), "f64 must be bit-exact");
+        assert_eq!(loaded.uipcs[0].to_bits(), outcome.uipcs[0].to_bits(), "f64 must be bit-exact");
         assert_eq!(store.entries().expect("the store directory is listable"), 1);
         let _ = fs::remove_dir_all(store.dir());
     }
@@ -449,6 +431,113 @@ mod tests {
         assert_eq!(restored, server);
         // A malformed placement is a miss, not a panic.
         assert!(ServerOutcome::from_json(&obj(vec![("names", Value::Null)])).is_none());
+    }
+
+    #[test]
+    fn negative_zero_and_non_finite_floats_survive_the_store() {
+        // One value per codec that carries f64 fields, filled with what a
+        // lossy writer breaks: -0.0 printed through an integer reads back as
+        // +0.0, and ±∞ or NaN printed as `null` does not decode at all (the
+        // cell would be simulated again on every warm run).
+        fn round_trip<T: JsonCodec>(store: &ResultStore, value: &T) -> T {
+            store.save("cell", "awkward floats", &value.to_json()).expect("writable");
+            T::from_json(&store.load("cell").expect("present")).expect("decodes")
+        }
+        fn bits(values: &[f64]) -> Vec<u64> {
+            values.iter().map(|v| v.to_bits()).collect()
+        }
+        let store = temp_store("awkward");
+        let awkward = [-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
+        let [zero, inf, neg_inf, nan, neg_nan] = awkward;
+
+        for x in awkward {
+            assert_eq!(round_trip(&store, &x).to_bits(), x.to_bits(), "{x:?}");
+        }
+        assert_eq!(bits(&round_trip(&store, &awkward.to_vec())), bits(&awkward));
+
+        let names = vec!["web-search".to_string(), "zeusmp".to_string()];
+        let smt = SmtOutcome { names: names.clone(), uipcs: vec![zero, neg_nan] };
+        assert_eq!(bits(&round_trip(&store, &smt).uipcs), bits(&smt.uipcs));
+        let server = ServerOutcome { names, cores: vec![vec![0], vec![1]], uipcs: vec![inf, zero] };
+        assert_eq!(bits(&round_trip(&store, &server).uipcs), bits(&server.uipcs));
+
+        let run = ThreadRunResult {
+            name: "zeusmp".to_string(),
+            uipc: neg_nan,
+            committed: 0,
+            cycles: 0,
+            mlp: Histogram::new(2),
+        };
+        assert_eq!(round_trip(&store, &run).uipc.to_bits(), run.uipc.to_bits());
+
+        let point = LoadPoint {
+            load: zero,
+            latency: sim_qos::LatencySummary {
+                mean_ms: nan,
+                p95_ms: inf,
+                p99_ms: neg_inf,
+                p995_ms: neg_nan,
+                max_ms: zero,
+                requests: 0,
+            },
+        };
+        let p = round_trip(&store, &point);
+        let floats = |p: &LoadPoint| {
+            let l = &p.latency;
+            bits(&[p.load, l.mean_ms, l.p95_ms, l.p99_ms, l.p995_ms, l.max_ms])
+        };
+        assert_eq!(floats(&p), floats(&point));
+
+        let slack = SlackPoint { load: zero, required_performance: inf, feasible: false };
+        let s = round_trip(&store, &slack);
+        assert_eq!(bits(&[s.load, s.required_performance]), bits(&[zero, inf]));
+
+        // FleetReport carries the FleetIntervalReport and ServerSummary codecs.
+        let report = FleetReport {
+            intervals: vec![FleetIntervalReport {
+                hour: zero,
+                load: nan,
+                engaged_servers: 0,
+                measured_servers: 0,
+                p99_ms: inf,
+                batch_throughput: neg_nan,
+            }],
+            servers: vec![ServerSummary {
+                engaged_intervals: 0,
+                starved_intervals: 96,
+                p99_ms: neg_inf,
+                requests: 0,
+                mode_changes: 0,
+                throttle_events: 0,
+            }],
+            average_batch_throughput: neg_nan,
+            fraction_engaged: zero,
+            hours_engaged: zero,
+            violation_fraction: nan,
+            p50_ms: inf,
+            p95_ms: neg_inf,
+            p99_ms: nan,
+            requests: 0,
+        };
+        let floats = |r: &FleetReport| {
+            let (i, s) = (&r.intervals[0], &r.servers[0]);
+            bits(&[
+                i.hour,
+                i.load,
+                i.p99_ms,
+                i.batch_throughput,
+                s.p99_ms,
+                r.average_batch_throughput,
+                r.fraction_engaged,
+                r.hours_engaged,
+                r.violation_fraction,
+                r.p50_ms,
+                r.p95_ms,
+                r.p99_ms,
+            ])
+        };
+        assert_eq!(floats(&round_trip(&store, &report)), floats(&report));
+        let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl CaseStudy {
     /// matching the accounting's assumption that disengaged intervals run
     /// at baseline throughput.
     pub fn fleet_config(&self, balancer: LoadBalancer, scale: FleetScale) -> FleetConfig {
-        self.fleet_config_with(balancer, scale, FleetTopology::Flat, TailAccumulation::Exact, 1)
+        self.fleet(balancer, scale).cfg().clone()
     }
 
     /// Builds the measured fleet for this study, running the peak bisection
@@ -139,26 +139,11 @@ impl CaseStudy {
         self.fleet(balancer, scale).run_with_workers(workers)
     }
 
-    /// [`CaseStudy::fleet_config`] generalised to a datacenter shape:
-    /// cluster → rack → server `topology`, a tail-retention policy and a
-    /// run length in days. Peak measurement and threshold calibration run
-    /// on the topology's dispatch unit (one rack when racked), so building
-    /// a 10k-server configuration stays cheap. The global `balancer` only
-    /// matters for a `Flat` topology; racked fleets dispatch through the
-    /// topology's rack balancer.
-    pub fn fleet_config_with(
-        &self,
-        balancer: LoadBalancer,
-        scale: FleetScale,
-        topology: FleetTopology,
-        tails: TailAccumulation,
-        days: usize,
-    ) -> FleetConfig {
-        self.calibrated_fleet(balancer, scale, topology, tails, days).0
-    }
-
-    /// [`CaseStudy::fleet`] over [`CaseStudy::fleet_config_with`]'s
-    /// datacenter knobs.
+    /// [`CaseStudy::try_fleet_with`] for a shape known to be valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fleet configuration is invalid.
     pub fn fleet_with(
         &self,
         balancer: LoadBalancer,
@@ -167,21 +152,32 @@ impl CaseStudy {
         tails: TailAccumulation,
         days: usize,
     ) -> Fleet {
-        let (cfg, peak_rps) = self.calibrated_fleet(balancer, scale, topology, tails, days);
-        Fleet::with_peak(cfg, peak_rps)
+        self.try_fleet_with(balancer, scale, topology, tails, days)
+            .unwrap_or_else(|message| panic!("invalid fleet configuration: {message}"))
     }
 
-    /// The study's fleet configuration with calibrated monitor thresholds,
-    /// and the measured per-server peak it was calibrated against: one peak
-    /// bisection, one threshold calibration.
-    fn calibrated_fleet(
+    /// [`CaseStudy::fleet`] generalised to a datacenter shape: cluster →
+    /// rack → server `topology`, a tail-retention policy and a run length
+    /// in days. Peak measurement and threshold calibration run on the
+    /// topology's dispatch unit (one rack when racked), so building a
+    /// 10k-server fleet stays cheap: one peak bisection, one threshold
+    /// calibration. The global `balancer` only matters for a `Flat`
+    /// topology; racked fleets dispatch through the topology's rack
+    /// balancer.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`FleetConfig::validate`] message when the shape is
+    /// invalid (say, servers that do not split evenly over the racks),
+    /// before any calibration runs.
+    pub fn try_fleet_with(
         &self,
         balancer: LoadBalancer,
         scale: FleetScale,
         topology: FleetTopology,
         tails: TailAccumulation,
         days: usize,
-    ) -> (FleetConfig, f64) {
+    ) -> Result<Fleet, String> {
         let table = PerformanceTable {
             baseline: ModePerformance::paper_defaults(StretchMode::Baseline),
             b_mode: ModePerformance {
@@ -212,9 +208,10 @@ impl CaseStudy {
             table,
             seed: scale.seed,
         };
+        cfg.validate()?;
         let peak_rps = fleet::measured_peak_rps(&cfg);
         cfg.monitor = fleet::calibrated_monitor_with_peak(&cfg, self.engage_below, peak_rps);
-        (cfg, peak_rps)
+        Ok(Fleet::with_peak(cfg, peak_rps))
     }
 }
 
@@ -323,6 +320,33 @@ mod tests {
         // larger measured speedup must scale the 24-hour gain up.
         assert_eq!(measured.hours_engaged, paper.hours_engaged);
         assert!(measured.gain() > paper.gain());
+    }
+
+    #[test]
+    fn an_invalid_fleet_shape_is_an_error_before_any_calibration() {
+        // Calibration panics on an invalid config, so an `Err` here proves
+        // the shape was checked first.
+        let racked = |racks| FleetTopology::racked(racks, LoadBalancer::RoundRobin);
+        for (servers, requests_per_server, topology, message) in [
+            (100, 20, racked(7), "100 servers do not split evenly over 7 racks"),
+            (
+                16,
+                5,
+                racked(2),
+                "5 requests per server-interval cannot resolve a tail percentile (need >= 20)",
+            ),
+            (0, 20, FleetTopology::Flat, "a fleet needs at least one server"),
+        ] {
+            let scale = FleetScale { servers, requests_per_server, seed: 1 };
+            let result = CaseStudy::web_search().try_fleet_with(
+                LoadBalancer::RoundRobin,
+                scale,
+                topology,
+                TailAccumulation::binned_default(),
+                1,
+            );
+            assert_eq!(result.map(|fleet| fleet.peak_rps()), Err(message.to_string()));
+        }
     }
 
     #[test]

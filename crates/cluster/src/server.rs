@@ -20,7 +20,8 @@
 //! [`Fleet::run`]: crate::Fleet::run
 
 use cpu_sim::{
-    AllocationPolicy, Placement, Scenario, ServerSpec, ServerThread, SimLength, ThreadSpec,
+    AllocationPolicy, Placement, Scenario, ServerScenario, ServerSpec, ServerThread, SimLength,
+    ThreadSpec,
 };
 use sim_model::{CanonicalKey, CoreConfig, KeyEncoder};
 use stretch::orchestrator::{ModePerformance, PerformanceTable};
@@ -124,7 +125,7 @@ impl MeasuredServer {
     /// the server.
     pub fn measure_mode(&self, mode: StretchMode) -> ServerModeMeasurement {
         let ls_standalone = self.standalone_uipc(&self.workloads.ls);
-        let mut scenario = Scenario::server(self.spec)
+        let mut scenario = ServerScenario::new(self.spec)
             .config(self.cfg)
             .boxed_allocation(self.allocation.clone())
             .colocation(PinnedStretch::new(mode))

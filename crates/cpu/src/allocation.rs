@@ -5,11 +5,10 @@
 //! structures divided between the resident threads? — that is the
 //! [`ColocationPolicy`]. Across the server, *which* threads become residents
 //! of *which* core? — that is the [`AllocationPolicy`] defined here. The two
-//! compose through [`ServerScenario`] (also reachable as
-//! [`Scenario::server`]): an allocation policy produces a [`Placement`] of
-//! the offered threads onto `M` cores × `T` SMT threads, and every occupied
-//! core then runs under one shared colocation policy, with the core's
-//! latency-sensitive thread (if any) in slot T0.
+//! compose through [`ServerScenario`]: an allocation policy produces a
+//! [`Placement`] of the offered threads onto `M` cores × `T` SMT threads,
+//! and every occupied core then runs under one shared colocation policy,
+//! with the core's latency-sensitive thread (if any) in slot T0.
 //!
 //! Three reference allocators ship with the crate:
 //!
@@ -518,13 +517,6 @@ impl ServerScenario {
     }
 }
 
-impl Scenario {
-    /// Starts a server-level scenario — see [`ServerScenario`].
-    pub fn server(server: ServerSpec) -> ServerScenario {
-        ServerScenario::new(server)
-    }
-}
-
 /// Result of a [`ServerScenario`] run.
 #[derive(Debug, Clone)]
 pub struct ServerRunResult {
@@ -723,7 +715,7 @@ mod tests {
     #[test]
     fn server_scenario_runs_every_thread() {
         let server = ServerSpec::new(2, 2);
-        let mut scenario = Scenario::server(server).length(SimLength::quick());
+        let mut scenario = ServerScenario::new(server).length(SimLength::quick());
         for spec in specs(1, 2) {
             scenario = scenario.thread(server_thread(spec));
         }
@@ -744,8 +736,10 @@ mod tests {
     fn server_scenario_is_deterministic() {
         let run = || {
             let server = ServerSpec::new(2, 2);
-            let mut scenario =
-                Scenario::server(server).allocation(RoundRobin).length(SimLength::quick()).seed(7);
+            let mut scenario = ServerScenario::new(server)
+                .allocation(RoundRobin)
+                .length(SimLength::quick())
+                .seed(7);
             for spec in specs(1, 2) {
                 scenario = scenario.thread(server_thread(spec));
             }

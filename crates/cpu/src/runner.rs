@@ -198,8 +198,9 @@ impl CanonicalKey for CoreSetup {
 /// amount; its UIPC is measured instructions divided by the window's cycles.
 ///
 /// This is the low-level loop behind [`crate::Scenario::run`]; it stays
-/// public for closed-loop experiments (and benches) that build and reprogram
-/// an [`SmtCore`] themselves, e.g. through the Stretch control register.
+/// public for callers that build an [`SmtCore`] themselves. The repository
+/// benchmark's per-layer replay (`repobench/`) is one: it builds each cell
+/// with [`SmtCoreBuilder`] and times this loop alone.
 pub fn run_core(
     core: &mut SmtCore,
     mut names: Vec<Option<String>>,

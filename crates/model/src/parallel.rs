@@ -9,9 +9,8 @@
 //! `reduction-order` simlint rule, which treats every `parallel_map` caller
 //! as a merge function.
 //!
-//! This lives in `sim_model` (rather than the bench harness, where it
-//! originated) because the cluster simulator — a *dependency* of the bench
-//! crate — shards through the same pool.
+//! This lives in `sim_model` because the cluster simulator — a
+//! *dependency* of the bench crate — shards through the same pool.
 
 use std::sync::Mutex;
 

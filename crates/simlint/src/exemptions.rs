@@ -76,8 +76,8 @@ mod tests {
         assert!(exemption_for(&memo, crate::rules::NONDET_COLLECTIONS).is_some());
         // Other rules and other modules are not covered.
         assert!(exemption_for(&engine, crate::rules::NONDET_TIME).is_none());
-        let harness = ModuleGraph::fallback("crates/bench/src/harness.rs");
-        assert!(exemption_for(&harness, crate::rules::NONDET_COLLECTIONS).is_none());
+        let figures = ModuleGraph::fallback("crates/bench/src/figures.rs");
+        assert!(exemption_for(&figures, crate::rules::NONDET_COLLECTIONS).is_none());
     }
 
     #[test]

@@ -54,7 +54,7 @@ const INTERIOR_MUT: &[&str] = &[
 ];
 
 /// The name of the sharded map primitive whose closure argument runs on
-/// worker threads (see `stretch_bench::harness::parallel_map`).
+/// worker threads (see `sim_model::parallel_map`).
 const PARALLEL_MAP: &str = "parallel_map";
 
 /// Float accumulation sinks that ARE the canonical reducer — calls to these

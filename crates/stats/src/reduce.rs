@@ -29,7 +29,7 @@
 //! thread timing, so the same inputs in the same order always produce the
 //! same bits.
 //!
-//! [`parallel_map`]: ../stretch_bench/harness/fn.parallel_map.html
+//! [`parallel_map`]: ../../sim_model/parallel/fn.parallel_map.html
 
 /// Below this many elements [`det_sum`] degenerates to the plain
 /// left-to-right sequential fold.

@@ -8,8 +8,8 @@
 //! Run with: `cargo run --release --example smt4_allocation`
 
 use stretch_repro::cpu::{
-    AllocationPolicy, Greedy, RoundRobin, Scenario, ServerSpec, ServerThread, SimLength,
-    SymbiosisAware, ThreadSpec,
+    AllocationPolicy, Greedy, RoundRobin, Scenario, ServerScenario, ServerSpec, ServerThread,
+    SimLength, SymbiosisAware, ThreadSpec,
 };
 use stretch_repro::model::CoreConfig;
 use stretch_repro::stretch::{PinnedStretch, RobSkew, StretchMode};
@@ -46,7 +46,7 @@ fn main() {
     println!();
     println!("  allocation       placement              LS retained   batch thrpt");
     for (label, allocation) in allocations {
-        let mut scenario = Scenario::server(spec)
+        let mut scenario = ServerScenario::new(spec)
             .config(cfg)
             .boxed_allocation(allocation.clone_policy())
             .colocation(PinnedStretch::new(StretchMode::BatchBoost(RobSkew::recommended_b_mode())))

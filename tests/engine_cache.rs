@@ -11,8 +11,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use stretch_bench::figures;
 use stretch_bench::store::JsonCodec;
-use stretch_bench::{Engine, ExperimentConfig, PairOutcome, ResultStore};
+use stretch_bench::{Engine, ExperimentConfig, ResultStore, SmtOutcome};
+use stretch_repro::model::TraceSource;
 use stretch_repro::prelude::*;
+use stretch_repro::workloads::profile_by_name;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -26,20 +28,19 @@ fn quick_engine() -> Engine {
 
 #[test]
 fn result_store_round_trips_identical_pair_outcomes() {
+    // A pair cell is stored as a two-slot `SmtOutcome` (LS slot, batch slot).
     let dir = temp_dir("roundtrip");
     let store = ResultStore::open(&dir).expect("store opens");
-    let outcome = PairOutcome {
-        ls: "web-search".to_string(),
-        batch: "zeusmp".to_string(),
-        ls_uipc: 0.123_456_789_012_345_68,
-        batch_uipc: 1.987_654_321_098_765_4,
+    let outcome = SmtOutcome {
+        names: vec!["web-search".to_string(), "zeusmp".to_string()],
+        uipcs: vec![0.123_456_789_012_345_68, 1.987_654_321_098_765_4],
     };
     store.save("deadbeef", "round-trip test", &outcome.to_json()).expect("save");
     let loaded =
-        PairOutcome::from_json(&store.load("deadbeef").expect("entry present")).expect("decodes");
+        SmtOutcome::from_json(&store.load("deadbeef").expect("entry present")).expect("decodes");
     assert_eq!(loaded, outcome);
-    assert_eq!(loaded.ls_uipc.to_bits(), outcome.ls_uipc.to_bits());
-    assert_eq!(loaded.batch_uipc.to_bits(), outcome.batch_uipc.to_bits());
+    assert_eq!(loaded.uipcs[0].to_bits(), outcome.uipcs[0].to_bits());
+    assert_eq!(loaded.uipcs[1].to_bits(), outcome.uipcs[1].to_bits());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -163,4 +164,72 @@ fn standalone_reference_is_computed_once_per_process() {
     assert_eq!(engine.sim_runs(), reference_runs);
     let _ = engine.standalone_reference();
     assert_eq!(engine.sim_runs(), reference_runs, "second reference request re-simulates nothing");
+}
+
+#[test]
+fn engine_cells_match_the_plain_scenario_api() {
+    // A non-default seed and core: a cell that dropped `.seed(..)` or
+    // `.config(..)` would fall back to the builders' defaults and differ.
+    let mut cfg = ExperimentConfig { seed: 7, ..ExperimentConfig::quick() };
+    cfg.core.pipeline_flush_cycles = 9;
+    let engine = Engine::new(cfg);
+    let profile = |name: &str| profile_by_name(name).expect("known workload");
+
+    let batches = ["zeusmp", "gcc", "mcf"].map(String::from);
+    let cell = engine.smt(&EqualPartition, "web-search", &batches);
+    let sources: Vec<Box<dyn TraceSource + Send + Sync>> = batches
+        .iter()
+        .map(|b| Box::new(profile(b)) as Box<dyn TraceSource + Send + Sync>)
+        .collect();
+    let plain = Scenario::colocate_n(profile("web-search"), sources)
+        .config(cfg.core)
+        .policy(EqualPartition)
+        .length(cfg.length)
+        .seed(cfg.seed)
+        .run();
+    assert_eq!(cell.uipcs.len(), 4);
+    for (slot, uipc) in cell.uipcs.iter().enumerate() {
+        let expected = plain.expect_thread(ThreadId::from_index(slot)).uipc;
+        assert_eq!(uipc.to_bits(), expected.to_bits(), "smt slot {slot}");
+    }
+
+    let spec = ServerSpec::new(2, 2);
+    let b_mode = PinnedStretch::new(StretchMode::BatchBoost(RobSkew::recommended_b_mode()));
+    let batches = ["zeusmp", "gcc"].map(String::from);
+    let cell = engine.server(spec, &Greedy, &b_mode, "web-search", &batches);
+    let threads = std::iter::once(ThreadSpec::latency_sensitive("web-search"))
+        .chain(batches.iter().map(|b| ThreadSpec::batch(b.clone())))
+        .map(|t| {
+            let uipc = engine.standalone(&t.name).uipc;
+            t.with_standalone_uipc(uipc)
+        });
+    let mut scenario = ServerScenario::new(spec)
+        .config(cfg.core)
+        .allocation(Greedy)
+        .colocation(b_mode)
+        .length(cfg.length)
+        .seed(cfg.seed);
+    for thread in threads {
+        let source = Box::new(profile(&thread.name));
+        scenario = scenario.thread(ServerThread::new(thread, source));
+    }
+    let plain = scenario.run();
+    assert_eq!(cell.cores, plain.placement.cores());
+    assert_eq!(cell.uipcs.len(), 3);
+    for (t, uipc) in cell.uipcs.iter().enumerate() {
+        let expected = plain.thread_uipc(t).expect("every offered thread ran");
+        assert_eq!(uipc.to_bits(), expected.to_bits(), "server thread {t}");
+    }
+
+    let cell = engine.standalone_with_rob("web-search", 64);
+    let plain = Scenario::standalone(profile("web-search"))
+        .config(cfg.core)
+        .policy(PrivateCore::with_rob(64))
+        .length(cfg.length)
+        .seed(cfg.seed)
+        .run_thread0();
+    assert_eq!(cell.uipc.to_bits(), plain.uipc.to_bits());
+    assert_eq!(cell.committed, plain.committed);
+    assert_eq!(cell.cycles, plain.cycles);
+    assert_eq!(cell.mlp, plain.mlp);
 }

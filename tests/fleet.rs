@@ -84,12 +84,13 @@ fn warm_engine_rerun_of_a_fleet_study_is_pure_cache_hits() {
     let _ = warm.fleet_study(&study, LoadBalancer::PowerOfTwoChoices, FleetScale::quick(12));
     assert_eq!(warm.sim_runs(), 2);
 
-    // The raw-config cell (`Engine::fleet`) is keyed by the full
-    // `FleetConfig` identity and memoises like any other cell.
-    let cfg = study.fleet_config(LoadBalancer::PowerOfTwoChoices, scale);
-    let direct = warm.fleet(&cfg);
+    // The calibrated-fleet cell (`Engine::fleet`) is keyed by the full
+    // `FleetConfig` identity plus the measured peak and memoises like any
+    // other cell.
+    let fleet = study.fleet(LoadBalancer::PowerOfTwoChoices, scale);
+    let direct = warm.fleet(&fleet);
     assert_eq!(warm.sim_runs(), 3);
-    let again = warm.fleet(&cfg);
+    let again = warm.fleet(&fleet);
     assert_eq!(warm.sim_runs(), 3, "repeated raw-config cell must be a memo hit");
     assert_eq!(direct, again);
     assert_eq!(
