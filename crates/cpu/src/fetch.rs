@@ -61,7 +61,7 @@ impl CanonicalKey for FetchPolicy {
 
 /// Runtime state of the fetch policy (cycle counters for round-robin and
 /// throttling schedules).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FetchScheduler {
     cycle: u64,
     /// Rotation counter for the non-throttled group under
@@ -128,24 +128,41 @@ impl FetchScheduler {
             FetchPolicy::Throttled { throttled, ratio } => {
                 // Out of every (ratio + 1) cycles, exactly one goes to the
                 // throttled thread; the rest rotate through the non-throttled
-                // group.
+                // group. At least two threads are active, so that group is
+                // never empty.
                 let slot = self.cycle % (u64::from(ratio) + 1);
                 if slot == 0 && active[throttled.index()] {
                     throttled.index()
                 } else {
-                    let batch: Vec<usize> =
-                        (0..threads).filter(|&i| i != throttled.index() && active[i]).collect();
-                    if batch.is_empty() {
-                        throttled.index()
-                    } else {
-                        let pick = batch[(self.batch_rotation % batch.len() as u64) as usize];
-                        self.batch_rotation += 1;
-                        pick
-                    }
+                    let in_group = |i: &usize| *i != throttled.index() && active[*i];
+                    let size = (0..threads).filter(in_group).count() as u64;
+                    let turn = (self.batch_rotation % size) as usize;
+                    self.batch_rotation += 1;
+                    (0..threads).filter(in_group).nth(turn).expect("turn is below the group size")
                 }
             }
         };
         Some(ThreadId::from_index(preferred))
+    }
+
+    /// Advances the schedule as `cycles` calls to [`FetchScheduler::select`]
+    /// with the same `active` mask would, without choosing threads. The
+    /// core's quiescence skip uses it for cycles in which no thread can
+    /// fetch.
+    pub(crate) fn advance(&mut self, policy: FetchPolicy, cycles: u64, active: &[bool]) {
+        let start = self.cycle;
+        self.cycle += cycles;
+        let FetchPolicy::Throttled { throttled, ratio } = policy else { return };
+        if active.iter().filter(|&&a| a).count() < 2 {
+            return;
+        }
+        // Every cycle rotates the non-throttled group except those whose slot
+        // goes to an active throttled thread: the multiples of the period in
+        // (start, start + cycles].
+        let period = u64::from(ratio) + 1;
+        let throttled_turns =
+            if active[throttled.index()] { self.cycle / period - start / period } else { 0 };
+        self.batch_rotation += cycles - throttled_turns;
     }
 }
 
@@ -239,6 +256,52 @@ mod tests {
         assert_eq!(counts[1] + counts[2] + counts[3], 200);
         for &c in &counts[1..] {
             assert!((66..=67).contains(&c), "batch share skewed: {counts:?}");
+        }
+    }
+
+    #[test]
+    fn advance_matches_repeated_select() {
+        let policies = [
+            FetchPolicy::ICount,
+            FetchPolicy::RoundRobin,
+            FetchPolicy::throttled(ThreadId::T0, 2),
+            FetchPolicy::throttled(ThreadId::T1, 3),
+        ];
+        let masks: [&[bool]; 7] = [
+            &[true, true, true, true],
+            &[false, true, true, true],
+            &[true, false, true, true],
+            &[true, false],
+            &[false, true, false, false],
+            &[true, true],
+            &[false, false, false, false],
+        ];
+        for policy in policies {
+            let ratio = match policy {
+                FetchPolicy::Throttled { ratio, .. } => u64::from(ratio),
+                _ => 1,
+            };
+            for active in masks {
+                let in_flight = vec![0; active.len()];
+                // Start at every phase of the throttling period.
+                for warmup in 0..=ratio + 1 {
+                    for k in [0, 1, ratio, ratio + 1, 1000] {
+                        let mut stepped = FetchScheduler::new();
+                        for _ in 0..warmup {
+                            stepped.select(policy, &in_flight, active);
+                        }
+                        let mut advanced = stepped.clone();
+                        for _ in 0..k {
+                            stepped.select(policy, &in_flight, active);
+                        }
+                        advanced.advance(policy, k, active);
+                        assert_eq!(
+                            advanced, stepped,
+                            "{policy:?}, mask {active:?}, phase {warmup}, k = {k}"
+                        );
+                    }
+                }
+            }
         }
     }
 

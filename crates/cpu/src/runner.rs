@@ -197,6 +197,12 @@ impl CanonicalKey for CoreSetup {
 /// its warm-up instructions and ends once it has committed the measured
 /// amount; its UIPC is measured instructions divided by the window's cycles.
 ///
+/// After every [`SmtCore::step`] the loop lets the core skip the quiescent
+/// cycles that follow ([`SmtCore::skip_quiescent`], capped at the remaining
+/// `max_cycles`). A skipped cycle commits nothing, so no window opens or
+/// closes inside a skip, and the result is the one a plain cycle-by-cycle
+/// loop produces, bit for bit.
+///
 /// This is the low-level loop behind [`crate::Scenario::run`]; it stays
 /// public for callers that build an [`SmtCore`] themselves. The repository
 /// benchmark's per-layer replay (`repobench/`) is one: it builds each cell
@@ -244,7 +250,11 @@ pub fn run_core(
                 all_done = false;
             }
         }
-        if all_done || cycles >= length.max_cycles {
+        if all_done {
+            break;
+        }
+        cycles += core.skip_quiescent(length.max_cycles.saturating_sub(cycles));
+        if cycles >= length.max_cycles {
             break;
         }
     }
@@ -329,6 +339,27 @@ mod tests {
         let b = r.uipc(ThreadId::T1).expect("thread 1 active");
         let ratio = a.max(b) / a.min(b);
         assert!(ratio < 1.3, "symmetric colocation should be roughly fair (ratio {ratio:.2})");
+    }
+
+    #[test]
+    fn a_quick_data_serving_run_warps_most_of_its_cycles() {
+        use crate::{ColocationPolicy, ColocationTopology, PrivateCore};
+        use sim_model::TraceSource;
+        let cfg = CoreConfig::default();
+        let setup = PrivateCore::full().setup_for(&cfg, &ColocationTopology::pair());
+        let profile = workloads::profile_by_name("data-serving").expect("built-in profile");
+        let mut core = setup
+            .apply(SmtCoreBuilder::new(cfg))
+            .thread(ThreadId::T0, profile.spawn_trace(42))
+            .build();
+        let result = run_core(&mut core, vec![Some("data-serving".into())], SimLength::quick());
+        assert!(result.expect_thread(ThreadId::T0).committed > 0);
+        let (warped, cycles) = (core.warped_cycles(), core.cycles());
+        assert!(warped <= cycles);
+        assert!(
+            2 * warped > cycles,
+            "the quiescence skip covered only {warped} of {cycles} cycles"
+        );
     }
 
     #[test]

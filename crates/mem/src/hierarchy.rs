@@ -320,6 +320,14 @@ impl MemoryHierarchy {
         self.scratch_landed = landed;
     }
 
+    /// Earliest cycle at which [`MemoryHierarchy::tick`] can change anything
+    /// ([`Cycle::MAX`] when nothing is in flight). Never later than the next
+    /// fill; a core uses it to bound how far it may skip ahead without
+    /// ticking.
+    pub fn next_event(&self) -> Cycle {
+        self.next_event
+    }
+
     /// Number of outstanding demand misses for `thread` (instantaneous MLP).
     pub fn outstanding_misses(&self, thread: ThreadId) -> usize {
         self.mshrs.outstanding(thread)

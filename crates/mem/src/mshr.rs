@@ -79,19 +79,10 @@ impl MshrFile {
         self.entries[thread.index()].iter().find(|e| e.block == block).map(|e| e.completion)
     }
 
-    /// Releases every entry whose completion time is at or before `now`.
-    /// Returns the blocks that completed (so the caller can fill caches).
-    ///
-    /// Allocates a fresh vector per call; the per-cycle hierarchy tick uses
-    /// [`MshrFile::drain_completed_into`] with a reused buffer instead.
-    pub fn drain_completed(&mut self, thread: ThreadId, now: Cycle) -> Vec<u64> {
-        let mut done = Vec::new();
-        self.drain_completed_into(thread, now, &mut done);
-        done
-    }
-
-    /// As [`MshrFile::drain_completed`], but appends the completed blocks to
-    /// a caller-provided buffer so the every-cycle drain never allocates.
+    /// Releases every entry whose completion time is at or before `now`,
+    /// appending the completed blocks to `done` (so the caller can fill
+    /// caches). The buffer is the caller's, so the every-cycle drain never
+    /// allocates.
     pub fn drain_completed_into(&mut self, thread: ThreadId, now: Cycle, done: &mut Vec<u64>) {
         let list = &mut self.entries[thread.index()];
         list.retain(|e| {
@@ -161,10 +152,12 @@ mod tests {
         let mut m = MshrFile::new(4);
         m.request(ThreadId::T0, 1, 10);
         m.request(ThreadId::T0, 2, 20);
-        let done = m.drain_completed(ThreadId::T0, 10);
+        let mut done = Vec::new();
+        m.drain_completed_into(ThreadId::T0, 10, &mut done);
         assert_eq!(done, vec![1]);
         assert_eq!(m.outstanding(ThreadId::T0), 1);
-        let done = m.drain_completed(ThreadId::T0, 25);
+        done.clear();
+        m.drain_completed_into(ThreadId::T0, 25, &mut done);
         assert_eq!(done, vec![2]);
         assert_eq!(m.outstanding(ThreadId::T0), 0);
     }
@@ -174,7 +167,7 @@ mod tests {
         let mut m = MshrFile::new(3);
         m.request(ThreadId::T0, 1, 10);
         m.request(ThreadId::T0, 2, 10);
-        m.drain_completed(ThreadId::T0, 10);
+        m.drain_completed_into(ThreadId::T0, 10, &mut Vec::new());
         m.request(ThreadId::T0, 3, 20);
         assert_eq!(m.peak(ThreadId::T0), 2);
         assert_eq!(m.peak(ThreadId::T1), 0);
