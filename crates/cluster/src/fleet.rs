@@ -7,12 +7,13 @@
 //! core pair whose mode is picked by its own
 //! [`stretch::ClosedLoopStretch`] controller — fed by one diurnal-modulated
 //! open-loop arrival stream that a pluggable [`LoadBalancer`] spreads across
-//! the machines. Each server is a [`sim_qos::WorkerQueue`], the queue
-//! [`sim_qos::ServerSim`] runs on (FCFS over the service's worker threads,
-//! log-normal service times whose CPU-bound part stretches with the engaged
-//! mode's delivered performance), and queues persist across control
-//! intervals on a continuous clock, so tails near saturation reflect real
-//! backlog build-up rather than a freshly reset queue. Each control
+//! the machines. The servers' queues are one [`sim_qos::ServerQueues`] per
+//! shard, the type [`sim_qos::ServerSim`] runs a one-server instance of
+//! (FCFS over the service's worker threads, log-normal service times whose
+//! CPU-bound part stretches with the engaged mode's delivered performance),
+//! and queues persist across control intervals on a continuous clock, so
+//! tails near saturation reflect real backlog build-up rather than a freshly
+//! reset queue. Each control
 //! interval every server computes its own tail latency from its own
 //! requests and feeds it to its monitor through the
 //! [`cpu_sim::ColocationPolicy`] closed-loop hook, so B-mode engagement is
@@ -55,21 +56,35 @@
 //! keeps 10k-server construction cheap and is identical to the historical
 //! behaviour for flat fleets.
 //!
-//! Memory stays bounded at scale through [`TailAccumulation::Binned`]
-//! (day- and fleet-level tails in fixed-resolution
-//! [`sim_stats::LatencyHistogram`] bins instead of raw-sample vectors), and
-//! time through each [`sim_qos::WorkerQueue`]'s *skip-ahead watermark*: an
-//! idle server — one whose last worker completion is behind the incoming
-//! arrival — answers balancer backlog probes in O(1) without scanning its
-//! workers, so a lightly-loaded fleet's dispatch cost tracks the busy
-//! servers, not the fleet size.
+//! [`TailAccumulation::Binned`] keeps day- and fleet-level tails in
+//! fixed-resolution [`sim_stats::LatencyHistogram`] bins instead of
+//! raw-sample vectors, so memory does not grow with the request count — but
+//! it is not flat either. Each shard keeps one 1,002-bin (8 KB) histogram
+//! per control interval until the merge (125 × 96 × 8 KB ≈ 96 MB per
+//! simulated day of the default 10k-server, 125-rack `fleet` run), and each
+//! server keeps an 8 KB day histogram (80 MB at 10k servers): that run's
+//! peak RSS is about 173 MB at `--days 1` and 358 MB at `--days 3`.
+//!
+//! Dispatch does each piece of work once per request. A shard's
+//! [`sim_qos::ServerQueues`] stores worker-availability times worker-major,
+//! so [`LoadBalancer::LeastLoaded`] sums every server's backlog in one
+//! sweep over the worker rows (an idle server sums to exactly zero, so the
+//! sweep's first minimum is the first idle server when there is one), and
+//! its per-server *skip-ahead watermark* lets an idle server — one whose
+//! last worker completion is not after the incoming arrival — answer a
+//! power-of-two probe in O(1), reading no worker. Per-server sample
+//! buffers and the percentile scratch copy live in the shard's dispatch
+//! state and are reused every interval, and every tail goes through the
+//! linear-time selection of
+//! [`sim_stats::percentile`](mod@sim_stats::percentile).
 
 use crate::diurnal::DiurnalPattern;
 use crate::topology::{FleetTopology, TailAccumulation};
 use cpu_sim::{ColocationPolicy, QosObservation};
 use serde::{Deserialize, Serialize};
 use sim_model::{parallel_map, CanonicalKey, KeyEncoder, SimRng};
-use sim_qos::{bisect_peak_rps, ArrivalGenerator, ArrivalProcess, ServiceSpec, WorkerQueue};
+use sim_qos::{bisect_peak_rps, ArrivalGenerator, ArrivalProcess, ServerQueues, ServiceSpec};
+use sim_stats::percentile::percentiles_in;
 use sim_stats::{det_merge, det_sum, percentile, LatencyHistogram, Percentiles};
 use stretch::orchestrator::PerformanceTable;
 use stretch::{ClosedLoopStretch, MonitorConfig, QosPolicy, StretchConfig};
@@ -79,8 +94,10 @@ use stretch::{ClosedLoopStretch, MonitorConfig, QosPolicy, StretchConfig};
 pub enum LoadBalancer {
     /// Cycle through the servers in order, ignoring their state.
     RoundRobin,
-    /// Send each request to the server with the least queued work (an
-    /// idealised omniscient dispatcher; O(N) per request).
+    /// Send each request to the server with the least queued work, the
+    /// lowest index on ties (an idealised omniscient dispatcher): one
+    /// worker-major sweep over every server's workers
+    /// ([`sim_qos::ServerQueues::least_loaded`]).
     LeastLoaded,
     /// Sample two distinct servers uniformly and pick the less loaded — the
     /// classic "power of two choices" dispatcher, nearly as good as
@@ -373,16 +390,22 @@ fn calibration_config(cfg: &FleetConfig) -> FleetConfig {
 }
 
 /// Dispatch state shared by every interval of one shard of one fleet run:
-/// one [`WorkerQueue`] per server (queues persist across intervals),
+/// the shard's [`ServerQueues`] (queues persist across intervals),
 /// per-server service-time streams, the balancer's round-robin cursor and
-/// RNG, the arrival-stream root and the continuous clock.
+/// RNG, the arrival-stream root and the continuous clock — plus the buffers
+/// every interval reuses, so an interval allocates nothing per server.
 struct DispatchState {
-    queues: Vec<WorkerQueue>,
+    queues: ServerQueues,
     service_rngs: Vec<SimRng>,
     rr_next: usize,
     balancer_rng: SimRng,
     arrival_root: SimRng,
     clock_ms: f64,
+    /// Each server's sojourn times (always exact) over the last interval
+    /// [`run_interval`] simulated; cleared as the next one starts.
+    samples: Vec<Percentiles>,
+    /// The copy a per-server percentile selects in.
+    scratch: Vec<f64>,
 }
 
 impl DispatchState {
@@ -395,23 +418,31 @@ impl DispatchState {
         let arrival_root = root.fork(1);
         let balancer_rng = root.fork(2);
         DispatchState {
-            queues: vec![WorkerQueue::new(cfg.service.workers); servers],
+            queues: ServerQueues::new(servers, cfg.service.workers),
             service_rngs: (0..servers).map(|s| SimRng::new(server_seed(seed, s))).collect(),
             rr_next: 0,
             balancer_rng,
             arrival_root,
             clock_ms: 0.0,
+            samples: vec![Percentiles::new(); servers],
+            scratch: Vec::new(),
         }
+    }
+
+    /// Server `s`'s `p`-th percentile sojourn over the last interval, or
+    /// `None` when it measured no request (a starved server-interval).
+    fn server_tail(&mut self, s: usize, p: f64) -> Option<f64> {
+        percentiles_in(&mut self.scratch, self.samples[s].samples(), [p]).map(|[tail]| tail)
     }
 }
 
 /// A day- or fleet-level sojourn collection under either
 /// [`TailAccumulation`] policy. Merging two accumulators is bit-exact for
-/// both variants — exact accumulators concatenate their raw samples (and
-/// sort-based percentiles are permutation-independent *for the
-/// shard-index-order concatenation the merge uses*), binned accumulators
-/// add integer bin counts — which is what lets the sharded merge produce
-/// identical reports for every worker count.
+/// both variants — exact accumulators concatenate their raw samples in
+/// shard-index order (and their percentiles depend only on the samples'
+/// values, not their order), binned accumulators add integer bin counts —
+/// which is what lets the sharded merge produce identical reports for every
+/// worker count.
 #[derive(Debug, Clone, PartialEq)]
 enum TailAcc {
     Exact(Percentiles),
@@ -443,10 +474,12 @@ impl TailAcc {
         }
     }
 
-    fn percentile(&self, p: f64) -> Option<f64> {
+    /// The `ps`-th percentiles (each 0.0 when nothing was recorded); exact
+    /// ones select in `scratch`.
+    fn percentiles<const N: usize>(&self, scratch: &mut Vec<f64>, ps: [f64; N]) -> [f64; N] {
         match self {
-            TailAcc::Exact(s) => s.percentile(p),
-            TailAcc::Binned(h) => h.percentile(p),
+            TailAcc::Exact(s) => percentiles_in(scratch, s.samples(), ps).unwrap_or([0.0; N]),
+            TailAcc::Binned(h) => ps.map(|p| h.percentile(p).unwrap_or(0.0)),
         }
     }
 
@@ -461,14 +494,15 @@ impl TailAcc {
 /// Simulates one control interval's measurement slice for one shard:
 /// `shard servers × requests_per_server` arrivals at `rate_rps`, dispatched
 /// through `balancer` onto the shard's persistent per-server queues.
-/// Returns per-server sojourn collections (always exact — the monitor path
-/// needs exact per-interval tails and they are transient) and the shard's
-/// interval-wide accumulator (under the configured retention policy).
+/// Leaves each server's sojourn times in `state.samples` (always exact — the
+/// monitor path needs exact per-interval tails and they are transient) and
+/// returns the shard's interval-wide accumulator (under the configured
+/// retention policy).
 ///
-/// Per-server sample counts are surfaced through the returned
-/// [`Percentiles`] (`len()`): under a queue-aware balancer the per-server
-/// interval count is random and can be zero, and callers must treat such
-/// server-intervals as *unmeasured* rather than substituting a tail.
+/// Per-server sample counts are surfaced through `state.samples` (`len()`):
+/// under a queue-aware balancer the per-server interval count is random and
+/// can be zero, and callers must treat such server-intervals as *unmeasured*
+/// rather than substituting a tail.
 fn run_interval(
     cfg: &FleetConfig,
     state: &mut DispatchState,
@@ -476,14 +510,14 @@ fn run_interval(
     rate_rps: f64,
     slowdowns: &[f64],
     interval_idx: u64,
-) -> (Vec<Percentiles>, TailAcc) {
-    let n = state.queues.len();
+) -> TailAcc {
+    let n = state.samples.len();
     let spec = &cfg.service;
     let mut arrivals = ArrivalGenerator::new(
         cfg.arrivals.with_rate(rate_rps),
         state.arrival_root.fork(interval_idx),
     );
-    let mut per_server: Vec<Percentiles> = vec![Percentiles::new(); n];
+    state.samples.iter_mut().for_each(Percentiles::clear);
     let mut fleet = TailAcc::new(&cfg.tails);
     let mut last_arrival = state.clock_ms;
     for _ in 0..n * cfg.requests_per_server {
@@ -495,14 +529,7 @@ fn run_interval(
                 state.rr_next = (state.rr_next + 1) % n;
                 s
             }
-            LoadBalancer::LeastLoaded => (0..n)
-                .min_by(|&a, &b| {
-                    state.queues[a]
-                        .backlog(arrival)
-                        .partial_cmp(&state.queues[b].backlog(arrival))
-                        .expect("no NaN backlogs")
-                })
-                .expect("at least one server"),
+            LoadBalancer::LeastLoaded => state.queues.least_loaded(arrival),
             LoadBalancer::PowerOfTwoChoices => {
                 let a = state.balancer_rng.below(n as u64) as usize;
                 let b = if n > 1 {
@@ -514,7 +541,7 @@ fn run_interval(
                 } else {
                     a
                 };
-                if state.queues[a].backlog(arrival) <= state.queues[b].backlog(arrival) {
+                if state.queues.backlog(a, arrival) <= state.queues.backlog(b, arrival) {
                     a
                 } else {
                     b
@@ -523,12 +550,12 @@ fn run_interval(
         };
         let service_ms = state.service_rngs[s]
             .log_normal(spec.service_median_ms * slowdowns[s], spec.service_sigma);
-        let sojourn = state.queues[s].admit(arrival, service_ms);
-        per_server[s].record(sojourn);
+        let sojourn = state.queues.admit(s, arrival, service_ms);
+        state.samples[s].record(sojourn);
         fleet.record(sojourn);
     }
     state.clock_ms = last_arrival;
-    (per_server, fleet)
+    fleet
 }
 
 /// Per-server tails (ms) of a pinned-mode run on fresh queues: every server
@@ -544,9 +571,9 @@ fn pinned_tails(cfg: &FleetConfig, perf: f64, rate_rps: f64, tag: u64, intervals
     let metric = cfg.service.tail_metric.percentile();
     let mut tails = Vec::new();
     for t in 0..intervals {
-        let (per_server, _) = run_interval(cfg, &mut state, cfg.balancer, rate_rps, &slowdowns, t);
+        run_interval(cfg, &mut state, cfg.balancer, rate_rps, &slowdowns, t);
         if t >= 2 {
-            tails.extend(per_server.iter().filter_map(|stats| stats.percentile(metric)));
+            tails.extend((0..cfg.servers).filter_map(|s| state.server_tail(s, metric)));
         }
     }
     tails
@@ -841,6 +868,8 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
     let mut engaged_counts = vec![0usize; n];
     let mut starved_counts = vec![0usize; n];
     let mut intervals = Vec::with_capacity(steps);
+    let mut modes = Vec::with_capacity(n);
+    let mut slowdowns = Vec::with_capacity(n);
 
     for t in 0..steps {
         let hour = (t as f64 * cfg.interval_hours) % 24.0;
@@ -850,11 +879,14 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
         // Mode for the interval is whatever each monitor decided from
         // the *previous* interval's measurement (control acts on
         // history, as on real hardware).
-        let modes: Vec<_> = controllers.iter().map(|c| c.mode()).collect();
-        let slowdowns: Vec<f64> = modes
-            .iter()
-            .map(|m| spec.slowdown(cfg.table.for_mode(*m).ls_performance.clamp(0.05, 1.0)))
-            .collect();
+        modes.clear();
+        modes.extend(controllers.iter().map(|c| c.mode()));
+        slowdowns.clear();
+        slowdowns.extend(
+            modes
+                .iter()
+                .map(|m| spec.slowdown(cfg.table.for_mode(*m).ls_performance.clamp(0.05, 1.0))),
+        );
         let engaged = modes.iter().filter(|m| m.is_batch_boost()).count();
         for (s, m) in modes.iter().enumerate() {
             if m.is_batch_boost() {
@@ -863,7 +895,7 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
         }
         let speedup_sum = modes.iter().map(|m| cfg.table.for_mode(*m).batch_speedup).sum::<f64>();
 
-        let (per_server, interval_tail) =
+        let interval_tail =
             run_interval(cfg, &mut state, plan.balancer, rate, &slowdowns, t as u64);
 
         // Every server observes its own tail from its own requests and
@@ -874,10 +906,10 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
         let mut violations = 0usize;
         let mut measured_servers = 0usize;
         for (s, controller) in controllers.iter_mut().enumerate() {
-            for &v in per_server[s].samples() {
+            for &v in state.samples[s].samples() {
                 day_tails[s].record(v);
             }
-            match per_server[s].percentile(metric_percentile) {
+            match state.server_tail(s, metric_percentile) {
                 Some(tail) => {
                     measured_servers += 1;
                     if tail > spec.qos_target_ms {
@@ -927,6 +959,7 @@ fn merge_shard_days(cfg: &FleetConfig, shard_days: &[ShardDay]) -> FleetReport {
     let mut measured_total = 0usize;
     let mut fleet_tail = TailAcc::new(&cfg.tails);
     let mut speedups = Vec::with_capacity(shard_days.len());
+    let mut scratch = Vec::new();
     for t in 0..steps {
         let hour = (t as f64 * cfg.interval_hours) % 24.0;
         let load = cfg.pattern.load_at(hour);
@@ -949,12 +982,13 @@ fn merge_shard_days(cfg: &FleetConfig, shard_days: &[ShardDay]) -> FleetReport {
         violations_total += violations;
         measured_total += measured_servers;
         fleet_tail.absorb(&tail);
+        let [p99_ms] = tail.percentiles(&mut scratch, [99.0]);
         intervals.push(FleetIntervalReport {
             hour,
             load,
             engaged_servers: engaged,
             measured_servers,
-            p99_ms: tail.percentile(99.0).unwrap_or(0.0),
+            p99_ms,
             batch_throughput,
         });
     }
@@ -965,7 +999,7 @@ fn merge_shard_days(cfg: &FleetConfig, shard_days: &[ShardDay]) -> FleetReport {
             servers.push(ServerSummary {
                 engaged_intervals: sd.engaged_counts[s],
                 starved_intervals: sd.starved_counts[s],
-                p99_ms: acc.percentile(99.0).unwrap_or(0.0),
+                p99_ms: acc.percentiles(&mut scratch, [99.0])[0],
                 requests: acc.len(),
                 mode_changes: sd.mode_changes[s],
                 throttle_events: sd.throttle_events[s],
@@ -974,6 +1008,7 @@ fn merge_shard_days(cfg: &FleetConfig, shard_days: &[ShardDay]) -> FleetReport {
     }
 
     let server_intervals = (n * steps) as f64;
+    let [p50_ms, p95_ms, p99_ms] = fleet_tail.percentiles(&mut scratch, [50.0, 95.0, 99.0]);
     FleetReport {
         intervals,
         servers,
@@ -985,9 +1020,9 @@ fn merge_shard_days(cfg: &FleetConfig, shard_days: &[ShardDay]) -> FleetReport {
         } else {
             violations_total as f64 / measured_total as f64
         },
-        p50_ms: fleet_tail.percentile(50.0).unwrap_or(0.0),
-        p95_ms: fleet_tail.percentile(95.0).unwrap_or(0.0),
-        p99_ms: fleet_tail.percentile(99.0).unwrap_or(0.0),
+        p50_ms,
+        p95_ms,
+        p99_ms,
         requests: fleet_tail.len(),
     }
 }

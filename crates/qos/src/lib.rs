@@ -24,19 +24,21 @@
 //!   to service-time stretch shared with the fleet simulation).
 //! * [`arrival`] — Poisson and bursty (two-state MMPP) open-loop arrivals,
 //!   validated at construction ([`arrival::ArrivalProcess::validate`]).
-//! * [`queue`] — the request model: one server's FCFS queue over its worker
-//!   threads ([`queue::WorkerQueue`]) and the 12-step bisection that finds
-//!   a peak sustainable load ([`queue::bisect_peak_rps`]).
-//! * [`server::ServerSim`] — one server's run over a [`queue::WorkerQueue`],
-//!   percentile collection.
+//! * [`queue`] — the request model: the FCFS queues of one or more servers
+//!   over their worker threads ([`queue::ServerQueues`], stored worker-major
+//!   so a least-loaded choice is one sweep) and the 12-step bisection that
+//!   finds a peak sustainable load ([`queue::bisect_peak_rps`]).
+//! * [`server::ServerSim`] — one server's run over a one-server
+//!   [`queue::ServerQueues`], percentile collection.
 //! * [`sweep`] — latency-versus-load curves (Figure 1).
 //! * [`slack`] — minimum performance meeting QoS per load level (Figure 2).
 //!
 //! The `cluster_sim` crate scales this single-server model to a datacenter:
-//! its fleet simulation dispatches one arrival stream over N servers, each a
-//! [`queue::WorkerQueue`] whose backlog its load balancers probe, finds the
-//! fleet's peak with [`queue::bisect_peak_rps`], and calibrates Stretch's
-//! engagement thresholds from the tails the queueing model produces.
+//! its fleet simulation dispatches one arrival stream over N servers held in
+//! one [`queue::ServerQueues`] per shard, whose backlogs its load balancers
+//! probe, finds the fleet's peak with [`queue::bisect_peak_rps`], and
+//! calibrates Stretch's engagement thresholds from the tails the queueing
+//! model produces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +51,7 @@ pub mod slack;
 pub mod sweep;
 
 pub use arrival::{ArrivalGenerator, ArrivalProcess};
-pub use queue::{bisect_peak_rps, WorkerQueue};
+pub use queue::{bisect_peak_rps, ServerQueues};
 pub use server::{LatencySummary, ServerSim, SimParams};
 pub use service::{ServiceSpec, TailMetric};
 pub use slack::{slack_curve, SlackPoint};

@@ -1,68 +1,107 @@
-//! The request model both the single server and the fleet run on: one
-//! server's FCFS queue over its worker threads ([`WorkerQueue`]) and the
-//! empirical peak-load search over it ([`bisect_peak_rps`]).
+//! The request model both the single server and the fleet run on: the FCFS
+//! queues of one or more servers over their worker threads
+//! ([`ServerQueues`]) and the empirical peak-load search over them
+//! ([`bisect_peak_rps`]).
 //!
-//! [`crate::ServerSim`] drives one queue per run; the `cluster_sim` fleet
-//! keeps one per server and lets its load balancers probe
-//! [`WorkerQueue::backlog`].
+//! [`crate::ServerSim`] drives a one-server instance per run; each shard of
+//! the `cluster_sim` fleet owns one instance over its servers and lets its
+//! load balancers probe [`ServerQueues::backlog`] and
+//! [`ServerQueues::least_loaded`].
 
 use crate::service::ServiceSpec;
 
-/// One server's FCFS queue: the time (ms) at which each worker thread next
-/// becomes available, plus the latest of them — the idle watermark.
+/// The FCFS queues of `servers` servers with `workers` worker threads each:
+/// the time (ms) at which every worker next becomes available, plus each
+/// server's latest such time — its idle watermark.
 ///
-/// A request starts on the earliest-available worker (the lowest index on
-/// ties), no earlier than its arrival. The watermark lets an idle server —
-/// one whose last completion is behind the probe time — answer
-/// [`WorkerQueue::backlog`] in O(1), which keeps balancer probes cheap on a
-/// mostly idle fleet.
+/// A request starts on its server's earliest-available worker (the lowest
+/// index on ties), no earlier than its arrival. The times are stored
+/// worker-major (`avail[w * servers + s]`), so [`ServerQueues::least_loaded`]
+/// sums every server's backlog in one sweep over `workers` contiguous rows.
+/// The watermark lets an idle server — one whose last completion is not
+/// after the probe time — answer [`ServerQueues::backlog`] in O(1), which
+/// keeps power-of-two probes cheap on a mostly idle fleet.
 #[derive(Debug, Clone)]
-pub struct WorkerQueue {
+pub struct ServerQueues {
+    servers: usize,
+    /// Worker availability times, worker-major: `avail[w * servers + s]`.
     avail: Vec<f64>,
-    /// Invariant: the maximum of `avail`.
-    max_avail: f64,
+    /// Invariant: `max_avail[s]` is the maximum of server `s`'s times.
+    max_avail: Vec<f64>,
+    /// Per-server backlog sums, reused by every [`ServerQueues::least_loaded`].
+    backlogs: Vec<f64>,
 }
 
-impl WorkerQueue {
-    /// An idle queue over `workers` worker threads.
+impl ServerQueues {
+    /// Idle queues for `servers` servers of `workers` worker threads each.
     ///
     /// # Panics
     ///
-    /// Panics if `workers == 0`.
-    pub fn new(workers: usize) -> WorkerQueue {
+    /// Panics if `servers == 0` or `workers == 0`.
+    pub fn new(servers: usize, workers: usize) -> ServerQueues {
+        assert!(servers > 0, "a queue set needs at least one server");
         assert!(workers > 0, "a server needs at least one worker");
-        WorkerQueue { avail: vec![0.0; workers], max_avail: 0.0 }
+        ServerQueues {
+            servers,
+            avail: vec![0.0; servers * workers],
+            max_avail: vec![0.0; servers],
+            backlogs: vec![0.0; servers],
+        }
     }
 
-    /// Admits a request arriving at `arrival_ms` that needs `service_ms` of
-    /// processing, and returns its sojourn time (queueing + service, ms).
-    /// Arrivals must be non-decreasing across calls.
+    /// Admits a request to `server` arriving at `arrival_ms` that needs
+    /// `service_ms` of processing, and returns its sojourn time (queueing +
+    /// service, ms). Arrivals must be non-decreasing across calls.
     #[inline]
-    pub fn admit(&mut self, arrival_ms: f64, service_ms: f64) -> f64 {
-        let (w, avail) = self
-            .avail
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN worker times"))
-            .expect("at least one worker");
-        let done = arrival_ms.max(avail) + service_ms;
-        self.avail[w] = done;
-        if done > self.max_avail {
-            self.max_avail = done;
+    pub fn admit(&mut self, server: usize, arrival_ms: f64, service_ms: f64) -> f64 {
+        let n = self.servers;
+        let (mut earliest, mut soonest) = (server, self.avail[server]);
+        for i in (server + n..self.avail.len()).step_by(n) {
+            let t = self.avail[i];
+            if t < soonest {
+                (earliest, soonest) = (i, t);
+            }
+        }
+        let done = arrival_ms.max(soonest) + service_ms;
+        self.avail[earliest] = done;
+        if done > self.max_avail[server] {
+            self.max_avail[server] = done;
         }
         done - arrival_ms
     }
 
-    /// Total queued work (ms) ahead of a request arriving at `now_ms`: the
-    /// sum over workers of the time each is still busy. O(1) when the server
-    /// is idle at `now_ms`, where the scan would compute exactly `0.0`.
+    /// Total queued work (ms) on `server` ahead of a request arriving at
+    /// `now_ms`: the sum over its workers of the time each is still busy.
+    /// O(1) when the server is idle at `now_ms`, where the scan would compute
+    /// exactly `0.0`.
     #[inline]
-    pub fn backlog(&self, now_ms: f64) -> f64 {
-        if self.max_avail <= now_ms {
+    pub fn backlog(&self, server: usize, now_ms: f64) -> f64 {
+        if self.max_avail[server] <= now_ms {
             return 0.0;
         }
-        self.avail.iter().map(|&avail| (avail - now_ms).max(0.0)).sum()
+        self.avail[server..].iter().step_by(self.servers).map(|&a| (a - now_ms).max(0.0)).sum()
+    }
+
+    /// The server with the least [`ServerQueues::backlog`] at `now_ms`, the
+    /// lowest index on ties: the first minimum of one worker-major sweep,
+    /// which is what `(0..servers).min_by` over the backlogs picks. An idle
+    /// server's sum is exactly `0.0` and a busy one's is above zero, so the
+    /// sweep needs no idle test to find the first idle server.
+    #[inline]
+    pub fn least_loaded(&mut self, now_ms: f64) -> usize {
+        self.backlogs.fill(0.0);
+        for row in self.avail.chunks_exact(self.servers) {
+            for (backlog, &a) in self.backlogs.iter_mut().zip(row) {
+                *backlog += (a - now_ms).max(0.0);
+            }
+        }
+        let (mut least, mut lowest) = (0, self.backlogs[0]);
+        for (s, &backlog) in self.backlogs.iter().enumerate().skip(1) {
+            if backlog < lowest {
+                (least, lowest) = (s, backlog);
+            }
+        }
+        least
     }
 }
 

@@ -1,17 +1,18 @@
 //! Discrete-event simulation of one latency-sensitive server.
 //!
 //! Requests arrive open-loop, wait in a FCFS queue for one of the service's
-//! worker threads ([`WorkerQueue`]), and are processed for a log-normally
-//! distributed service time whose median is scaled by
+//! worker threads (a one-server [`ServerQueues`]), and are processed for a
+//! log-normally distributed service time whose median is scaled by
 //! `1 / performance_fraction` — degrading the core's single-thread
 //! performance stretches every request proportionally. Sojourn (queueing +
 //! service) times are collected and summarised.
 
 use crate::arrival::{ArrivalGenerator, ArrivalProcess};
-use crate::queue::{bisect_peak_rps, WorkerQueue};
+use crate::queue::{bisect_peak_rps, ServerQueues};
 use crate::service::ServiceSpec;
 use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder, SimRng};
+use sim_stats::percentile::percentiles_in;
 use sim_stats::Percentiles;
 
 /// Parameters of one server simulation run.
@@ -159,23 +160,26 @@ impl ServerSim {
         let median_ms =
             self.spec.service_median_ms * self.spec.slowdown(params.performance_fraction);
 
-        let mut queue = WorkerQueue::new(self.spec.workers);
+        let mut queue = ServerQueues::new(1, self.spec.workers);
         let mut sojourn = Percentiles::new();
         let total = params.warmup_requests + params.requests;
         for i in 0..total {
             let arrival = arrivals.next_arrival_ms();
             let service_ms = service_rng.log_normal(median_ms, self.spec.service_sigma);
-            let sojourn_ms = queue.admit(arrival, service_ms);
+            let sojourn_ms = queue.admit(0, arrival, service_ms);
             if i >= params.warmup_requests {
                 sojourn.record(sojourn_ms);
             }
         }
 
+        let [p95_ms, p99_ms, p995_ms] =
+            percentiles_in(&mut Vec::new(), sojourn.samples(), [95.0, 99.0, 99.5])
+                .unwrap_or([0.0; 3]);
         LatencySummary {
             mean_ms: sojourn.mean().unwrap_or(0.0),
-            p95_ms: sojourn.percentile(95.0).unwrap_or(0.0),
-            p99_ms: sojourn.percentile(99.0).unwrap_or(0.0),
-            p995_ms: sojourn.percentile(99.5).unwrap_or(0.0),
+            p95_ms,
+            p99_ms,
+            p995_ms,
             max_ms: sojourn.max().unwrap_or(0.0),
             requests: sojourn.len(),
         }

@@ -4,7 +4,8 @@
 //! cache keys, where determinism is enforced: `docs/ARCHITECTURE.md` at
 //! the repository root.
 //!
-//! * [`percentile`](mod@percentile) — exact percentiles over sample sets (tail latency).
+//! * [`percentile`](mod@percentile) — exact percentiles over sample sets (tail
+//!   latency), selected in linear time, several from one copy.
 //! * [`histogram`] — fixed-bin histograms (MLP census, latency histograms).
 //! * [`distribution`] — five-number / violin-style summaries used to report
 //!   the slowdown and speedup distributions of Figures 3, 9, 10, 11.

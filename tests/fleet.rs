@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use stretch_bench::{Engine, ExperimentConfig};
 use stretch_repro::cluster::{
-    rack_seed, server_seed, CaseStudy, Fleet, FleetScale, FleetTopology, LoadBalancer,
-    TailAccumulation,
+    rack_seed, server_seed, CaseStudy, Fleet, FleetIntervalReport, FleetReport, FleetScale,
+    FleetTopology, LoadBalancer, ServerSummary, TailAccumulation,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -32,6 +32,117 @@ fn same_seed_fleet_runs_are_bit_identical() {
     for (x, y) in a.servers.iter().zip(&b.servers) {
         assert_eq!(x.p99_ms.to_bits(), y.p99_ms.to_bits());
     }
+}
+
+/// A 64-bit FNV-1a digest of every field of a report, floats by their bits.
+/// The destructuring is exhaustive, so a new report field fails to compile
+/// here until the digest covers it.
+fn report_digest(report: &FleetReport) -> u64 {
+    let FleetReport {
+        intervals,
+        servers,
+        average_batch_throughput,
+        fraction_engaged,
+        hours_engaged,
+        violation_fraction,
+        p50_ms,
+        p95_ms,
+        p99_ms,
+        requests,
+    } = report;
+    let mut words = Vec::new();
+    for interval in intervals {
+        let FleetIntervalReport {
+            hour,
+            load,
+            engaged_servers,
+            measured_servers,
+            p99_ms,
+            batch_throughput,
+        } = *interval;
+        words.extend([
+            hour.to_bits(),
+            load.to_bits(),
+            engaged_servers as u64,
+            measured_servers as u64,
+            p99_ms.to_bits(),
+            batch_throughput.to_bits(),
+        ]);
+    }
+    for server in servers {
+        let ServerSummary {
+            engaged_intervals,
+            starved_intervals,
+            p99_ms,
+            requests,
+            mode_changes,
+            throttle_events,
+        } = *server;
+        words.extend([
+            engaged_intervals as u64,
+            starved_intervals as u64,
+            p99_ms.to_bits(),
+            requests as u64,
+            mode_changes,
+            throttle_events,
+        ]);
+    }
+    words.extend([intervals.len() as u64, servers.len() as u64]);
+    words.extend(
+        [
+            *average_batch_throughput,
+            *fraction_engaged,
+            *hours_engaged,
+            *violation_fraction,
+            *p50_ms,
+            *p95_ms,
+            *p99_ms,
+        ]
+        .map(f64::to_bits),
+    );
+    words.push(*requests as u64);
+    words.iter().flat_map(|w| w.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn every_report_field_is_pinned_for_each_balancer_and_shape() {
+    // Pinned from a simulator that stable-sorted for every percentile and
+    // scanned each server's backlog per comparison. A change to dispatch,
+    // tail bookkeeping or the merge that moves any field of any report —
+    // interval rows, per-server summaries, fleet percentiles — fails here,
+    // in the default `cargo test` run.
+    const PINNED: [(LoadBalancer, u64, u64); 3] = [
+        (LoadBalancer::RoundRobin, 0xe7fe_b1ee_0ae1_00c5, 0x0eef_ee1c_1629_c795),
+        (LoadBalancer::LeastLoaded, 0xfee9_9191_0ad1_9a80, 0xe78f_17f4_baf5_0e75),
+        (LoadBalancer::PowerOfTwoChoices, 0xf8a5_65a9_7dde_68fb, 0x09c1_3de9_eb20_b2fa),
+    ];
+    let study = CaseStudy::web_search();
+    let scale = FleetScale::quick(42);
+    let digests: Vec<(LoadBalancer, u64, u64)> = LoadBalancer::ALL
+        .into_iter()
+        .map(|balancer| {
+            let flat = study
+                .fleet_with(balancer, scale, FleetTopology::Flat, TailAccumulation::Exact, 1)
+                .run();
+            let racked = study
+                .fleet_with(
+                    balancer,
+                    scale,
+                    FleetTopology::racked(2, balancer),
+                    TailAccumulation::binned_default(),
+                    1,
+                )
+                .run();
+            (balancer, report_digest(&flat), report_digest(&racked))
+        })
+        .collect();
+    let shown: Vec<String> = digests
+        .iter()
+        .map(|(b, flat, racked)| format!("{b:?}: {flat:#018x}, {racked:#018x}"))
+        .collect();
+    assert_eq!(digests, PINNED, "(flat exact, racked binned) report digests drifted: {shown:#?}");
 }
 
 #[test]
@@ -106,22 +217,34 @@ fn sharded_runs_are_bit_identical_across_worker_counts() {
     // The tentpole contract: the report is a pure function of the config —
     // the worker count only picks how many OS threads chew through the
     // shards, never what they compute or how the results merge.
-    let fleet = CaseStudy::web_search().fleet_with(
-        LoadBalancer::PowerOfTwoChoices,
-        FleetScale { servers: 64, requests_per_server: 50, seed: 7 },
-        FleetTopology::racked(8, LoadBalancer::PowerOfTwoChoices),
-        TailAccumulation::binned_default(),
-        1,
-    );
-    let one = fleet.run_with_workers(1);
-    let two = fleet.run_with_workers(2);
-    let eight = fleet.run_with_workers(8);
-    assert_eq!(one, two, "1 and 2 workers must produce the identical report");
-    assert_eq!(one, eight, "1 and 8 workers must produce the identical report");
-    assert_eq!(one.p99_ms.to_bits(), eight.p99_ms.to_bits());
-    assert_eq!(one.average_batch_throughput.to_bits(), eight.average_batch_throughput.to_bits());
-    for (a, b) in one.servers.iter().zip(&eight.servers) {
-        assert_eq!(a.p99_ms.to_bits(), b.p99_ms.to_bits());
+    // Power-of-two with binned tails, and least-loaded with exact tails: the
+    // latter covers the worker-major least-loaded sweep and the concatenating
+    // exact-tail merge.
+    let scale = FleetScale { servers: 64, requests_per_server: 50, seed: 7 };
+    for (balancer, tails) in [
+        (LoadBalancer::PowerOfTwoChoices, TailAccumulation::binned_default()),
+        (LoadBalancer::LeastLoaded, TailAccumulation::Exact),
+    ] {
+        let fleet = CaseStudy::web_search().fleet_with(
+            balancer,
+            scale,
+            FleetTopology::racked(8, balancer),
+            tails,
+            1,
+        );
+        let one = fleet.run_with_workers(1);
+        let two = fleet.run_with_workers(2);
+        let eight = fleet.run_with_workers(8);
+        assert_eq!(one, two, "1 and 2 workers must produce the identical report");
+        assert_eq!(one, eight, "1 and 8 workers must produce the identical report");
+        assert_eq!(one.p99_ms.to_bits(), eight.p99_ms.to_bits());
+        assert_eq!(
+            one.average_batch_throughput.to_bits(),
+            eight.average_batch_throughput.to_bits()
+        );
+        for (a, b) in one.servers.iter().zip(&eight.servers) {
+            assert_eq!(a.p99_ms.to_bits(), b.p99_ms.to_bits());
+        }
     }
 }
 

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use stretch_repro::model::{CoreConfig, SimRng, ThreadId, TraceGenerator, WorkloadClass};
-use stretch_repro::qos::WorkerQueue;
-use stretch_repro::stats::percentile::percentile;
+use stretch_repro::qos::ServerQueues;
+use stretch_repro::stats::percentile::{percentile, percentile_of_sorted, percentiles_in};
 use stretch_repro::stats::{DistributionSummary, Histogram};
 use stretch_repro::stretch::{RobSkew, StretchMode};
 use stretch_repro::workloads::WorkloadProfile;
@@ -200,37 +200,114 @@ proptest! {
         }
     }
 
+    #[test]
+    fn selected_percentiles_equal_the_stable_sort_reference_bit_for_bit(
+        picks in prop::collection::vec(0usize..20, 1..301),
+        random_p in 0.0f64..100.0,
+    ) {
+        // A small value set keeps ties common, signed zeros, infinities and
+        // NaN included; the rest is a 0.5 grid.
+        let special = [-0.0, 0.0, 1.0, -1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let xs: Vec<f64> = picks
+            .iter()
+            .map(|&i| special.get(i).copied().unwrap_or((i as f64 - 13.0) * 0.5))
+            .collect();
+        let ps = [0.0, 25.0, 50.0, 95.0, 99.0, 99.5, 100.0, random_p];
+        // The whole input, and its first sample alone: a one-sample input
+        // returns the sample itself, -0.0 included.
+        for xs in [&xs[..], &xs[..1]] {
+            let reference = |p: f64| -> Option<u64> {
+                let mut sorted: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
+                if sorted.is_empty() {
+                    return None;
+                }
+                sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaNs were filtered"));
+                Some(percentile_of_sorted(&sorted, p).to_bits())
+            };
+            let single = ps.map(|p| percentile(xs, p).map(f64::to_bits));
+            prop_assert_eq!(single, ps.map(reference), "single-rank percentiles of {:?}", xs);
+            let multi = percentiles_in(&mut Vec::new(), xs, ps)
+                .map(|values| values.map(|v| Some(v.to_bits())));
+            prop_assert_eq!(multi.unwrap_or([None; 8]), single, "multi-rank of {:?}", xs);
+            // A reused, dirty scratch buffer changes nothing.
+            let mut scratch = vec![f64::NAN, 7.0];
+            let reused = percentiles_in(&mut scratch, xs, ps)
+                .map(|values| values.map(|v| Some(v.to_bits())));
+            prop_assert_eq!(reused, multi);
+        }
+    }
+
     // ---------------- queueing kernel ----------------
 
-    /// `WorkerQueue` against a plain availability vector: admission must be
-    /// lowest-index earliest-worker FCFS, and the idle-watermark fast path
-    /// of `backlog` must return exactly what the full scan computes. Times
-    /// on a 1/8 ms grid make ties between workers common.
+    /// `ServerQueues` against plain per-server availability vectors:
+    /// admission must be lowest-index earliest-worker FCFS, the idle-watermark
+    /// fast path of `backlog` must return exactly what the full scan
+    /// computes, and `least_loaded` must pick what `(0..n).min_by` over the
+    /// scanned backlogs picks — the formula the fleet dispatched by before
+    /// the worker-major sweep. Each request goes to the least-loaded server
+    /// or to a random one. A quarter of the cases run one server, so every
+    /// request lands in one deep queue. Times on a 1/8 ms grid make ties
+    /// between workers and between servers common.
     #[test]
     fn worker_queue_matches_a_plain_earliest_worker_scan(
+        one_server in 0u32..4,
+        servers in 1usize..33,
         workers in 1usize..17,
-        requests in prop::collection::vec((0u32..8, 1u32..64, 0.0f64..1.0, any::<bool>()), 1..120),
+        requests in prop::collection::vec(
+            (0u32..8, 1u32..64, 0.0f64..1.0, any::<bool>(), any::<bool>(), 0usize..32),
+            1..120,
+        ),
     ) {
-        let mut queue = WorkerQueue::new(workers);
-        let mut reference = vec![0.0f64; workers];
+        let servers = if one_server == 0 { 1 } else { servers };
+        let mut queues = ServerQueues::new(servers, workers);
+        let mut reference = vec![vec![0.0f64; workers]; servers];
+        let scan = |reference: &[Vec<f64>], s: usize, now: f64| -> f64 {
+            reference[s].iter().map(|&avail| (avail - now).max(0.0)).sum()
+        };
+        let least_loaded = |reference: &[Vec<f64>], now: f64| -> usize {
+            (0..servers)
+                .min_by(|&a, &b| {
+                    scan(reference, a, now)
+                        .partial_cmp(&scan(reference, b, now))
+                        .expect("no NaN backlogs")
+                })
+                .expect("at least one server")
+        };
         let mut arrival = 0.0f64;
-        for (gap, units, frac, off_grid) in requests {
+        for (gap, units, frac, off_grid, to_least_loaded, draw) in requests {
             arrival += gap as f64 * 0.125;
             let service = units as f64 * 0.125 + if off_grid { frac } else { 0.0 };
-            let sojourn = queue.admit(arrival, service);
+            let s = if to_least_loaded {
+                let s = queues.least_loaded(arrival);
+                prop_assert_eq!(s, least_loaded(&reference, arrival), "pick at {}", arrival);
+                s
+            } else {
+                draw % servers
+            };
+            let sojourn = queues.admit(s, arrival, service);
             let mut w = 0;
-            for (i, &avail) in reference.iter().enumerate() {
-                if avail < reference[w] {
+            for (i, &avail) in reference[s].iter().enumerate() {
+                if avail < reference[s][w] {
                     w = i;
                 }
             }
-            let done = arrival.max(reference[w]) + service;
-            reference[w] = done;
+            let done = arrival.max(reference[s][w]) + service;
+            reference[s][w] = done;
             prop_assert_eq!(sojourn.to_bits(), (done - arrival).to_bits());
-            let latest = reference.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let latest = reference[s].iter().copied().fold(f64::NEG_INFINITY, f64::max);
             for now in [arrival, done - 0.5 * service, done, latest - 0.0625, latest, latest + 1.0] {
-                let scan: f64 = reference.iter().map(|&avail| (avail - now).max(0.0)).sum();
-                prop_assert_eq!(queue.backlog(now).to_bits(), scan.to_bits(), "backlog at {}", now);
+                prop_assert_eq!(
+                    queues.backlog(s, now).to_bits(),
+                    scan(&reference, s, now).to_bits(),
+                    "backlog at {}",
+                    now
+                );
+                prop_assert_eq!(
+                    queues.least_loaded(now),
+                    least_loaded(&reference, now),
+                    "least loaded at {}",
+                    now
+                );
             }
         }
     }
