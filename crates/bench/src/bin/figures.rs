@@ -27,6 +27,11 @@
 //!   figures render concurrently but are printed in selection order;
 //! * `--assert-warm` — exit non-zero if any simulation ran (CI uses this to
 //!   prove the second invocation is served entirely from the cache);
+//! * `--audit-cache` — recompute every cell the store serves and compare
+//!   it with its stored entry byte for byte; print the audited and
+//!   mismatched counts and exit non-zero on any mismatch. Audit
+//!   recomputations are not counted as simulation runs, so `--assert-warm`
+//!   keeps its meaning;
 //! * `--list` — print the registry and exit.
 
 use std::process::ExitCode;
@@ -43,6 +48,7 @@ struct Options {
     sub_matrix: Option<(usize, usize)>,
     workers: Option<usize>,
     assert_warm: bool,
+    audit_cache: bool,
     list: bool,
     names: Vec<String>,
 }
@@ -50,7 +56,8 @@ struct Options {
 fn usage() -> String {
     let mut text = String::from(
         "usage: figures [--all | NAME...] [--quick] [--cache-dir DIR] [--no-cache] \
-         [--wipe-cache] [--matrix LxB] [--workers N] [--assert-warm] [--list]\n\navailable figures:\n",
+         [--wipe-cache] [--matrix LxB] [--workers N] [--assert-warm] [--audit-cache] \
+         [--list]\n\navailable figures:\n",
     );
     for spec in figures::all() {
         text.push_str(&format!("  {:<10} {}\n", spec.name, spec.title));
@@ -67,6 +74,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         sub_matrix: None,
         workers: None,
         assert_warm: false,
+        audit_cache: false,
         list: false,
         names: Vec::new(),
     };
@@ -78,6 +86,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--no-cache" => opts.cache_dir = None,
             "--wipe-cache" => opts.wipe_cache = true,
             "--assert-warm" => opts.assert_warm = true,
+            "--audit-cache" => opts.audit_cache = true,
             "--list" => opts.list = true,
             "--help" | "-h" => return Err(usage()),
             "--cache-dir" => {
@@ -139,6 +148,10 @@ fn main() -> ExitCode {
         eprintln!("--wipe-cache needs a cache to wipe; drop --no-cache (or pass --cache-dir)");
         return ExitCode::from(2);
     }
+    if opts.audit_cache && opts.cache_dir.is_none() {
+        eprintln!("--audit-cache needs a cache to audit; drop --no-cache (or pass --cache-dir)");
+        return ExitCode::from(2);
+    }
 
     let selected: Vec<&figures::FigureSpec> = if opts.all {
         figures::all().iter().collect()
@@ -166,6 +179,9 @@ fn main() -> ExitCode {
     let mut engine = Engine::new(cfg);
     if let Some((ls, batch)) = opts.sub_matrix {
         engine = engine.with_sub_matrix(ls, batch);
+    }
+    if opts.audit_cache {
+        engine = engine.with_audit();
     }
     if let Some(dir) = &opts.cache_dir {
         engine = match engine.with_store(dir) {
@@ -210,10 +226,25 @@ fn main() -> ExitCode {
         );
     }
 
+    let audit = engine.audit_stats();
+    if opts.audit_cache {
+        println!(
+            "cache audit: {} served cells recomputed, {} mismatched",
+            audit.audited, audit.mismatched
+        );
+    }
+
     if opts.assert_warm && stats.misses > 0 {
         eprintln!(
             "--assert-warm failed: {} simulation runs were not served from the cache",
             stats.misses
+        );
+        return ExitCode::FAILURE;
+    }
+    if audit.mismatched > 0 {
+        eprintln!(
+            "--audit-cache failed: {} cells differ from their stored entries",
+            audit.mismatched
         );
         return ExitCode::FAILURE;
     }

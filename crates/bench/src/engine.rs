@@ -17,7 +17,11 @@
 //!   core configuration, *policy identity* (allocation and colocation),
 //!   thread grouping or whole-server placement, seed and simulation length
 //!   (see [`crate::store`]); a warm-cache invocation performs zero
-//!   simulation runs, which [`CacheStats`] makes verifiable.
+//!   simulation runs, which [`CacheStats`] makes verifiable;
+//! * **store audits** — with [`Engine::with_audit`], cells served from the
+//!   store are recomputed and compared with their stored entries byte for
+//!   byte ([`AuditStats`]), which catches a cell whose meaning changed
+//!   without a cell-family version bump.
 //!
 //! Each cycle-level cell builds its run directly on the `cpu_sim` entry
 //! points: [`Scenario`] for SMT colocations and stand-alone runs,
@@ -205,6 +209,16 @@ impl CacheStats {
     }
 }
 
+/// Counters of a store audit ([`Engine::with_audit`]), kept apart from
+/// [`CacheStats`]: an audit recomputation is not a simulation run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AuditStats {
+    /// Store-served cells that were recomputed and compared.
+    pub audited: u64,
+    /// Audited cells whose recomputed entry differs from the stored one.
+    pub mismatched: u64,
+}
+
 enum Slot {
     /// A worker is computing this cell; wait on the condvar.
     InFlight,
@@ -215,6 +229,7 @@ enum Slot {
 struct EngineState {
     memo: HashMap<String, Slot>,
     stats: CacheStats,
+    audit: AuditStats,
 }
 
 /// RAII ownership of a cell's [`Slot::InFlight`] claim. On success the owner
@@ -276,6 +291,8 @@ pub struct Engine {
     ls: Vec<String>,
     batch: Vec<String>,
     store: Option<ResultStore>,
+    /// Whether store-served cells are recomputed and compared.
+    auditing: bool,
     state: Mutex<EngineState>,
     ready: Condvar,
 }
@@ -288,7 +305,12 @@ impl Engine {
             ls: latency_sensitive::NAMES.iter().map(|s| s.to_string()).collect(),
             batch: batch::NAMES.iter().map(|s| s.to_string()).collect(),
             store: None,
-            state: Mutex::new(EngineState { memo: HashMap::new(), stats: CacheStats::default() }),
+            auditing: false,
+            state: Mutex::new(EngineState {
+                memo: HashMap::new(),
+                stats: CacheStats::default(),
+                audit: AuditStats::default(),
+            }),
             ready: Condvar::new(),
         }
     }
@@ -302,6 +324,17 @@ impl Engine {
     pub fn with_store(mut self, dir: impl Into<PathBuf>) -> io::Result<Engine> {
         self.store = Some(ResultStore::open(dir)?);
         Ok(self)
+    }
+
+    /// Audits the attached store: every cell served from it is also
+    /// recomputed, and the fresh entry is compared byte for byte with the
+    /// stored one. The audited set is the set of served cells, the same at
+    /// any worker count and in any run order. The engine still serves the
+    /// stored value, and audit recomputations count in
+    /// [`Engine::audit_stats`], not in [`CacheStats::misses`].
+    pub fn with_audit(mut self) -> Engine {
+        self.auditing = true;
+        self
     }
 
     /// Restricts the engine to a sub-matrix: the first `ls` latency-sensitive
@@ -341,6 +374,12 @@ impl Engine {
     /// A snapshot of the cache counters.
     pub fn stats(&self) -> CacheStats {
         self.state.lock().expect("engine state lock").stats
+    }
+
+    /// A snapshot of the store-audit counters (all zero without
+    /// [`Engine::with_audit`]).
+    pub fn audit_stats(&self) -> AuditStats {
+        self.state.lock().expect("engine state lock").audit
     }
 
     /// Number of actual simulation runs performed by this engine.
@@ -394,6 +433,9 @@ impl Engine {
         if let Some(store) = &self.store {
             if let Some(value) = store.load(&digest) {
                 if let Some(decoded) = T::from_json(&value) {
+                    if self.auditing {
+                        self.audit(&digest, what, &value, &compute().to_json());
+                    }
                     claim.publish(value, |stats| stats.store_hits += 1);
                     return decoded;
                 }
@@ -410,6 +452,19 @@ impl Engine {
         }
         claim.publish(value, |stats| stats.misses += 1);
         result
+    }
+
+    /// Counts one audited cell and reports it if the recomputed entry is not
+    /// byte for byte the stored one.
+    fn audit(&self, digest: &str, what: &str, stored: &Value, fresh: &Value) {
+        let render = |value: &Value| serde_json::to_string(value).expect("Value rendering");
+        let matches = render(stored) == render(fresh);
+        if !matches {
+            eprintln!("cache audit: {what} ({digest}) differs from its stored entry");
+        }
+        let mut state = self.state.lock().expect("engine state lock");
+        state.audit.audited += 1;
+        state.audit.mismatched += u64::from(!matches);
     }
 
     /// One latency-sensitive × N-batch SMT colocation cell under a

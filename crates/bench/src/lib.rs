@@ -34,6 +34,8 @@ pub mod figures;
 pub mod report;
 pub mod store;
 
-pub use engine::{CacheStats, Engine, ExperimentConfig, PairOutcome, ServerOutcome, SmtOutcome};
+pub use engine::{
+    AuditStats, CacheStats, Engine, ExperimentConfig, PairOutcome, ServerOutcome, SmtOutcome,
+};
 pub use report::{format_cache_stats, format_distribution_row, format_percent, TableWriter};
 pub use store::{JsonCodec, ResultStore};

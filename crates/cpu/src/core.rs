@@ -28,7 +28,10 @@
 //! * [`SmtCore::skip_quiescent`] warps over a run of cycles in which no
 //!   stage can act, applying their only effects (clocks, round-robin
 //!   rotations, the MLP census) in bulk; [`crate::run_core`] calls it after
-//!   every step.
+//!   every step. A thread whose only action is retrying a load that finds
+//!   every MSHR busy counts as idle too, once the memory hierarchy says the
+//!   retry is steady: the warp then applies the skipped retries in closed
+//!   form ([`MemoryHierarchy::repeat_rejected_loads`]).
 
 use crate::branch::{BranchPredictor, BranchStats, Prediction};
 use crate::fetch::{FetchPolicy, FetchScheduler};
@@ -51,6 +54,23 @@ enum EntryStatus {
     Issued,
     /// Finished execution; eligible for commit when it reaches the ROB head.
     Completed,
+}
+
+/// What a thread's last issue scan found, and so what its next scan does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IssueScan {
+    /// Scan again: a wake event (a dispatch into the thread, a completion of
+    /// one of its instructions, a flush) came after the last scan, or that
+    /// scan issued something or left a ready op without a functional unit.
+    Due,
+    /// The last scan found nothing ready and no wake event has come since,
+    /// so the next scan would find nothing too and is skipped.
+    Idle,
+    /// The last scan issued nothing: its one memory access, the oldest ready
+    /// load (`addr` from `pc`), found every MSHR busy, and every other ready
+    /// op was a younger load it did not try. Until a wake event, the next
+    /// scan retries the same load.
+    Retry { addr: u64, pc: u64 },
 }
 
 /// Sentinel for an absent producer. It lies far past any live sequence
@@ -209,14 +229,13 @@ struct ThreadState {
     /// would find nothing, so the skip is bit-exact. Maintained exactly: the
     /// issue stage min-updates it and every real complete scan recomputes it.
     next_completion: Cycle,
-    /// True when the last issue scan found zero ready-to-issue entries and no
-    /// wake event has occurred since, so the scan can be skipped. Wake events
-    /// (which clear the flag) are a dispatch into this thread, a completion
-    /// of this thread's instruction (dependences are intra-thread), and a
-    /// pipeline flush. The flag is conservative: it is only set when a scan
-    /// actually came up empty, never when entries were merely budget- or
-    /// FU-starved.
-    issue_idle: bool,
+    /// What the last issue scan found. Wake events reset it to
+    /// [`IssueScan::Due`]: a dispatch into this thread, a completion of this
+    /// thread's instruction (dependences are intra-thread), and a pipeline
+    /// flush. It is conservative: `Idle` only when a scan actually came up
+    /// empty, never when entries were merely budget- or FU-starved, and
+    /// `Retry` only when an MSHR rejection was all the scan did.
+    scan: IssueScan,
     stats: ThreadStats,
     mlp: Histogram,
 }
@@ -234,7 +253,7 @@ impl ThreadState {
             fetch_stall_until: 0,
             waiting_branch: None,
             next_completion: Cycle::MAX,
-            issue_idle: false,
+            scan: IssueScan::Due,
             stats: ThreadStats::default(),
             mlp: Histogram::new(10),
         }
@@ -266,6 +285,9 @@ pub struct SmtCore {
     /// Cycles skipped by [`SmtCore::skip_quiescent`], counted like
     /// `total_cycles_run` (both reset together).
     warped_cycles: u64,
+    /// The subset of `warped_cycles` skipped while a thread was parked on a
+    /// steady load retry.
+    retry_warped_cycles: u64,
     /// Reusable scratch for `fetch_thread`'s touched I-cache blocks.
     scratch_blocks: Vec<u64>,
     /// Reusable scratch for `flush_thread`'s squashed micro-ops.
@@ -274,6 +296,8 @@ pub struct SmtCore {
     scratch_in_flight: Vec<usize>,
     /// Reusable scratch for `fetch`'s per-thread activity flags.
     scratch_active: Vec<bool>,
+    /// Reusable scratch for the warp's `(thread, addr, pc)` retry order.
+    scratch_retries: Vec<(ThreadId, u64, u64)>,
 }
 
 /// Builder for [`SmtCore`].
@@ -408,10 +432,12 @@ impl SmtCoreBuilder {
             commit_preference: 0,
             total_cycles_run: 0,
             warped_cycles: 0,
+            retry_warped_cycles: 0,
             scratch_blocks: Vec::new(),
             scratch_squashed: Vec::new(),
             scratch_in_flight: Vec::new(),
             scratch_active: Vec::new(),
+            scratch_retries: Vec::new(),
         }
     }
 }
@@ -480,6 +506,14 @@ impl SmtCore {
         self.warped_cycles
     }
 
+    /// How many of [`SmtCore::warped_cycles`] were skipped while at least
+    /// one thread was parked on a steady load retry (its only action was
+    /// retrying a load that found every MSHR busy). Deterministic, like
+    /// `warped_cycles`, and reset with it.
+    pub fn retry_warped_cycles(&self) -> u64 {
+        self.retry_warped_cycles
+    }
+
     /// Whether a thread has a workload attached.
     pub fn thread_active(&self, thread: ThreadId) -> bool {
         self.threads[thread.index()].active()
@@ -497,6 +531,7 @@ impl SmtCore {
         self.mem.reset_stats();
         self.total_cycles_run = 0;
         self.warped_cycles = 0;
+        self.retry_warped_cycles = 0;
     }
 
     /// Reprograms the ROB/LSQ limit registers (a Stretch mode change or a
@@ -540,7 +575,7 @@ impl SmtCore {
         t.last_writer = [NO_DEP; NUM_LOGICAL_REGS];
         t.waiting_branch = None;
         t.next_completion = Cycle::MAX;
-        t.issue_idle = false;
+        t.scan = IssueScan::Due;
         t.fetch_stall_until = t.fetch_stall_until.max(now + penalty);
         if mode_change {
             t.stats.mode_change_flushes += 1;
@@ -581,31 +616,48 @@ impl SmtCore {
     /// one, at most `limit` of them, and returns how many it skipped.
     ///
     /// A cycle is quiescent when no stage can act in it. Every thread must
-    /// have a ROB head that is not `Completed` (nothing to commit), an idle
-    /// issue scan, a fetch-buffer head that cannot dispatch (buffer empty, or
-    /// its ROB or, for a memory op, LSQ share or total full), and no way to
-    /// fetch (inactive, waiting on a mispredicted branch, buffer full, or
-    /// stalled). That state can only change at an event: a miss or prefetch
-    /// fill ([`MemoryHierarchy::next_event`]), a thread's next completion, or
-    /// the end of the fetch stall of a thread that only its stall keeps from
+    /// have a ROB head that is not `Completed` (nothing to commit), an issue
+    /// scan that is idle or *parked* (see below), a fetch-buffer head that
+    /// cannot dispatch (buffer empty, or its ROB or, for a memory op, LSQ
+    /// share or total full), and no way to fetch (inactive, waiting on a
+    /// mispredicted branch, buffer full, or stalled). That state can only
+    /// change at an event: a miss or prefetch fill
+    /// ([`MemoryHierarchy::next_event`]), a thread's next completion, or the
+    /// end of the fetch stall of a thread that only its stall keeps from
     /// fetching. The skip stops one cycle short of the earliest event, so that
     /// cycle runs through a normal [`SmtCore::step`].
     ///
+    /// A thread is parked when its last issue scan did nothing but retry a
+    /// load that found every MSHR busy, and the hierarchy says the retry is
+    /// steady ([`MemoryHierarchy::rejected_load_is_steady`]): until the next
+    /// fill it can change only counters, clocks and LRU stamps. Nothing else
+    /// touches the thread's caches, MSHRs or prefetcher entry in a quiescent
+    /// cycle, and its readiness only changes at a completion (on the
+    /// horizon), a dispatch or a flush, so every skipped cycle would retry
+    /// the same load with the same outcome.
+    ///
     /// A quiescent cycle changes only the clocks, the commit and fetch
-    /// round-robin state and the MLP census, whose outstanding-miss counts
-    /// cannot move before the next fill. The skip applies exactly those
-    /// effects `k` times over, so the core ends bit for bit where `k` calls
-    /// to [`SmtCore::step`] would have left it — the same
+    /// round-robin state, the MLP census, whose outstanding-miss counts
+    /// cannot move before the next fill, and the parked retries. The skip
+    /// applies exactly those effects `k` times over — the retries through
+    /// [`MemoryHierarchy::repeat_rejected_loads`], in the issue rotation of
+    /// the last skipped cycle — so the core ends bit for bit where `k` calls
+    /// to [`SmtCore::step`] would have left it: the same
     /// conservative-watermark argument as the per-stage skips.
     pub fn skip_quiescent(&mut self, limit: u64) -> u64 {
         let total_rob = self.total_rob_occupancy();
         let total_lsq = self.total_lsq_occupancy();
         let mut horizon = self.mem.next_event();
+        let mut retrying = false;
         for (idx, t) in self.threads.iter().enumerate() {
             let head_completed = t.rob.status.front() == Some(&EntryStatus::Completed);
-            if head_completed || !t.issue_idle || self.can_dispatch(idx, total_rob, total_lsq) {
+            if head_completed
+                || t.scan == IssueScan::Due
+                || self.can_dispatch(idx, total_rob, total_lsq)
+            {
                 return 0;
             }
+            retrying |= t.scan != IssueScan::Idle;
             let stall_only = t.active()
                 && t.waiting_branch.is_none()
                 && t.fetch_buffer.len() < self.cfg.fetch_buffer_entries;
@@ -618,10 +670,37 @@ impl SmtCore {
         if skip == 0 {
             return 0;
         }
+        // Last, because it probes caches and the prefetcher: a retry parks
+        // its thread only while it is steady.
+        let steady = |(idx, t): (usize, &ThreadState)| match t.scan {
+            IssueScan::Retry { addr, pc } => {
+                self.mem.rejected_load_is_steady(ThreadId::from_index(idx), addr, pc)
+            }
+            _ => true,
+        };
+        if retrying && !self.threads.iter().enumerate().all(steady) {
+            return 0;
+        }
         let threads = self.threads.len() as u64;
         self.now += skip;
         self.total_cycles_run += skip;
         self.warped_cycles += skip;
+        if retrying {
+            // The issue stage of cycle `c` starts its rotation at thread
+            // `c % T`; only the last skipped cycle's order leaves a trace.
+            let mut order = std::mem::take(&mut self.scratch_retries);
+            order.clear();
+            let first = (self.now % threads) as usize;
+            for offset in 0..self.threads.len() {
+                let idx = (first + offset) % self.threads.len();
+                if let IssueScan::Retry { addr, pc } = self.threads[idx].scan {
+                    order.push((ThreadId::from_index(idx), addr, pc));
+                }
+            }
+            self.mem.repeat_rejected_loads(&order, skip);
+            self.scratch_retries = order;
+            self.retry_warped_cycles += skip;
+        }
         self.commit_preference = ((self.commit_preference as u64 + skip) % threads) as usize;
         let mut active = std::mem::take(&mut self.scratch_active);
         active.clear();
@@ -695,7 +774,7 @@ impl SmtCore {
             t.next_completion = next;
             if completed_any {
                 // A completion can wake same-thread dependents.
-                t.issue_idle = false;
+                t.scan = IssueScan::Due;
             }
         }
     }
@@ -755,13 +834,15 @@ impl SmtCore {
             // Quiescence skip: the last scan found nothing ready and no wake
             // event (dispatch, same-thread completion, flush) has happened
             // since, so this scan would find nothing too.
-            if t.issue_idle {
+            if t.scan == IssueScan::Idle {
                 continue;
             }
             // Walk the `Dispatched` entries in age order, compacting the ones
             // that stay behind; issuing never makes another entry ready, so
             // readiness can be checked on the way.
-            let mut mshr_blocked = false;
+            let budget_before = issue_budget;
+            let mut rejected = None;
+            let mut fu_starved = false;
             let mut found_ready = false;
             let mut kept = 0;
             let mut next = 0;
@@ -783,9 +864,10 @@ impl SmtCore {
                     OpKind::Fp => &mut fu_fp,
                     OpKind::Load | OpKind::Store => &mut fu_lsu,
                 };
+                fu_starved |= *fu == 0;
                 let completion = match kind {
                     _ if *fu == 0 => None,
-                    OpKind::Load if mshr_blocked => None,
+                    OpKind::Load if rejected.is_some() => None,
                     OpKind::Load => {
                         let uop = &t.rob.uops[pos];
                         let addr = uop.mem.expect("load carries an address").addr;
@@ -795,7 +877,7 @@ impl SmtCore {
                             LoadResult::NoMshr => {
                                 // Retry next cycle; stop trying further loads
                                 // for this thread to preserve ordering.
-                                mshr_blocked = true;
+                                rejected = Some((addr, uop.pc));
                                 None
                             }
                         }
@@ -816,11 +898,16 @@ impl SmtCore {
                 issue_budget -= 1;
             }
             t.rob.dispatched.drain(kept..next);
-            if !found_ready {
-                // Only an empty scan arms the skip; budget- or FU-starved
-                // leftovers must be retried next cycle.
-                t.issue_idle = true;
-            }
+            // Only an empty scan arms the skip; budget- or FU-starved
+            // leftovers must be retried next cycle. A scan whose one action
+            // was an MSHR rejection records the load for the warp.
+            t.scan = match rejected {
+                _ if !found_ready => IssueScan::Idle,
+                Some((addr, pc)) if issue_budget == budget_before && !fu_starved => {
+                    IssueScan::Retry { addr, pc }
+                }
+                _ => IssueScan::Due,
+            };
         }
     }
 
@@ -882,7 +969,7 @@ impl SmtCore {
                 t.rob.push_back(f.id, f.uop, deps, f.mispredicted, is_mem);
                 total_rob += 1;
                 // A fresh entry may be immediately ready: wake the issue scan.
-                t.issue_idle = false;
+                t.scan = IssueScan::Due;
                 budget -= 1;
             }
         }
@@ -1399,6 +1486,27 @@ mod tests {
         assert_eq!(core.warped_cycles(), skipped);
         core.reset_stats();
         assert_eq!(core.warped_cycles(), 0);
+    }
+
+    #[test]
+    fn warped_retries_leave_the_hierarchy_where_plain_steps_do() {
+        // Two threads streaming independent loads through one MSHR each park
+        // on steady retries at the same time. The warp's retry rotation then
+        // decides which prefetcher stamp each entry ends on, which no
+        // statistic shows, so compare the hierarchy's whole state.
+        let mut cfg = CoreConfig { mshrs_per_thread: 1, ..CoreConfig::default() };
+        cfg.uncore.llc_capacity_bytes = 256 * 1024;
+        let build = || SmtCore::baseline(cfg, StreamingLoads::boxed(21), StreamingLoads::boxed(22));
+        let (mut plain, mut warped) = (build(), build());
+        while plain.cycles() < 20_000 {
+            plain.step();
+        }
+        while warped.cycles() < 20_000 {
+            warped.step();
+            warped.skip_quiescent(20_000 - warped.cycles());
+        }
+        assert!(warped.retry_warped_cycles() > 0, "no cycle was skipped over a retry");
+        assert_eq!(format!("{:?}", warped.mem), format!("{:?}", plain.mem));
     }
 
     #[test]

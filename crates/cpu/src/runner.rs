@@ -363,6 +363,36 @@ mod tests {
     }
 
     #[test]
+    fn an_mshr_bound_quick_colocation_warps_through_its_retries() {
+        // The quick data-serving x bwaves cell of the figures, seeded as
+        // `Scenario` seeds it: bwaves spends much of its time retrying loads
+        // that find every MSHR busy, and the warp skips those retries.
+        use crate::{colocation_seed, ColocationPolicy, ColocationTopology, EqualPartition};
+        use sim_model::TraceSource;
+        let cfg = CoreConfig::default();
+        let names = ["data-serving", "bwaves"];
+        let setup = EqualPartition.setup_for(&cfg, &ColocationTopology::pair());
+        let mut builder = setup.apply(SmtCoreBuilder::new(cfg));
+        for (i, name) in names.iter().enumerate() {
+            let profile = workloads::profile_by_name(name).expect("built-in profile");
+            let seed = colocation_seed(42, &names) ^ i as u64;
+            builder = builder.thread(ThreadId::from_index(i), profile.spawn_trace(seed));
+        }
+        let mut core = builder.build();
+        let labels = names.iter().map(|n| Some(n.to_string())).collect();
+        let result = run_core(&mut core, labels, SimLength::quick());
+        assert!(result.expect_thread(ThreadId::T1).committed > 0);
+        let (cycles, warped) = (core.cycles(), core.warped_cycles());
+        let retry_warped = core.retry_warped_cycles();
+        assert!(retry_warped <= warped && warped <= cycles);
+        assert!(10 * warped > 7 * cycles, "the warp covered only {warped} of {cycles} cycles");
+        assert!(
+            10 * retry_warped > cycles,
+            "only {retry_warped} of {cycles} cycles were skipped over a steady retry"
+        );
+    }
+
+    #[test]
     fn uipc_and_thread_accessors_agree_on_activity() {
         // Regression for the old asymmetry: `uipc` panicked on an inactive
         // thread while `thread` returned `None`. Both now answer `None`.

@@ -190,6 +190,26 @@ impl SetAssocCache {
         self.stamps[base + victim] = self.clock;
     }
 
+    /// Applies `n` [`SetAssocCache::lookup`] misses in closed form: a missing
+    /// lookup only advances the clock and counts a miss.
+    pub(crate) fn repeat_misses(&mut self, n: u64) {
+        self.clock += n;
+        self.stats.misses += n;
+    }
+
+    /// Applies `n` hitting [`SetAssocCache::access_block`] calls to a
+    /// resident `block` in closed form: the clock and the hit count advance
+    /// by `n`, and the block ends stamped with the final clock.
+    pub(crate) fn repeat_hits(&mut self, block: u64, n: u64) {
+        self.clock += n;
+        self.stats.hits += n;
+        let base = self.set_index(block) * self.ways;
+        let way = (0..self.ways)
+            .find(|&way| self.tags[base + way] == Some(block))
+            .expect("repeated hits need a resident block");
+        self.stamps[base + way] = self.clock;
+    }
+
     /// Hit/miss statistics accumulated so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -278,6 +298,12 @@ impl ThreadedCache {
     /// Probes without side effects.
     pub fn probe_block(&self, thread: ThreadId, block: u64) -> bool {
         self.cache(thread).probe_block(block)
+    }
+
+    /// Applies `n` missing lookups on behalf of `thread` in closed form (see
+    /// [`SetAssocCache::repeat_misses`]).
+    pub(crate) fn repeat_misses(&mut self, thread: ThreadId, n: u64) {
+        self.cache_mut(thread).repeat_misses(n);
     }
 
     /// Combined statistics across the structure.

@@ -8,6 +8,21 @@
 //! * [`MemoryHierarchy::load`] / [`MemoryHierarchy::store`] — data accesses.
 //! * [`MemoryHierarchy::tick`] — advance time: complete outstanding misses
 //!   and prefetches, filling the caches.
+//! * [`MemoryHierarchy::rejected_load_is_steady`] /
+//!   [`MemoryHierarchy::repeat_rejected_loads`] — when a load that finds
+//!   every MSHR busy can be retried in bulk, and `k` such retries applied in
+//!   closed form. The core's time warp uses them to skip the cycles in which
+//!   a thread only retries such a load.
+//!
+//! A load rejected for want of an MSHR is not free: [`MemoryHierarchy::load`]
+//! trains the prefetcher and accesses the thread's LLC partition before it
+//! asks for an MSHR, and every attempt counts in the load statistics. After
+//! two attempts with nothing in between, the retry reaches a fixed point: the
+//! block sits in the LLC partition, the prefetcher entry holds a zero stride,
+//! and each further attempt moves only counters, clocks and LRU stamps until
+//! the next fill.
+//! Such a *steady* retry is what the bulk path applies, so both paths are
+//! defined next to `load` in this file.
 //!
 //! The LLC is always partitioned per thread (the paper partitions it with
 //! Intel CAT-style way partitioning to take LLC contention out of the
@@ -101,23 +116,31 @@ pub enum LoadResult {
 }
 
 /// Aggregate hierarchy statistics.
+///
+/// The load counters count *attempts*: a load the core retries because no
+/// MSHR was free counts again on every retry (see [`MemoryHierarchy::load`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HierarchyStats {
-    /// Demand loads observed.
+    /// Demand load attempts observed, retries after an MSHR rejection
+    /// included.
     pub loads: u64,
     /// Stores observed.
     pub stores: u64,
-    /// Loads that hit in the L1-D.
+    /// Load attempts that hit in the L1-D.
     pub l1d_load_hits: u64,
-    /// Loads that missed in the L1-D.
+    /// Load attempts that missed in the L1-D, retries after an MSHR
+    /// rejection included: a load rejected `k` times counts `k + 1` misses.
     pub l1d_load_misses: u64,
-    /// L1-D misses that also missed the LLC (went to memory).
+    /// L1-D misses that also missed the LLC (went to memory). A rejected
+    /// attempt already fills the LLC partition, so a load that waits for an
+    /// MSHR counts here at its first attempt and its retries hit the LLC.
     pub llc_misses: u64,
     /// Instruction-fetch blocks that missed the L1-I.
     pub l1i_misses: u64,
     /// Prefetch fills installed.
     pub prefetch_fills: u64,
-    /// Loads rejected because no MSHR was free.
+    /// Load attempts rejected because no MSHR was free; each retry that is
+    /// rejected again counts again.
     pub mshr_rejections: u64,
 }
 
@@ -213,6 +236,23 @@ impl MemoryHierarchy {
 
     /// Data load by `thread` at byte address `addr` issued from instruction
     /// `pc` at cycle `now`.
+    ///
+    /// The load trains the prefetcher and looks up the L1-D. On a miss that
+    /// does not coalesce onto an outstanding one, it accesses the thread's
+    /// LLC partition (filling it on an LLC miss) and only then asks for an
+    /// MSHR. Two consequences for a load rejected with
+    /// [`LoadResult::NoMshr`]:
+    ///
+    /// * its block is already in the LLC partition, and an LLC miss was
+    ///   counted, so once an MSHR frees the retry is charged the LLC latency
+    ///   rather than memory's;
+    /// * every attempt counts in [`HierarchyStats::loads`] and
+    ///   [`HierarchyStats::l1d_load_misses`], retries included.
+    ///
+    /// Both are simplifications of the model, kept because changing them
+    /// moves cycle counts. Once a rejected retry is steady
+    /// ([`MemoryHierarchy::rejected_load_is_steady`]), `k` more attempts
+    /// equal one [`MemoryHierarchy::repeat_rejected_loads`] call.
     pub fn load(&mut self, thread: ThreadId, addr: u64, pc: u64, now: Cycle) -> LoadResult {
         self.stats.loads += 1;
         self.train_prefetcher(thread, pc, addr, now);
@@ -236,6 +276,71 @@ impl MemoryHierarchy {
             MshrOutcome::Full => {
                 self.stats.mshr_rejections += 1;
                 LoadResult::NoMshr
+            }
+        }
+    }
+
+    /// Whether a load by `thread` at `addr` from `pc`, issued now, is a
+    /// *steady* rejection: [`MemoryHierarchy::load`] would return
+    /// [`LoadResult::NoMshr`] and change nothing but counters, clocks and
+    /// LRU stamps. That holds exactly when
+    ///
+    /// * every one of the thread's MSHRs is busy and none holds the block
+    ///   (so the load can neither allocate nor coalesce);
+    /// * the block is not in the thread's L1-D (shared or private copy);
+    /// * the block is resident in the thread's LLC partition (so the access
+    ///   hits and fills nothing);
+    /// * prefetching is off, or the pc's prefetcher entry last saw `addr`
+    ///   and holds a zero stride in its transient state (so training
+    ///   predicts nothing and leaves the entry as it is).
+    ///
+    /// A first rejected attempt may fill the LLC and leave a nonzero stride
+    /// (or allocate the pc's entry); the second sets the stride to zero. So
+    /// when nothing else intervenes, the third attempt is steady, and so is
+    /// every one after it until something else touches the thread's MSHRs,
+    /// its L1-D, its LLC partition or the pc's prefetcher entry: a fill, a
+    /// store, an instruction fetch or another load.
+    pub fn rejected_load_is_steady(&self, thread: ThreadId, addr: u64, pc: u64) -> bool {
+        let block = addr >> 6;
+        self.mshrs.outstanding(thread) >= self.mshrs.capacity()
+            && self.mshrs.lookup(thread, block).is_none()
+            && !self.l1d.probe_block(thread, block)
+            && self.llc[thread.index()].probe_block(block)
+            && (self.cfg.prefetcher_pc_slots == 0
+                || self.prefetcher.repeat_is_inert(thread, pc, addr))
+    }
+
+    /// Applies `cycles` rounds of steady rejected loads in closed form. Each
+    /// round retries every `(thread, addr, pc)` of `order` once, in order,
+    /// and the result is bit for bit what `cycles × order.len()` calls to
+    /// [`MemoryHierarchy::load`] leave behind. Every load must be steady
+    /// ([`MemoryHierarchy::rejected_load_is_steady`]) and no thread may
+    /// appear twice.
+    ///
+    /// Per retry, the load, L1-D miss and MSHR rejection counters, the
+    /// thread's L1-D clock and miss count (a shared L1-D advances once per
+    /// retrying thread), its LLC partition's clock and hit count, and the
+    /// prefetcher clock each advance by one; the block's LLC stamp and the
+    /// pc's prefetcher stamp take the clock of the access. The prefetcher
+    /// clock is shared by all threads, so `order` — the issue order of the
+    /// *last* round — decides which stamp each prefetcher entry ends on.
+    pub fn repeat_rejected_loads(&mut self, order: &[(ThreadId, u64, u64)], cycles: u64) {
+        if cycles == 0 {
+            return;
+        }
+        let retries = order.len() as u64 * cycles;
+        self.stats.loads += retries;
+        self.stats.l1d_load_misses += retries;
+        self.stats.mshr_rejections += retries;
+        let prefetcher_end = (self.cfg.prefetcher_pc_slots > 0)
+            .then(|| self.prefetcher.skip_inert_observations(retries));
+        for (i, &(thread, addr, pc)) in order.iter().enumerate() {
+            debug_assert!(self.rejected_load_is_steady(thread, addr, pc), "unsteady retry");
+            debug_assert!(order[..i].iter().all(|&(t, _, _)| t != thread), "{thread} twice");
+            self.l1d.repeat_misses(thread, cycles);
+            self.llc[thread.index()].repeat_hits(addr >> 6, cycles);
+            if let Some(end) = prefetcher_end {
+                self.prefetcher.restamp(thread, pc, end - (order.len() - 1 - i) as u64);
             }
         }
     }
@@ -523,6 +628,77 @@ mod tests {
         assert_eq!(mem.outstanding_misses(ThreadId::T0), 1);
         mem.flush_thread(ThreadId::T0);
         assert_eq!(mem.outstanding_misses(ThreadId::T0), 0);
+    }
+
+    /// Occupies every MSHR of `thread` with misses to distinct far blocks,
+    /// issued one cycle apart from `now` so that they complete one by one.
+    fn occupy_mshrs(mem: &mut MemoryHierarchy, thread: ThreadId, now: Cycle) {
+        let base = 0x4000_0000 * (thread.index() as u64 + 1);
+        let free = mem.config().mshrs_per_thread - mem.outstanding_misses(thread);
+        for i in 0..free as u64 {
+            let r = mem.load(thread, base + i * 4096, 0x9000 + i * 4, now + i);
+            assert!(matches!(r, LoadResult::Miss { .. }), "{r:?}");
+        }
+    }
+
+    /// Retries `(thread, addr, pc)` until the retry is steady; it must be
+    /// rejected every time and settle within two attempts.
+    fn settle(mem: &mut MemoryHierarchy, thread: ThreadId, addr: u64, pc: u64) {
+        for _ in 0..2 {
+            assert_eq!(mem.load(thread, addr, pc, 10), LoadResult::NoMshr);
+        }
+        assert!(mem.rejected_load_is_steady(thread, addr, pc));
+    }
+
+    #[test]
+    fn a_first_rejection_that_leaves_a_stride_is_not_steady() {
+        let mut mem = small_hierarchy(Sharing::Shared);
+        // The pc last saw another address, so the first rejected attempt
+        // trains a nonzero stride (and fills the LLC partition).
+        assert!(matches!(mem.load(ThreadId::T0, 0x5_0000, 0x100, 0), LoadResult::Miss { .. }));
+        occupy_mshrs(&mut mem, ThreadId::T0, 1);
+        assert_eq!(mem.load(ThreadId::T0, 0x5_1000, 0x100, 10), LoadResult::NoMshr);
+        assert!(!mem.rejected_load_is_steady(ThreadId::T0, 0x5_1000, 0x100));
+        // The second attempt zeroes the stride: from now on it is steady.
+        assert_eq!(mem.load(ThreadId::T0, 0x5_1000, 0x100, 11), LoadResult::NoMshr);
+        assert!(mem.rejected_load_is_steady(ThreadId::T0, 0x5_1000, 0x100));
+    }
+
+    #[test]
+    fn an_l1d_resident_block_is_not_steady() {
+        let mut mem = small_hierarchy(Sharing::Shared);
+        occupy_mshrs(&mut mem, ThreadId::T0, 0);
+        // Two stores from one pc put the block in the L1-D and the LLC and
+        // leave the pc's entry on a zero stride: only the L1-D copy differs
+        // from a steady retry.
+        mem.store(ThreadId::T0, 0x6_0000, 0x200, 1);
+        mem.store(ThreadId::T0, 0x6_0000, 0x200, 2);
+        assert!(!mem.rejected_load_is_steady(ThreadId::T0, 0x6_0000, 0x200));
+        assert!(matches!(mem.load(ThreadId::T0, 0x6_0000, 0x200, 3), LoadResult::Hit { .. }));
+    }
+
+    #[test]
+    fn a_free_mshr_is_not_steady() {
+        let mut mem = small_hierarchy(Sharing::Shared);
+        occupy_mshrs(&mut mem, ThreadId::T0, 0);
+        settle(&mut mem, ThreadId::T0, 0x6_0000, 0x200);
+        // The first miss completes alone (the others were issued later).
+        mem.tick(mem.next_event());
+        assert_eq!(mem.outstanding_misses(ThreadId::T0), mem.config().mshrs_per_thread - 1);
+        assert!(!mem.rejected_load_is_steady(ThreadId::T0, 0x6_0000, 0x200));
+        assert!(matches!(mem.load(ThreadId::T0, 0x6_0000, 0x200, 400), LoadResult::Miss { .. }));
+    }
+
+    #[test]
+    fn an_outstanding_block_coalesces_and_is_not_steady() {
+        let mut mem = small_hierarchy(Sharing::Shared);
+        // Two loads from one pc: the first allocates an MSHR (and fills the
+        // LLC partition), the second coalesces and zeroes the stride.
+        assert!(matches!(mem.load(ThreadId::T0, 0x6_0000, 0x200, 0), LoadResult::Miss { .. }));
+        assert!(matches!(mem.load(ThreadId::T0, 0x6_0000, 0x200, 1), LoadResult::Miss { .. }));
+        occupy_mshrs(&mut mem, ThreadId::T0, 2);
+        assert!(!mem.rejected_load_is_steady(ThreadId::T0, 0x6_0000, 0x200));
+        assert!(matches!(mem.load(ThreadId::T0, 0x6_0000, 0x200, 9), LoadResult::Miss { .. }));
     }
 
     #[test]

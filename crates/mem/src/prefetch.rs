@@ -105,6 +105,33 @@ impl StridePrefetcher {
         None
     }
 
+    /// Whether observing `pc` at `addr` again would only advance the clock
+    /// and restamp its entry: the entry exists, last saw `addr`, and holds a
+    /// zero stride in the `Transient` state, so the observation predicts
+    /// nothing and leaves the entry as it is.
+    pub(crate) fn repeat_is_inert(&self, thread: ThreadId, pc: u64, addr: u64) -> bool {
+        self.tables[thread.index()].iter().any(|e| {
+            e.pc == pc && e.last_addr == addr && e.stride == 0 && e.state == EntryState::Transient
+        })
+    }
+
+    /// Applies `n` inert observations to the shared clock in closed form and
+    /// returns the clock value of the last one. The caller restamps the
+    /// observed entries with [`StridePrefetcher::restamp`].
+    pub(crate) fn skip_inert_observations(&mut self, n: u64) -> u64 {
+        self.clock += n;
+        self.clock
+    }
+
+    /// Sets the LRU stamp of `thread`'s entry for `pc`, which must exist.
+    pub(crate) fn restamp(&mut self, thread: ThreadId, pc: u64, clock: u64) {
+        let entry = self.tables[thread.index()]
+            .iter_mut()
+            .find(|e| e.pc == pc)
+            .expect("restamping needs a tracked pc");
+        entry.lru = clock;
+    }
+
     /// Number of prefetches issued so far.
     pub fn issued(&self) -> u64 {
         self.issued

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use stretch_bench::figures;
 use stretch_bench::store::JsonCodec;
-use stretch_bench::{Engine, ExperimentConfig, ResultStore, SmtOutcome};
+use stretch_bench::{AuditStats, Engine, ExperimentConfig, ResultStore, SmtOutcome};
 use stretch_repro::model::TraceSource;
 use stretch_repro::prelude::*;
 use stretch_repro::workloads::profile_by_name;
@@ -106,6 +106,48 @@ fn store_digests_distinguish_policies_not_just_setups() {
     assert_eq!(warm.sim_runs(), 1);
     let _ = warm.pair(&FetchThrottling::new(ThreadId::T0, 8), "web-search", "zeusmp");
     assert_eq!(warm.sim_runs(), 2, "a policy-parameter change must recompute");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cache_audit_recomputes_served_cells_and_reports_rewritten_bits() {
+    let dir = temp_dir("audit");
+    let engine = || Engine::new(ExperimentConfig::quick()).with_store(&dir).expect("store opens");
+
+    let cold = engine();
+    let pair = cold.pair(&EqualPartition, "web-search", "zeusmp");
+    let _ = cold.standalone("web-search");
+    assert_eq!(cold.audit_stats(), AuditStats::default(), "no audit unless asked for");
+
+    // A clean store: both served cells are recomputed and match, and the
+    // recomputations are not simulation runs.
+    let clean = engine().with_audit();
+    assert_eq!(clean.pair(&EqualPartition, "web-search", "zeusmp"), pair);
+    let _ = clean.standalone("web-search");
+    let _ = clean.pair(&EqualPartition, "web-search", "zeusmp"); // a memo hit: not re-audited
+    assert_eq!(clean.sim_runs(), 0, "an audited warm run still simulates nothing");
+    assert_eq!(clean.stats().store_hits, 2);
+    assert_eq!(clean.audit_stats(), AuditStats { audited: 2, mismatched: 0 });
+
+    // Rewrite the pair's entry with the batch uIPC one ulp off.
+    let store = ResultStore::open(&dir).expect("store opens");
+    let digest = std::fs::read_dir(&dir)
+        .expect("the store directory is listable")
+        .map(|entry| entry.expect("a listable entry").path())
+        .filter_map(|path| Some(path.file_stem()?.to_str()?.to_string()))
+        .find(|digest| store.load(digest).and_then(|v| SmtOutcome::from_json(&v)).is_some())
+        .expect("the pair's entry is in the store");
+    let mut tampered = SmtOutcome::from_json(&store.load(&digest).expect("present")).expect("pair");
+    tampered.uipcs[1] = f64::from_bits(tampered.uipcs[1].to_bits() + 1);
+    store.save(&digest, "tampered pair", &tampered.to_json()).expect("writable");
+
+    let audited = engine().with_audit();
+    let served = audited.pair(&EqualPartition, "web-search", "zeusmp");
+    assert_eq!(served.batch_uipc.to_bits(), tampered.uipcs[1].to_bits(), "serves the stored bits");
+    let _ = audited.standalone("web-search");
+    assert_eq!(audited.sim_runs(), 0);
+    assert_eq!(audited.audit_stats(), AuditStats { audited: 2, mismatched: 1 });
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,7 +2,10 @@
 //! reproduction, using proptest.
 
 use proptest::prelude::*;
-use stretch_repro::model::{CoreConfig, SimRng, ThreadId, TraceGenerator, WorkloadClass};
+use stretch_repro::mem::{HierarchyConfig, LoadResult, MemoryHierarchy, Sharing};
+use stretch_repro::model::{
+    CacheConfig, CoreConfig, SimRng, ThreadId, TraceGenerator, WorkloadClass,
+};
 use stretch_repro::qos::ServerQueues;
 use stretch_repro::stats::percentile::{percentile, percentile_of_sorted, percentiles_in};
 use stretch_repro::stats::{DistributionSummary, Histogram};
@@ -345,5 +348,124 @@ proptest! {
             last_pc_block = Some(op.pc >> 6);
         }
         prop_assert!(last_pc_block.is_some());
+    }
+}
+
+/// A hierarchy small enough that a few hundred random accesses fill its
+/// caches: a 32-block L1-D and a 512-block LLC split over the threads.
+fn small_hierarchy(threads: usize, l1d: Sharing, mshrs: usize, slots: usize) -> MemoryHierarchy {
+    let l1 = |capacity_bytes| CacheConfig {
+        capacity_bytes,
+        line_bytes: 64,
+        ways: 4,
+        banks: 1,
+        hit_latency: 2,
+    };
+    MemoryHierarchy::new(HierarchyConfig {
+        threads,
+        l1i: l1(1024),
+        l1d: l1(2048),
+        l1i_sharing: Sharing::Shared,
+        l1d_sharing: l1d,
+        mshrs_per_thread: mshrs,
+        prefetcher_pc_slots: slots,
+        llc_capacity_bytes: 32 * 1024,
+        llc_ways: 8,
+        llc_latency: 28,
+        mem_latency: 188,
+        l1_hit_latency: 2,
+        prefetch_queue_depth: 8,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // ---------------- memory hierarchy ----------------
+
+    /// `MemoryHierarchy::repeat_rejected_loads` against plain `load` calls.
+    /// After a random warm-up of loads and stores, every MSHR of each
+    /// retrying thread is taken and each retries one load up to three times
+    /// in the core's issue rotation (zero times checks a warm-up state as it
+    /// stands). Two rejections in a row must make a retry steady. Whenever every retry is steady, `k` more rounds
+    /// of plain retries must all be rejected and leave the hierarchy exactly
+    /// where one bulk call leaves it: caches with their clocks and LRU
+    /// stamps, the prefetcher's clock and entries, MSHRs and counters.
+    #[test]
+    fn bulk_rejected_retries_equal_plain_retries(
+        threads in 1usize..5,
+        private_l1d in any::<bool>(),
+        prefetcher in (0u32..3, 1usize..33),
+        mshrs in 1usize..9,
+        warmup in prop::collection::vec((0usize..4, 0u64..96, 0u64..6, 0u32..4, 0u64..40), 0..160),
+        retries in prop::collection::vec((any::<bool>(), 0u64..128, 0u64..6), 4..5),
+        settle in 0usize..4,
+        k in 1u64..501,
+        start in 0u64..4,
+    ) {
+        let sharing = if private_l1d { Sharing::PrivatePerThread } else { Sharing::Shared };
+        let slots = if prefetcher.0 == 0 { 0 } else { prefetcher.1 };
+        let mut mem = small_hierarchy(threads, sharing, mshrs, slots);
+        let address = |block: u64, pc: u64| (0x10_0000 + block * 64, 0x400 + pc * 4);
+        let mut now = 0;
+        for &(t, block, pc, kind, gap) in &warmup {
+            now += gap;
+            mem.tick(now);
+            let thread = ThreadId::from_index(t % threads);
+            let (addr, pc) = address(block, pc);
+            if kind == 0 {
+                mem.store(thread, addr, pc, now);
+            } else {
+                let _ = mem.load(thread, addr, pc, now);
+            }
+        }
+        // Thread t retries `loads[t]`, if any; thread 0 always does.
+        let loads: Vec<Option<(u64, u64)>> = (0..threads)
+            .map(|t| {
+                let (retrying, block, pc) = retries[t];
+                (retrying || t == 0).then(|| address(block, pc))
+            })
+            .collect();
+        for (t, load) in loads.iter().enumerate() {
+            if load.is_some() {
+                let thread = ThreadId::from_index(t);
+                for i in 0..mshrs as u64 {
+                    if mem.outstanding_misses(thread) < mshrs {
+                        let far = 0x4000_0000 * (t as u64 + 1) + i * 4096;
+                        let r = mem.load(thread, far, 0x9000 + i * 4, now);
+                        prop_assert!(matches!(r, LoadResult::Miss { .. }), "{:?}", r);
+                    }
+                }
+            }
+        }
+        // The retrying loads in the issue rotation of cycle `c`.
+        let rotation = |c: u64| -> Vec<(ThreadId, u64, u64)> {
+            (0..threads)
+                .map(|offset| (c as usize + offset) % threads)
+                .filter_map(|t| loads[t].map(|(addr, pc)| (ThreadId::from_index(t), addr, pc)))
+                .collect()
+        };
+        let mut rejections = vec![0; threads];
+        for c in 0..settle as u64 {
+            for (thread, addr, pc) in rotation(start + c) {
+                let r = mem.load(thread, addr, pc, now);
+                let streak = &mut rejections[thread.index()];
+                *streak = if r == LoadResult::NoMshr { *streak + 1 } else { 0 };
+            }
+        }
+        let order = rotation(start + settle as u64 + k - 1);
+        for &(thread, addr, pc) in &order {
+            let steady = mem.rejected_load_is_steady(thread, addr, pc);
+            prop_assert!(steady || rejections[thread.index()] < 2, "{:?} after two rejections", thread);
+            prop_assume!(steady);
+        }
+        let mut plain = mem.clone();
+        for c in 0..k {
+            for (thread, addr, pc) in rotation(start + settle as u64 + c) {
+                prop_assert_eq!(plain.load(thread, addr, pc, now), LoadResult::NoMshr);
+            }
+        }
+        mem.repeat_rejected_loads(&order, k);
+        prop_assert_eq!(format!("{mem:?}"), format!("{plain:?}"));
     }
 }

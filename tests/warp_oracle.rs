@@ -10,10 +10,13 @@
 //! Cases are drawn at random over real workloads, SMT widths 1–4 (with and
 //! without idle thread slots), the colocation policies — equal partitioning,
 //! the B- and Q-mode Stretch skews, throttled fetch, a dynamically shared
-//! window with total-capacity limits and private cores — seeds, lengths and
-//! the flush cycle. The debug-sized variant runs in the normal suite; the
-//! ignored one runs many more and longer cases in release:
-//! `cargo test --release --test warp_oracle -- --ignored`.
+//! window with total-capacity limits and private cores — MSHRs per thread
+//! (1, 2 or 5) and prefetcher slots (0, 4 or 32), seeds, lengths and the
+//! flush cycle. Few MSHRs make loads wait for one, so the warp's steady
+//! retry path (a thread parked on a load that finds every MSHR busy) runs
+//! in every configuration of the prefetcher. The debug-sized variant runs in
+//! the normal suite; the ignored one runs many more and longer cases in
+//! release: `cargo test --release --test warp_oracle -- --ignored`.
 
 use stretch_repro::baselines::{DynamicSharing, FetchThrottling, FETCH_THROTTLING_RATIOS};
 use stretch_repro::cpu::{BranchStats, PartitionPolicy, ThreadStats};
@@ -28,6 +31,8 @@ struct Case {
     /// Workloads on threads `0..names.len()`; the slots above are idle.
     names: Vec<&'static str>,
     width: usize,
+    /// Table II core with the drawn MSHR and prefetcher sizes.
+    cfg: CoreConfig,
     policy: Box<dyn ColocationPolicy>,
     seed: u64,
     cycles: u64,
@@ -39,10 +44,13 @@ impl std::fmt::Debug for Case {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{:?} on SMT-{} under '{}', seed {}, {} cycles, flush to {:?} at {}",
+            "{:?} on SMT-{} under '{}' with {} MSHRs and {} prefetcher slots per thread, \
+             seed {}, {} cycles, flush to {:?} at {}",
             self.names,
             self.width,
             self.policy.name(),
+            self.cfg.mshrs_per_thread,
+            self.cfg.prefetcher_pc_slots,
             self.seed,
             self.cycles,
             self.flush_to,
@@ -90,9 +98,15 @@ fn draw(rng: &mut SimRng, max_cycles: u64) -> Case {
         _ => PartitionPolicy::Dynamic,
     };
     let cycles = 1 + rng.below(max_cycles);
+    let cfg = CoreConfig {
+        mshrs_per_thread: pick(rng, &[1, 2, 5]),
+        prefetcher_pc_slots: pick(rng, &[0, 4, 32]),
+        ..cfg
+    };
     Case {
         names,
         width,
+        cfg,
         policy,
         seed: rng.next_u64(),
         cycles,
@@ -102,10 +116,9 @@ fn draw(rng: &mut SimRng, max_cycles: u64) -> Case {
 }
 
 fn build(case: &Case) -> SmtCore {
-    let cfg = CoreConfig::default();
     let topology = ColocationTopology::new(case.width, ThreadId::T0);
-    let setup = case.policy.setup_for(&cfg, &topology);
-    let mut builder = setup.apply(SmtCoreBuilder::new(cfg)).smt_width(case.width);
+    let setup = case.policy.setup_for(&case.cfg, &topology);
+    let mut builder = setup.apply(SmtCoreBuilder::new(case.cfg)).smt_width(case.width);
     for (i, name) in case.names.iter().enumerate() {
         let profile = profile_by_name(name).expect("built-in workload");
         builder =
@@ -147,11 +160,21 @@ fn warp_to(core: &mut SmtCore, cycle: u64) {
     }
 }
 
+/// Cycle totals over an oracle run.
+struct Totals {
+    /// Cycles simulated by the warped cores.
+    cycles: u64,
+    /// Cycles they skipped.
+    warped: u64,
+    /// Skipped cycles with a thread parked on a steady load retry.
+    retry_warped: u64,
+}
+
 /// Runs `cases` random cases of up to `max_cycles` cycles each and returns
-/// the total cycles simulated and the total skipped by the warped cores.
-fn run_oracle(cases: usize, max_cycles: u64, seed: u64) -> (u64, u64) {
+/// the warped cores' cycle totals.
+fn run_oracle(cases: usize, max_cycles: u64, seed: u64) -> Totals {
     let mut rng = SimRng::new(seed);
-    let (mut cycles, mut warped) = (0, 0);
+    let mut totals = Totals { cycles: 0, warped: 0, retry_warped: 0 };
     for _ in 0..cases {
         let case = draw(&mut rng, max_cycles);
         let mut reference = build(&case);
@@ -169,22 +192,26 @@ fn run_oracle(cases: usize, max_cycles: u64, seed: u64) -> (u64, u64) {
         assert_eq!(snapshot(&fast), snapshot(&reference), "at the end: {case:?}");
         assert_eq!(reference.warped_cycles(), 0, "plain steps never skip: {case:?}");
         assert!(fast.warped_cycles() <= fast.cycles(), "{case:?}");
-        cycles += fast.cycles();
-        warped += fast.warped_cycles();
+        assert!(fast.retry_warped_cycles() <= fast.warped_cycles(), "{case:?}");
+        totals.cycles += fast.cycles();
+        totals.warped += fast.warped_cycles();
+        totals.retry_warped += fast.retry_warped_cycles();
     }
-    (cycles, warped)
+    totals
 }
 
 #[test]
 fn warped_cores_match_plain_steps() {
-    let (cycles, warped) = run_oracle(40, 30_000, 0x5EED_0001);
+    let Totals { cycles, warped, retry_warped } = run_oracle(40, 30_000, 0x5EED_0001);
     // The oracle is only meaningful if the warp actually fires.
     assert!(4 * warped > cycles, "only {warped} of {cycles} cycles were skipped");
+    assert!(retry_warped > 0, "no cycle of {cycles} was skipped over a steady retry");
 }
 
 #[test]
 #[ignore = "release-sized oracle: cargo test --release --test warp_oracle -- --ignored"]
 fn warped_cores_match_plain_steps_at_length() {
-    let (cycles, warped) = run_oracle(256, 200_000, 0x5EED_0002);
+    let Totals { cycles, warped, retry_warped } = run_oracle(256, 200_000, 0x5EED_0002);
     assert!(4 * warped > cycles, "only {warped} of {cycles} cycles were skipped");
+    assert!(retry_warped > 0, "no cycle of {cycles} was skipped over a steady retry");
 }
