@@ -12,8 +12,9 @@ use crate::topology::{FleetTopology, TailAccumulation};
 use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
 use sim_qos::{ArrivalProcess, ServiceSpec};
-use stretch::orchestrator::{ModePerformance, PerformanceTable};
-use stretch::{MonitorConfig, RobSkew, StretchConfig, StretchMode};
+use stretch::{
+    ModePerformance, MonitorConfig, PerformanceTable, RobSkew, StretchConfig, StretchMode,
+};
 
 /// One cluster case study.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

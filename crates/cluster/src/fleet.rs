@@ -86,8 +86,7 @@ use sim_model::{parallel_map, CanonicalKey, KeyEncoder, SimRng};
 use sim_qos::{bisect_peak_rps, ArrivalGenerator, ArrivalProcess, ServerQueues, ServiceSpec};
 use sim_stats::percentile::percentiles_in;
 use sim_stats::{det_merge, det_sum, percentile, LatencyHistogram, Percentiles};
-use stretch::orchestrator::PerformanceTable;
-use stretch::{ClosedLoopStretch, MonitorConfig, QosPolicy, StretchConfig};
+use stretch::{ClosedLoopStretch, MonitorConfig, PerformanceTable, QosPolicy, StretchConfig};
 
 /// How the fleet's front end spreads arriving requests over the servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -32,11 +32,13 @@
 //!   ([`Fleet::run_with_workers`]) with a bit-exact deterministic merge.
 //! * [`diurnal`] — the parametric diurnal load curves of Figure 14 shared
 //!   by both routes (shapes from Meisner et al. and Gill et al.).
-//! * [`server`] — the lowering of the generalised M-core × T-thread server
-//!   model: a [`MeasuredServer`] derives the fleet's per-mode performance
-//!   table from cycle-level whole-server runs under an
-//!   [`cpu_sim::AllocationPolicy`], instead of a hand-fed table or a lone
-//!   SMT pair.
+//!
+//! The fleet is the repository's one closed-loop day simulator: every
+//! route from the Stretch monitor to a simulated day — the measured
+//! Figure 14, the `fleet` binary, the fleet examples — builds a [`Fleet`],
+//! of one server or ten thousand. [`CaseStudy::fleet`] fills its per-mode
+//! [`stretch::PerformanceTable`] with the paper's headline numbers and the
+//! study's B-mode batch speedup.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +46,6 @@
 pub mod case_study;
 pub mod diurnal;
 pub mod fleet;
-pub mod server;
 pub mod topology;
 
 pub use case_study::{CaseStudy, CaseStudyReport};
@@ -53,5 +54,4 @@ pub use fleet::{
     calibrated_monitor_with_peak, measured_peak_rps, rack_seed, server_seed, Fleet, FleetConfig,
     FleetIntervalReport, FleetReport, FleetScale, LoadBalancer, ServerSummary,
 };
-pub use server::{MeasuredServer, ServerModeMeasurement, ServerWorkloads};
 pub use topology::{FleetTopology, RackTopology, TailAccumulation};

@@ -157,11 +157,6 @@ impl Placement {
     pub fn cores(&self) -> &[Vec<usize>] {
         &self.cores
     }
-
-    /// The core a thread resides on.
-    pub fn core_of(&self, thread: usize) -> Option<usize> {
-        self.cores.iter().position(|members| members.contains(&thread))
-    }
 }
 
 impl CanonicalKey for Placement {

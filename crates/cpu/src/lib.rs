@@ -14,7 +14,7 @@
 //!   limit/usage partition registers, and ICOUNT/round-robin/fetch-throttled
 //!   thread selection.
 //! * [`partition::PartitionPolicy`] — the limit-register programming model
-//!   that Stretch's control register drives, as per-thread share vectors.
+//!   that Stretch's modes program, as per-thread share vectors.
 //! * [`fetch::FetchPolicy`] — ICOUNT, round-robin and 1:M fetch throttling.
 //! * [`policy`] — the [`ColocationPolicy`] trait every resource-allocation
 //!   scheme (Stretch and all baselines) implements, parameterised by a

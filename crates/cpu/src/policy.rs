@@ -9,17 +9,17 @@
 //! * configures the core ([`ColocationPolicy::setup`] → [`CoreSetup`]),
 //! * reacts to per-interval QoS telemetry
 //!   ([`ColocationPolicy::on_sample`] over a [`QosObservation`], returning a
-//!   [`PolicyAction`] — the generalisation of Stretch's control-register /
-//!   software-monitor loop), and
+//!   [`PolicyAction`] — the generalisation of Stretch's software-monitor
+//!   loop), and
 //! * identifies itself for the experiment result store
 //!   ([`sim_model::CanonicalKey`], a supertrait), so two different policies
 //!   can never alias onto one cached cell even when their core setups happen
 //!   to coincide.
 //!
 //! The [`crate::Scenario`] builder runs a policy open loop (one setup for the
-//! whole run); the `stretch` crate's orchestrator drives the closed loop,
-//! feeding observations from the request-level queueing model and
-//! reconfiguring the core when the policy asks for it.
+//! whole run); the `cluster_sim` crate's fleet simulation drives the closed
+//! loop, feeding each server's policy the tail latency of its own requests
+//! and charging the interval to the mode the policy engaged.
 //!
 //! Static policies that need nothing beyond a fixed [`CoreSetup`] live here
 //! ([`EqualPartition`], [`PrivateCore`], and the Figure 4/5 resource-study

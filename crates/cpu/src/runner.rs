@@ -100,14 +100,6 @@ impl ColocationResult {
         self.threads.get(thread.index()).and_then(Option::as_ref)
     }
 
-    /// Iterator over the active threads' results, in thread-index order.
-    pub fn active_threads(&self) -> impl Iterator<Item = (ThreadId, &ThreadRunResult)> {
-        self.threads
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|r| (ThreadId::from_index(i), r)))
-    }
-
     /// Result of a thread that is known to be active.
     ///
     /// # Panics
@@ -402,7 +394,6 @@ mod tests {
         assert!(r.thread(ThreadId::T1).is_none());
         assert_eq!(r.uipc(ThreadId::T1), None);
         assert_eq!(r.expect_thread(ThreadId::T0).name, "only");
-        assert_eq!(r.active_threads().count(), 1);
     }
 
     #[test]

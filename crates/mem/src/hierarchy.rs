@@ -86,16 +86,6 @@ impl HierarchyConfig {
             prefetch_queue_depth: 8,
         }
     }
-
-    /// Same as [`HierarchyConfig::from_core`] but with private (contention
-    /// free) L1 caches, used by the ideal-software-scheduling baseline and the
-    /// per-resource study.
-    pub fn from_core_private_l1(core: &CoreConfig) -> HierarchyConfig {
-        let mut cfg = HierarchyConfig::from_core(core);
-        cfg.l1i_sharing = Sharing::PrivatePerThread;
-        cfg.l1d_sharing = Sharing::PrivatePerThread;
-        cfg
-    }
 }
 
 /// Outcome of a data-load access.

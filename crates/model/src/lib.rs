@@ -11,7 +11,8 @@
 //! * [`config`] — processor configuration structures whose defaults reproduce
 //!   Table II of the paper ([`CoreConfig`], [`CacheConfig`], [`UncoreConfig`]).
 //! * [`rng`] — a small deterministic PRNG ([`SimRng`]) plus samplers
-//!   (exponential, Zipf, log-normal) used for reproducible workload generation.
+//!   (exponential, log-normal, geometric) used for reproducible workload
+//!   generation.
 //! * [`parallel`] — the order-preserving worker pool ([`parallel_map`]) the
 //!   fleet simulator and the experiment engine fan work out through.
 //! * [`ids`] — strongly-typed identifiers ([`ThreadId`], [`WorkloadClass`]).

@@ -73,12 +73,6 @@ impl SimRng {
         result
     }
 
-    /// Next 32-bit value.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)`.
     ///
     /// # Panics
@@ -149,70 +143,12 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Zipf-distributed rank in `[0, n)` with exponent `s` (popularity skew).
-    ///
-    /// Uses a simple rejection-free inverse-CDF approximation adequate for
-    /// modelling request popularity (the paper's clients follow a Zipfian
-    /// distribution, §V-B). Complexity is O(1) amortised after an O(n) setup
-    /// performed by [`ZipfSampler`].
-    pub fn zipf(&mut self, sampler: &ZipfSampler) -> usize {
-        sampler.sample(self)
-    }
-
     /// Geometric number of trials until first success with probability `p`
     /// (always at least 1).
     pub fn geometric(&mut self, p: f64) -> u64 {
         let p = p.clamp(1e-12, 1.0);
         let u = 1.0 - self.uniform_f64();
         (u.ln() / (1.0 - p).ln()).floor() as u64 + 1
-    }
-}
-
-/// Pre-computed cumulative distribution for Zipf sampling over `n` items.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ZipfSampler {
-    cdf: Vec<f64>,
-}
-
-impl ZipfSampler {
-    /// Builds a sampler over `n` items with exponent `s` (typically ~0.99 for
-    /// web-style popularity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize, s: f64) -> ZipfSampler {
-        assert!(n > 0, "ZipfSampler requires at least one item");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        ZipfSampler { cdf }
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// `true` when the sampler covers no items (never: construction forbids it).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Draws a rank in `[0, n)`; rank 0 is the most popular item.
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.uniform_f64();
-        match self.cdf.binary_search_by(|probe| probe.partial_cmp(&u).expect("cdf contains NaN")) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
     }
 }
 
@@ -287,25 +223,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| rng.exponential(mean)).sum();
         let sample_mean = sum / n as f64;
         assert!((sample_mean - mean).abs() < 0.15, "sample mean {sample_mean} too far from {mean}");
-    }
-
-    #[test]
-    fn zipf_prefers_low_ranks() {
-        let sampler = ZipfSampler::new(100, 0.99);
-        let mut rng = SimRng::new(8);
-        let mut rank0 = 0usize;
-        let mut rank_tail = 0usize;
-        for _ in 0..10_000 {
-            let r = sampler.sample(&mut rng);
-            assert!(r < 100);
-            if r == 0 {
-                rank0 += 1;
-            }
-            if r >= 90 {
-                rank_tail += 1;
-            }
-        }
-        assert!(rank0 > rank_tail, "rank 0 ({rank0}) should dominate the tail ({rank_tail})");
     }
 
     #[test]

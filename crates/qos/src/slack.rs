@@ -113,11 +113,6 @@ fn required_performance(
     (required, feasible)
 }
 
-/// The standard load grid of Figure 2: 10% to 100% in 10% steps.
-pub fn standard_loads() -> Vec<f64> {
-    (1..=10).map(|i| i as f64 * 0.1).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,14 +145,6 @@ mod tests {
             "at 90% load little slack should remain (got {:.2})",
             points[1].slack()
         );
-    }
-
-    #[test]
-    fn standard_grid_is_ten_points() {
-        let loads = standard_loads();
-        assert_eq!(loads.len(), 10);
-        assert!((loads[0] - 0.1).abs() < 1e-12);
-        assert!((loads[9] - 1.0).abs() < 1e-12);
     }
 
     #[test]

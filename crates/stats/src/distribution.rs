@@ -49,24 +49,6 @@ impl DistributionSummary {
             mean,
         }
     }
-
-    /// Interquartile range (p75 − p25), the box drawn inside the paper's
-    /// violins.
-    pub fn iqr(&self) -> f64 {
-        self.p75 - self.p25
-    }
-
-    /// Formats the summary as percentages (e.g. for slowdown populations),
-    /// matching how the paper quotes "X% on average (Y% max)".
-    pub fn as_percent_string(&self) -> String {
-        format!(
-            "mean {:+.1}% (median {:+.1}%, min {:+.1}%, max {:+.1}%)",
-            self.mean * 100.0,
-            self.median * 100.0,
-            self.min * 100.0,
-            self.max * 100.0
-        )
-    }
 }
 
 impl fmt::Display for DistributionSummary {
@@ -93,7 +75,6 @@ mod tests {
         assert_eq!(s.mean, 3.0);
         assert_eq!(s.p25, 2.0);
         assert_eq!(s.p75, 4.0);
-        assert_eq!(s.iqr(), 2.0);
     }
 
     #[test]
@@ -114,14 +95,6 @@ mod tests {
     #[should_panic(expected = "at least one finite sample")]
     fn empty_population_panics() {
         let _ = DistributionSummary::from_samples(&[]);
-    }
-
-    #[test]
-    fn percent_string_mentions_mean_and_max() {
-        let s = DistributionSummary::from_samples(&[0.10, 0.20, 0.30]);
-        let text = s.as_percent_string();
-        assert!(text.contains("+20.0%"), "{text}");
-        assert!(text.contains("+30.0%"), "{text}");
     }
 
     #[test]

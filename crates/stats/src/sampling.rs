@@ -66,60 +66,6 @@ impl Default for SamplingPlan {
     }
 }
 
-/// Aggregates per-sample UIPC measurements into a single figure of merit.
-///
-/// The paper's figure of merit is user-level instructions per cycle (UIPC),
-/// averaged across samples. Harmonic vs arithmetic averaging matters little
-/// for relative comparisons; we use the ratio of totals (total instructions /
-/// total cycles), which weights samples by their duration.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct UipcAccumulator {
-    total_instructions: u64,
-    total_cycles: u64,
-    per_sample: Vec<f64>,
-}
-
-impl UipcAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> UipcAccumulator {
-        UipcAccumulator::default()
-    }
-
-    /// Records one sample's instruction and cycle counts.
-    pub fn record_sample(&mut self, instructions: u64, cycles: u64) {
-        self.total_instructions += instructions;
-        self.total_cycles += cycles;
-        if cycles > 0 {
-            self.per_sample.push(instructions as f64 / cycles as f64);
-        }
-    }
-
-    /// Aggregate UIPC (total instructions / total cycles), or `None` if no
-    /// cycles were recorded.
-    pub fn uipc(&self) -> Option<f64> {
-        if self.total_cycles == 0 {
-            None
-        } else {
-            Some(self.total_instructions as f64 / self.total_cycles as f64)
-        }
-    }
-
-    /// Per-sample UIPC values.
-    pub fn samples(&self) -> &[f64] {
-        &self.per_sample
-    }
-
-    /// Total simulated cycles.
-    pub fn cycles(&self) -> u64 {
-        self.total_cycles
-    }
-
-    /// Total measured instructions.
-    pub fn instructions(&self) -> u64 {
-        self.total_instructions
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,21 +91,5 @@ mod tests {
         assert!(p.validate().is_err());
         let p = SamplingPlan { measured_instructions: 0, ..SamplingPlan::quick() };
         assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn uipc_is_ratio_of_totals() {
-        let mut acc = UipcAccumulator::new();
-        acc.record_sample(100, 50);
-        acc.record_sample(100, 150);
-        assert_eq!(acc.uipc(), Some(1.0));
-        assert_eq!(acc.samples().len(), 2);
-        assert_eq!(acc.cycles(), 200);
-        assert_eq!(acc.instructions(), 200);
-    }
-
-    #[test]
-    fn empty_accumulator_has_no_uipc() {
-        assert!(UipcAccumulator::new().uipc().is_none());
     }
 }

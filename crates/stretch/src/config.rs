@@ -2,9 +2,13 @@
 //!
 //! A Stretch core provisions, at design time, one or more asymmetric ROB
 //! partitionings in addition to the baseline equal split. At runtime system
-//! software selects among them through the control register. The paper's
-//! notation `N-M` assigns `N` ROB entries to the latency-sensitive thread and
-//! `M` to the batch thread; the LSQ is partitioned proportionally.
+//! software selects among them: a [`StretchMode`] names the engaged
+//! configuration, and engaging it on a live core is
+//! `SmtCore::set_partition(mode.partition_policy(..), true)`, which loads
+//! the ROB/LSQ limit registers and charges the mode-change pipeline flush.
+//! The paper's notation `N-M` assigns `N` ROB entries to the
+//! latency-sensitive thread and `M` to the batch thread; the LSQ is
+//! partitioned proportionally.
 
 use cpu_sim::PartitionPolicy;
 use serde::{Deserialize, Serialize};

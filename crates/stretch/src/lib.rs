@@ -10,9 +10,9 @@
 //! proportionally, load/store-queue) capacity from the latency-sensitive
 //! hardware thread to a co-running batch thread, boosting batch throughput
 //! without violating QoS targets. The mechanism is a handful of ROB
-//! partitioning configurations provisioned at design time plus an
-//! architecturally exposed control register; the policy is a CPI²-style
-//! software monitor driven by a QoS metric (tail latency or queue length).
+//! partitioning configurations provisioned at design time; the policy is a
+//! CPI²-style software monitor driven by a QoS metric (tail latency or
+//! queue length) that picks among them.
 //!
 //! To the rest of the repository, Stretch is just another
 //! [`cpu_sim::ColocationPolicy`] — the same interface every baseline
@@ -25,20 +25,17 @@
 //! * [`config`] — ROB skews ([`RobSkew`]), the provisioned configuration set
 //!   ([`StretchConfig`]) and the runtime mode ([`StretchMode`]:
 //!   Baseline / B-mode / Q-mode), plus the mapping onto the core's
-//!   partition limit registers.
-//! * [`control`] — the architecturally exposed control register
-//!   ([`ControlRegister`], the S/B/Q bits of §IV-C) and its application to a
-//!   simulated core (mode change + pipeline flush).
+//!   partition limit registers. Engaging a mode on a live core is
+//!   `SmtCore::set_partition(mode.partition_policy(..), true)`, which
+//!   charges the mode-change pipeline flush.
 //! * [`monitor`] — the software monitor ([`SoftwareMonitor`]): sliding-window
 //!   QoS tracking, hysteresis, B-/Q-mode engagement and the co-runner
 //!   throttling fallback. [`ClosedLoopStretch`] wraps it behind the policy
-//!   trait.
-//! * [`orchestrator`] — a closed-loop driver that replays a load trace
-//!   against the queueing model, lets the policy pick modes and accounts
-//!   for batch throughput — the machinery behind the §VI-D case studies. Its
-//!   per-mode performance table can hold the paper's headline numbers or
-//!   cycle-level measurements taken through the same trait
-//!   ([`orchestrator::PerformanceTable::measured`]).
+//!   trait; the cluster layer's fleet simulation (`cluster_sim::Fleet`)
+//!   runs one per server over a simulated day.
+//! * [`table`] — per-mode performance numbers ([`PerformanceTable`]): what
+//!   each mode leaves the latency-sensitive thread and buys the batch
+//!   thread, the input a fleet day is charged against.
 //!
 //! # Example
 //!
@@ -58,17 +55,11 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod control;
 pub mod monitor;
-pub mod orchestrator;
 pub mod policy;
-pub mod selection;
+pub mod table;
 
 pub use config::{RobSkew, StretchConfig, StretchMode};
-pub use control::ControlRegister;
 pub use monitor::{MonitorAction, MonitorConfig, QosPolicy, SoftwareMonitor};
-pub use orchestrator::{
-    DayReport, IntervalReport, ModePerformance, Orchestrator, PerformanceTable,
-};
 pub use policy::{ClosedLoopStretch, PinnedStretch};
-pub use selection::{LoadBand, LoadIndexedSelector};
+pub use table::{ModePerformance, PerformanceTable};

@@ -1,5 +1,5 @@
 //! The software monitor (§IV-C): an extension of Google's CPI² framework
-//! that tracks a QoS metric and drives the Stretch control register.
+//! that tracks a QoS metric and picks the Stretch mode to engage.
 //!
 //! The monitor periodically samples a QoS signal — tail latency relative to
 //! the target, or queue length — and decides which mode to engage:
@@ -133,7 +133,7 @@ impl Default for MonitorConfig {
 pub enum MonitorAction {
     /// Keep the currently engaged mode.
     Keep,
-    /// Program the control register for the given mode (a mode change).
+    /// Engage the given mode (a mode change, which flushes the pipeline).
     SwitchTo(StretchMode),
     /// QoS violations persist even without B-mode: throttle the co-runner,
     /// as the baseline CPI² framework would.

@@ -7,10 +7,11 @@
 //!   colocation matrix).
 //! * [`ClosedLoopStretch`] — the §IV-C control loop: the CPI²-style
 //!   [`SoftwareMonitor`] consumes QoS telemetry through
-//!   [`ColocationPolicy::on_sample`] and reprograms the (modelled) control
-//!   register, so the policy's [`setup`](ColocationPolicy::setup) tracks the
-//!   currently engaged mode. The orchestrator drives this against the
-//!   queueing model for the §VI-D case studies.
+//!   [`ColocationPolicy::on_sample`] and picks the mode, so the policy's
+//!   [`setup`](ColocationPolicy::setup) tracks the currently engaged mode.
+//!   The cluster layer's fleet simulation (`cluster_sim::Fleet`) runs one
+//!   per server, fed by that server's measured tail latency, for the §VI-D
+//!   case studies.
 
 use crate::config::{StretchConfig, StretchMode};
 use crate::monitor::{MonitorAction, MonitorConfig, SoftwareMonitor};
@@ -82,11 +83,6 @@ impl ClosedLoopStretch {
     /// The currently engaged mode.
     pub fn mode(&self) -> StretchMode {
         self.monitor.mode()
-    }
-
-    /// The provisioned configuration set.
-    pub fn stretch_config(&self) -> StretchConfig {
-        self.stretch
     }
 
     /// Number of mode changes decided so far.

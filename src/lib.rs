@@ -23,12 +23,13 @@
 //!   colocation policies and the server-level allocation policies above them.
 //! * [`workloads`] — synthetic latency-sensitive and batch workload generators.
 //! * [`stretch`] — the paper's contribution: asymmetric ROB/LSQ partitioning,
-//!   the architectural control register and the software QoS monitor.
+//!   its B-/Q-/baseline modes and the software QoS monitor that picks them.
 //! * [`qos`] — request-level queueing simulation, latency percentiles, slack
 //!   analysis (package `sim_qos`).
 //! * [`baselines`] — fetch throttling, dynamic sharing, ideal software scheduling, Elfen.
 //! * [`cluster`] — diurnal load models, the analytical cluster case studies
-//!   and the measured load-balanced fleet simulation (package `cluster_sim`).
+//!   and the measured load-balanced fleet simulation, whose per-server
+//!   Stretch monitors drive every simulated day (package `cluster_sim`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,9 +49,7 @@ pub mod prelude {
     pub use baselines::{
         DynamicSharing, Elfen, FetchThrottling, HybridThrottleSkew, IdealScheduling,
     };
-    pub use cluster_sim::{
-        CaseStudy, Fleet, FleetConfig, FleetScale, LoadBalancer, MeasuredServer, ServerWorkloads,
-    };
+    pub use cluster_sim::{CaseStudy, Fleet, FleetConfig, FleetScale, LoadBalancer};
     pub use cpu_sim::{
         AllocationPolicy, ColocationPolicy, ColocationResult, ColocationTopology, CoreSetup,
         EqualPartition, Greedy, Placement, PrivateCore, RoundRobin, Scenario, ServerScenario,

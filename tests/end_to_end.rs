@@ -1,14 +1,11 @@
 //! Cross-crate integration tests: the full Stretch stack working together —
 //! workloads on the SMT core through the `Scenario`/`ColocationPolicy` API,
-//! mode changes through the control register, the closed-loop policy
-//! reacting to the queueing model, and the cluster accounting on top.
+//! mode changes on a live core, the closed-loop policy reacting to a
+//! simulated fleet day, and the cluster accounting on top.
 
 use stretch_repro::cpu::SmtCoreBuilder;
 use stretch_repro::model::{CoreConfig, ThreadId};
 use stretch_repro::prelude::*;
-use stretch_repro::qos::{ServiceSpec, SimParams};
-use stretch_repro::stretch::orchestrator::PerformanceTable;
-use stretch_repro::stretch::{ControlRegister, MonitorConfig, Orchestrator};
 use stretch_repro::workloads::{batch, latency_sensitive, profile_by_name};
 
 fn quick() -> SimLength {
@@ -103,7 +100,6 @@ fn control_register_drives_mode_changes_on_a_live_core() {
         .thread(ThreadId::T0, latency_sensitive::web_search(7))
         .thread(ThreadId::T1, batch::zeusmp(7))
         .build();
-    let mut reg = ControlRegister::new();
 
     // Warm up in baseline mode.
     for _ in 0..2_000 {
@@ -111,16 +107,17 @@ fn control_register_drives_mode_changes_on_a_live_core() {
     }
     let committed_before = core.committed(ThreadId::T1);
 
-    // Engage B-mode, run, then switch to Q-mode, run again.
-    reg.engage_b_mode();
-    let mode = reg.apply(&mut core, &stretch, ThreadId::T0);
+    // Engage B-mode, run, then switch to Q-mode, run again. Each switch
+    // loads the mode's limit registers and flushes the pipelines.
+    let mode = stretch.low_load_mode();
     assert!(mode.is_batch_boost());
+    core.set_partition(mode.partition_policy(core.config(), ThreadId::T0), true);
     for _ in 0..5_000 {
         core.step();
     }
-    reg.engage_q_mode();
-    let mode = reg.apply(&mut core, &stretch, ThreadId::T0);
+    let mode = stretch.high_load_mode();
     assert!(mode.is_qos_boost());
+    core.set_partition(mode.partition_policy(core.config(), ThreadId::T0), true);
     for _ in 0..5_000 {
         core.step();
     }
@@ -134,36 +131,23 @@ fn control_register_drives_mode_changes_on_a_live_core() {
 
 #[test]
 fn monitor_keeps_qos_while_harvesting_throughput_over_a_day() {
-    // Diurnal closed loop: the policy should engage B-mode during the night
-    // hours, back off during the peak, and never violate QoS during the
-    // low-load part of the day.
-    // Provision only a B-mode: at high load the policy falls back to the
-    // baseline, so any engaged interval is a pure throughput gain.
-    let mut orch = Orchestrator::new(
-        ServiceSpec::web_search(),
-        StretchConfig::b_mode_only(RobSkew::recommended_b_mode()),
-        MonitorConfig { engage_after: 2, ..MonitorConfig::default() },
-        PerformanceTable::paper_defaults(),
-        SimParams::quick(19),
-    );
-    let loads: Vec<f64> = stretch_repro::cluster::DiurnalPattern::WebSearch
-        .sample(1.0)
-        .into_iter()
-        .map(|s| s.load)
-        .collect();
-    let report = orch.run_trace(&loads);
-    assert_eq!(report.intervals.len(), 24);
-    assert!(
-        report.b_mode_intervals >= 6,
-        "expected B-mode at night, got {}",
-        report.b_mode_intervals
-    );
+    // Diurnal closed loop: every server's monitor should engage B-mode
+    // during the night hours, back off during the peak, and never let the
+    // fleet's tail miss QoS while the load sits below the engagement
+    // threshold. The study provisions only a B-mode, so any engaged
+    // interval is a pure throughput gain.
+    let study = CaseStudy::web_search();
+    let report = study.run_fleet(LoadBalancer::LeastLoaded, FleetScale::quick(19));
+    assert_eq!(report.intervals.len(), 96);
+    let engaged = report.intervals.iter().filter(|iv| iv.engaged_servers > 0).count();
+    assert!(engaged >= 24, "expected B-mode at night, got {engaged} of 96 intervals");
     assert!(report.average_batch_throughput > 1.0);
-    for iv in &report.intervals {
-        if iv.load < 0.4 && !iv.mode.is_batch_boost() {
-            // Low-load intervals in baseline mode must certainly meet QoS.
-            assert!(!iv.qos_violated, "baseline at low load must meet QoS: {iv:?}");
-        }
+    let target_ms = study.service().qos_target_ms;
+    let low_load: Vec<_> =
+        report.intervals.iter().filter(|iv| iv.load < study.engage_below).collect();
+    assert!(!low_load.is_empty(), "the Web Search day must dip below the engagement threshold");
+    for iv in low_load {
+        assert!(iv.p99_ms <= target_ms, "low-load interval missed QoS: {iv:?}");
     }
 }
 
