@@ -328,22 +328,34 @@ mod tests {
         // Calibration panics on an invalid config, so an `Err` here proves
         // the shape was checked first.
         let racked = |racks| FleetTopology::racked(racks, LoadBalancer::RoundRobin);
-        for (servers, requests_per_server, topology, message) in [
-            (100, 20, racked(7), "100 servers do not split evenly over 7 racks"),
+        let binned = TailAccumulation::binned_default();
+        // 10^18 bins once aborted the process inside the peak bisection.
+        let unallocatable = TailAccumulation::Binned { resolution_ms: 1e-9, max_ms: 1e9 };
+        for (servers, requests_per_server, topology, tails, message) in [
+            (100, 20, racked(7), binned, "100 servers do not split evenly over 7 racks"),
             (
                 16,
                 5,
                 racked(2),
+                binned,
                 "5 requests per server-interval cannot resolve a tail percentile (need >= 20)",
             ),
-            (0, 20, FleetTopology::Flat, "a fleet needs at least one server"),
+            (0, 20, FleetTopology::Flat, binned, "a fleet needs at least one server"),
+            (
+                16,
+                20,
+                racked(2),
+                unallocatable,
+                "1000000000000000000 tail bins of 0.000000001 ms up to 1000000000 ms exceed the \
+                 1048576-bin limit",
+            ),
         ] {
             let scale = FleetScale { servers, requests_per_server, seed: 1 };
             let result = CaseStudy::web_search().try_fleet_with(
                 LoadBalancer::RoundRobin,
                 scale,
                 topology,
-                TailAccumulation::binned_default(),
+                tails,
                 1,
             );
             assert_eq!(result.map(|fleet| fleet.peak_rps()), Err(message.to_string()));

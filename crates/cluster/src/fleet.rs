@@ -44,11 +44,12 @@
 //! server count) and the configured rack balancer dispatches *within* each
 //! rack, so racks never exchange queue state. Each rack is then one shard
 //! of [`Fleet::run_with_workers`]: shards simulate concurrently on a
-//! [`sim_model::parallel_map`] pool, each from its own [`rack_seed`]-derived
-//! RNG streams, and the merge folds per-shard partials in shard-index order
-//! through the canonical reducers ([`sim_stats::det_merge`]) and bit-exact
-//! integer histogram merges — so the report is bit-identical for every
-//! worker count, including 1. A `Flat` fleet is exactly the historical
+//! [`sim_model::parallel_fold`] pool, each from its own
+//! [`rack_seed`]-derived RNG streams, and each finished shard folds into the
+//! running report in shard-index order, through the canonical reducers
+//! ([`sim_stats::det_merge`]) and bit-exact integer histogram merges — so
+//! the report is bit-identical for every worker count, including 1. A
+//! `Flat` fleet is exactly the historical
 //! single-shard run (shard 0 reuses the fleet seed unchanged), and a
 //! 1-rack `Racked` fleet is bit-identical to `Flat` under the same
 //! balancer. Peak measurement and threshold calibration run on a single
@@ -58,12 +59,15 @@
 //!
 //! [`TailAccumulation::Binned`] keeps day- and fleet-level tails in
 //! fixed-resolution [`sim_stats::LatencyHistogram`] bins instead of
-//! raw-sample vectors, so memory does not grow with the request count — but
-//! it is not flat either. Each shard keeps one 1,002-bin (8 KB) histogram
-//! per control interval until the merge (125 × 96 × 8 KB ≈ 96 MB per
-//! simulated day of the default 10k-server, 125-rack `fleet` run), and each
-//! server keeps an 8 KB day histogram (80 MB at 10k servers): that run's
-//! peak RSS is about 173 MB at `--days 1` and 358 MB at `--days 3`.
+//! raw-sample vectors, so memory does not grow with the request count, and
+//! fleet memory is what a run records, not bin range × shards × intervals.
+//! A histogram stores counts only over the bins it has recorded (a
+//! web-search tail touches about 25 of the default 1,001). A shard reduces
+//! each server's day tail to its [`ServerSummary`] before it returns, and
+//! the running report absorbs the shard and drops it, so at most the
+//! shards in flight (about one per worker) hold per-interval tails. The
+//! default 10k-server, 125-rack `fleet` run peaks at about 22 MB RSS at
+//! `--days 1` and at `--days 3` alike.
 //!
 //! Dispatch does each piece of work once per request. A shard's
 //! [`sim_qos::ServerQueues`] stores worker-availability times worker-major,
@@ -82,7 +86,7 @@ use crate::diurnal::DiurnalPattern;
 use crate::topology::{FleetTopology, TailAccumulation};
 use cpu_sim::{ColocationPolicy, QosObservation};
 use serde::{Deserialize, Serialize};
-use sim_model::{parallel_map, CanonicalKey, KeyEncoder, SimRng};
+use sim_model::{parallel_fold, CanonicalKey, KeyEncoder, SimRng};
 use sim_qos::{bisect_peak_rps, ArrivalGenerator, ArrivalProcess, ServerQueues, ServiceSpec};
 use sim_stats::percentile::percentiles_in;
 use sim_stats::{det_merge, det_sum, percentile, LatencyHistogram, Percentiles};
@@ -783,8 +787,9 @@ impl Fleet {
     /// The shard unit is the rack (a flat fleet is one shard, so extra
     /// workers simply idle). The report is a deterministic function of the
     /// configuration alone: shards simulate from independent
-    /// [`rack_seed`]-derived streams and merge in shard-index order through
-    /// the canonical reducers, so every worker count — including 1 —
+    /// [`rack_seed`]-derived streams, and each folds into the running
+    /// report as soon as every earlier shard has, in shard-index order,
+    /// through the canonical reducers — so every worker count, including 1,
     /// produces a bit-identical [`FleetReport`].
     ///
     /// # Panics
@@ -794,8 +799,15 @@ impl Fleet {
         let cfg = &self.cfg;
         let peak_rps = self.peak_rps;
         let plans = shard_plans(cfg);
-        let shard_days = parallel_map(plans, workers, |plan| run_shard_day(cfg, peak_rps, plan));
-        merge_shard_days(cfg, &shard_days)
+        let merge = FleetMerge::new(cfg, plans.len());
+        parallel_fold(
+            plans,
+            workers,
+            merge,
+            |plan| run_shard_day(cfg, peak_rps, plan),
+            |merge, shard| merge.fold_shard(shard),
+        )
+        .into_report(cfg)
     }
 }
 
@@ -837,22 +849,20 @@ struct ShardInterval {
     tail: TailAcc,
 }
 
-/// Everything one shard contributes to the run, in shard-local server
-/// order (which is global order, shards being contiguous).
+/// Everything one shard contributes to the run: its intervals and its
+/// servers' summaries, in shard-local order (which is global order, shards
+/// being contiguous).
 struct ShardDay {
     intervals: Vec<ShardInterval>,
-    day_tails: Vec<TailAcc>,
-    engaged_counts: Vec<usize>,
-    starved_counts: Vec<usize>,
-    mode_changes: Vec<u64>,
-    throttle_events: Vec<u64>,
+    servers: Vec<ServerSummary>,
 }
 
 /// Simulates one shard's whole run. Only ever called from inside the
-/// `parallel_map` closure of [`Fleet::run_with_workers`]: float
+/// `parallel_fold` map closure of [`Fleet::run_with_workers`]: float
 /// accumulation here is shard-sequential by construction, and every
-/// cross-shard combination happens in [`merge_shard_days`] through the
-/// canonical reducers.
+/// cross-shard combination happens in [`FleetMerge`] through the canonical
+/// reducers. Each server's day tail is reduced to its [`ServerSummary`]
+/// before the shard returns.
 fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay {
     let n = plan.servers;
     let spec = &cfg.service;
@@ -933,96 +943,123 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
         });
     }
 
-    ShardDay {
-        intervals,
-        day_tails,
-        engaged_counts,
-        starved_counts,
-        mode_changes: controllers.iter().map(|c| c.mode_changes()).collect(),
-        throttle_events: controllers.iter().map(|c| c.throttle_events()).collect(),
-    }
+    let servers = (0..n)
+        .map(|s| ServerSummary {
+            engaged_intervals: engaged_counts[s],
+            starved_intervals: starved_counts[s],
+            p99_ms: day_tails[s].percentiles(&mut state.scratch, [99.0])[0],
+            requests: day_tails[s].len(),
+            mode_changes: controllers[s].mode_changes(),
+            throttle_events: controllers[s].throttle_events(),
+        })
+        .collect();
+    ShardDay { intervals, servers }
 }
 
-/// Folds per-shard results into the fleet report, in shard-index order:
-/// integer counters add, float partials go through the canonical reducers
-/// ([`det_merge`] across shards, [`det_sum`] across intervals), and tail
-/// accumulators merge bit-exactly — so the report never depends on worker
-/// count or completion order.
-fn merge_shard_days(cfg: &FleetConfig, shard_days: &[ShardDay]) -> FleetReport {
-    let n = cfg.servers;
-    let steps = cfg.total_intervals();
-    let mut intervals = Vec::with_capacity(steps);
-    let mut throughputs = Vec::with_capacity(steps);
-    let mut engaged_total = 0usize;
-    let mut violations_total = 0usize;
-    let mut measured_total = 0usize;
-    let mut fleet_tail = TailAcc::new(&cfg.tails);
-    let mut speedups = Vec::with_capacity(shard_days.len());
-    let mut scratch = Vec::new();
-    for t in 0..steps {
-        let hour = (t as f64 * cfg.interval_hours) % 24.0;
-        let load = cfg.pattern.load_at(hour);
-        let mut engaged = 0usize;
-        let mut measured_servers = 0usize;
-        let mut violations = 0usize;
-        speedups.clear();
-        let mut tail = TailAcc::new(&cfg.tails);
-        for sd in shard_days {
-            let part = &sd.intervals[t];
-            engaged += part.engaged;
-            measured_servers += part.measured_servers;
-            violations += part.violations;
-            speedups.push(part.speedup_sum);
-            tail.absorb(&part.tail);
-        }
-        let batch_throughput = det_merge(&speedups) / n as f64;
-        throughputs.push(batch_throughput);
-        engaged_total += engaged;
-        violations_total += violations;
-        measured_total += measured_servers;
-        fleet_tail.absorb(&tail);
-        let [p99_ms] = tail.percentiles(&mut scratch, [99.0]);
-        intervals.push(FleetIntervalReport {
-            hour,
-            load,
-            engaged_servers: engaged,
-            measured_servers,
-            p99_ms,
-            batch_throughput,
-        });
+/// One control interval of the running merge.
+struct IntervalMerge {
+    engaged: usize,
+    measured_servers: usize,
+    violations: usize,
+    /// The folded shards' speedup partials, in shard-index order.
+    speedup_partials: Vec<f64>,
+    tail: TailAcc,
+}
+
+/// The running merge of [`Fleet::run_with_workers`]: shards fold in as
+/// soon as every earlier shard has, in shard-index order, and are dropped.
+/// Integer counters add, float partials wait for [`det_merge`] (one `f64`
+/// per shard-interval), and tail accumulators merge bit-exactly — so the
+/// report never depends on worker count or completion order, and nothing
+/// here holds a histogram per shard.
+struct FleetMerge {
+    intervals: Vec<IntervalMerge>,
+    servers: Vec<ServerSummary>,
+}
+
+impl FleetMerge {
+    fn new(cfg: &FleetConfig, shards: usize) -> FleetMerge {
+        let intervals = (0..cfg.total_intervals())
+            .map(|_| IntervalMerge {
+                engaged: 0,
+                measured_servers: 0,
+                violations: 0,
+                speedup_partials: Vec::with_capacity(shards),
+                tail: TailAcc::new(&cfg.tails),
+            })
+            .collect();
+        FleetMerge { intervals, servers: Vec::with_capacity(cfg.servers) }
     }
 
-    let mut servers = Vec::with_capacity(n);
-    for sd in shard_days {
-        for (s, acc) in sd.day_tails.iter().enumerate() {
-            servers.push(ServerSummary {
-                engaged_intervals: sd.engaged_counts[s],
-                starved_intervals: sd.starved_counts[s],
-                p99_ms: acc.percentiles(&mut scratch, [99.0])[0],
-                requests: acc.len(),
-                mode_changes: sd.mode_changes[s],
-                throttle_events: sd.throttle_events[s],
+    /// Folds in the next shard. It comes by value, so where nothing is
+    /// merged yet (always, for the first shard) its tails move in instead
+    /// of being copied.
+    fn fold_shard(&mut self, shard: ShardDay) {
+        for (merged, part) in self.intervals.iter_mut().zip(shard.intervals) {
+            merged.engaged += part.engaged;
+            merged.measured_servers += part.measured_servers;
+            merged.violations += part.violations;
+            merged.speedup_partials.push(part.speedup_sum);
+            if merged.tail.len() == 0 {
+                merged.tail = part.tail;
+            } else {
+                merged.tail.absorb(&part.tail);
+            }
+        }
+        self.servers.extend(shard.servers);
+    }
+
+    /// The fleet report once every shard is folded in: float partials go
+    /// through the canonical reducers ([`det_merge`] across shards,
+    /// [`det_sum`] across intervals), and the fleet tail is the union of
+    /// the interval tails, each absorbed (and freed) once its p99 is read.
+    fn into_report(self, cfg: &FleetConfig) -> FleetReport {
+        let n = cfg.servers;
+        let steps = cfg.total_intervals();
+        let mut intervals = Vec::with_capacity(steps);
+        let mut throughputs = Vec::with_capacity(steps);
+        let mut engaged_total = 0usize;
+        let mut violations_total = 0usize;
+        let mut measured_total = 0usize;
+        let mut scratch = Vec::new();
+        let mut fleet_tail = TailAcc::new(&cfg.tails);
+        for (t, merged) in self.intervals.into_iter().enumerate() {
+            let hour = (t as f64 * cfg.interval_hours) % 24.0;
+            let batch_throughput = det_merge(&merged.speedup_partials) / n as f64;
+            throughputs.push(batch_throughput);
+            engaged_total += merged.engaged;
+            violations_total += merged.violations;
+            measured_total += merged.measured_servers;
+            let [p99_ms] = merged.tail.percentiles(&mut scratch, [99.0]);
+            intervals.push(FleetIntervalReport {
+                hour,
+                load: cfg.pattern.load_at(hour),
+                engaged_servers: merged.engaged,
+                measured_servers: merged.measured_servers,
+                p99_ms,
+                batch_throughput,
             });
+            fleet_tail.absorb(&merged.tail);
         }
-    }
 
-    let server_intervals = (n * steps) as f64;
-    let [p50_ms, p95_ms, p99_ms] = fleet_tail.percentiles(&mut scratch, [50.0, 95.0, 99.0]);
-    FleetReport {
-        intervals,
-        servers,
-        average_batch_throughput: det_sum(&throughputs) / steps as f64,
-        fraction_engaged: engaged_total as f64 / server_intervals,
-        hours_engaged: engaged_total as f64 / n as f64 * cfg.interval_hours / cfg.days as f64,
-        violation_fraction: if measured_total == 0 {
-            0.0
-        } else {
-            violations_total as f64 / measured_total as f64
-        },
-        p50_ms,
-        p95_ms,
-        p99_ms,
-        requests: fleet_tail.len(),
+        let server_intervals = (n * steps) as f64;
+        let [p50_ms, p95_ms, p99_ms] = fleet_tail.percentiles(&mut scratch, [50.0, 95.0, 99.0]);
+        FleetReport {
+            intervals,
+            servers: self.servers,
+            average_batch_throughput: det_sum(&throughputs) / steps as f64,
+            fraction_engaged: engaged_total as f64 / server_intervals,
+            hours_engaged: engaged_total as f64 / n as f64 * cfg.interval_hours / cfg.days as f64,
+            violation_fraction: if measured_total == 0 {
+                0.0
+            } else {
+                violations_total as f64 / measured_total as f64
+            },
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            requests: fleet_tail.len(),
+        }
     }
 }
 

@@ -18,13 +18,15 @@
 //! [`TailAccumulation`] picks how day- and fleet-level sojourn collections
 //! are retained: exact raw samples (the historical behaviour, exact
 //! percentiles, memory proportional to request count) or fixed-resolution
-//! bins ([`sim_stats::LatencyHistogram`], memory `O(bins)` — required for
-//! 10k-server multi-day runs, which would otherwise retain ~10⁸ floats).
-//! Both choices are part of a run's cache identity.
+//! bins ([`sim_stats::LatencyHistogram`], which stores counts only over the
+//! bins it has recorded — required for 10k-server multi-day runs, which
+//! would otherwise retain ~10⁸ floats). Both choices are part of a run's
+//! cache identity.
 
 use crate::fleet::LoadBalancer;
 use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
+use sim_stats::tail::MAX_REGULAR_BINS;
 
 /// A two-tier cluster → rack topology: `racks` equal racks of
 /// `servers / racks` machines each, with `rack_balancer` dispatching inside
@@ -125,8 +127,10 @@ pub enum TailAccumulation {
     /// the request count — the historical behaviour, fine at test scale).
     Exact,
     /// Fixed-resolution latency bins ([`sim_stats::LatencyHistogram`]):
-    /// memory is `O(max_ms / resolution_ms)` regardless of request count,
-    /// and percentiles are conservative to within one resolution step.
+    /// each accumulator stores one count per bin between the lowest and
+    /// highest bin it has recorded, never more than
+    /// `ceil(max_ms / resolution_ms) + 1`, regardless of request count, and
+    /// percentiles are conservative to within one resolution step.
     Binned {
         /// Bin width in milliseconds.
         resolution_ms: f64,
@@ -138,12 +142,16 @@ pub enum TailAccumulation {
 
 impl TailAccumulation {
     /// A binned accumulation sized for datacenter-scale service tails:
-    /// 2 ms bins up to 2 s (1001 bins, ~8 KiB per accumulator).
+    /// 2 ms bins up to 2 s (1,001 bins). A web-search tail touches a few
+    /// dozen of them, so an accumulator holds about 25 counts (200 bytes),
+    /// not 8 KB.
     pub fn binned_default() -> TailAccumulation {
         TailAccumulation::Binned { resolution_ms: 2.0, max_ms: 2000.0 }
     }
 
-    /// Validates the accumulation parameters.
+    /// Validates the accumulation parameters: a positive, finite resolution,
+    /// a finite maximum at least one bin wide, and at most
+    /// [`MAX_REGULAR_BINS`] regular bins.
     ///
     /// # Errors
     ///
@@ -160,6 +168,13 @@ impl TailAccumulation {
                 if !(max_ms.is_finite() && max_ms >= resolution_ms) {
                     return Err(format!(
                         "tail bin maximum {max_ms} ms must be finite and at least one bin wide"
+                    ));
+                }
+                let bins = (max_ms / resolution_ms).ceil();
+                if bins > MAX_REGULAR_BINS as f64 {
+                    return Err(format!(
+                        "{bins} tail bins of {resolution_ms} ms up to {max_ms} ms exceed the \
+                         {MAX_REGULAR_BINS}-bin limit"
                     ));
                 }
                 Ok(())
@@ -208,6 +223,19 @@ mod tests {
         assert!(TailAccumulation::Binned { resolution_ms: 0.0, max_ms: 10.0 }.validate().is_err());
         assert!(TailAccumulation::Binned { resolution_ms: 4.0, max_ms: 2.0 }.validate().is_err());
         assert!(TailAccumulation::Binned { resolution_ms: f64::NAN, max_ms: 2.0 }
+            .validate()
+            .is_err());
+        // 10^18 bins: validation must refuse what no histogram can allocate,
+        // and the limit itself is accepted.
+        assert_eq!(
+            TailAccumulation::Binned { resolution_ms: 1e-9, max_ms: 1e9 }.validate(),
+            Err("1000000000000000000 tail bins of 0.000000001 ms up to 1000000000 ms exceed \
+                 the 1048576-bin limit"
+                .to_string())
+        );
+        let limit = MAX_REGULAR_BINS as f64;
+        assert!(TailAccumulation::Binned { resolution_ms: 1.0, max_ms: limit }.validate().is_ok());
+        assert!(TailAccumulation::Binned { resolution_ms: 1.0, max_ms: limit + 1.0 }
             .validate()
             .is_err());
     }

@@ -13,8 +13,9 @@
 //! * [`rng`] — a small deterministic PRNG ([`SimRng`]) plus samplers
 //!   (exponential, log-normal, geometric) used for reproducible workload
 //!   generation.
-//! * [`parallel`] — the order-preserving worker pool ([`parallel_map`]) the
-//!   fleet simulator and the experiment engine fan work out through.
+//! * [`parallel`] — the order-preserving worker pool ([`parallel_fold`],
+//!   [`parallel_map`]) the fleet simulator and the experiment engine fan
+//!   work out through.
 //! * [`ids`] — strongly-typed identifiers ([`ThreadId`], [`WorkloadClass`]).
 //! * [`trace`] — the [`TraceGenerator`] trait implemented by workload models,
 //!   and the [`TraceSource`] recipe trait the scenario layer spawns from.
@@ -43,7 +44,7 @@ pub mod uop;
 pub use canon::{CanonicalKey, KeyEncoder};
 pub use config::{BranchPredictorConfig, CacheConfig, CoreConfig, FuConfig, UncoreConfig};
 pub use ids::{ThreadId, WorkloadClass};
-pub use parallel::parallel_map;
+pub use parallel::{parallel_fold, parallel_map};
 pub use rng::SimRng;
 pub use trace::{BoxedTrace, TraceGenerator, TraceSource};
 pub use uop::{MemAccess, MemKind, MicroOp, OpKind};

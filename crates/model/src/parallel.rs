@@ -1,25 +1,106 @@
 //! A minimal deterministic worker pool shared by every layer that fans
 //! simulation work out over OS threads.
 //!
-//! [`parallel_map`] preserves input order regardless of scheduling, so a
-//! caller that merges its results *in index order* (through the canonical
-//! reducers in `sim_stats::reduce`) produces bit-identical output for every
-//! worker count. The fleet simulator shards racks through this pool, and the
-//! experiment engine runs matrix cells through it; both are checked by the
-//! `reduction-order` simlint rule, which treats every `parallel_map` caller
-//! as a merge function.
+//! [`parallel_fold`] maps every item on a pool of OS threads and folds each
+//! result into one accumulator *in index order*, as soon as every earlier
+//! result is in. Whatever order the workers finish in, the fold sees results
+//! `0, 1, 2, …`, one at a time, so a caller that combines floats in it
+//! through the canonical reducers in `sim_stats::reduce` gets bit-identical
+//! output for every worker count. A result that arrives ahead of an earlier
+//! one waits in its slot until that one lands, so only results still out of
+//! order are held: the fleet simulator folds each rack's day into a running
+//! report and drops it, and its memory does not grow with the rack count.
+//!
+//! [`parallel_map`] is that fold pushing each result into a `Vec`, so there
+//! is one pool loop. The experiment engine runs matrix cells through it.
+//!
+//! Both entry points are checked by the `rng-discipline` and
+//! `reduction-order` simlint rules: the mapped closure is shard code, which
+//! must not capture an RNG bound outside it, and the rest of the calling
+//! function — a fold closure included — is merge code, whose float
+//! accumulation must go through the canonical reducers.
 //!
 //! This lives in `sim_model` because the cluster simulator — a
 //! *dependency* of the bench crate — shards through the same pool.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Runs `f` over `items` on a pool of OS threads, preserving input order.
+/// The fold's state, behind the pool's one lock: the accumulator, the fold
+/// itself, the index of the next result to fold, and the results that
+/// arrived before it.
+struct Folding<A, F, R> {
+    acc: A,
+    fold: F,
+    next: usize,
+    early: Vec<Option<R>>,
+}
+
+/// Maps `map` over `items` on a pool of OS threads and folds the results
+/// into `init` with `fold`, in input order.
 ///
-/// Work is distributed by an atomic work-stealing index; each worker
-/// accumulates `(index, result)` pairs in a thread-local buffer and merges
-/// them into the shared output exactly once when it runs out of work, so
-/// result writes never contend per item.
+/// Work is distributed by an atomic work-stealing index. A worker that has
+/// mapped item `i` takes the pool's lock, parks the result, and folds every
+/// parked result from the next unfolded index on, stopping at the first
+/// that is still being mapped. So result `i` is folded right after result
+/// `i - 1`, by whichever worker completes the run, and the fold order —
+/// and with it the accumulator — never depends on the worker count or on
+/// scheduling.
+///
+/// # Examples
+///
+/// A float sum folded in index order is the same at any worker count:
+///
+/// ```
+/// use sim_model::parallel_fold;
+///
+/// let items: Vec<u64> = (1..=100).collect();
+/// let harmonic =
+///     |workers| parallel_fold(items.clone(), workers, 0.0, |&x| 1.0 / x as f64, |s, r| *s += r);
+/// assert_eq!(harmonic(1).to_bits(), harmonic(8).to_bits());
+/// ```
+///
+/// # Panics
+///
+/// Panics if `workers == 0`, and re-raises a panic of `map` or `fold`.
+pub fn parallel_fold<T, R, A, M, F>(items: Vec<T>, workers: usize, init: A, map: M, fold: F) -> A
+where
+    T: Sync,
+    R: Send,
+    A: Send,
+    M: Fn(&T) -> R + Sync,
+    F: FnMut(&mut A, R) + Send,
+{
+    assert!(workers > 0, "need at least one worker");
+    let n = items.len();
+    let next = AtomicUsize::new(0);
+    let early = std::iter::repeat_with(|| None).take(n).collect();
+    let state = Mutex::new(Folding { acc: init, fold, next: 0, early });
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(n) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let result = map(&items[i]);
+                let mut guard = state.lock().expect("a fold panicked while holding the lock");
+                let s = &mut *guard;
+                s.early[i] = Some(result);
+                while let Some(result) = s.early.get_mut(s.next).and_then(Option::take) {
+                    (s.fold)(&mut s.acc, result);
+                    s.next += 1;
+                }
+            });
+        }
+    });
+    let done = state.into_inner().expect("scope joined every worker");
+    assert_eq!(done.next, n, "every index was folded");
+    done.acc
+}
+
+/// Runs `f` over `items` on a pool of OS threads, preserving input order:
+/// [`parallel_fold`] pushing each result into a `Vec`.
 ///
 /// # Examples
 ///
@@ -41,46 +122,18 @@ use std::sync::Mutex;
 /// Panics if `workers == 0`.
 pub fn parallel_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
-    T: Send + Sync,
+    T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    assert!(workers > 0, "need at least one worker");
     let n = items.len();
-    let collected: Mutex<Vec<Vec<(usize, R)>>> = Mutex::new(Vec::with_capacity(workers));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let items_ref = &items;
-    let f_ref = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n.max(1)) {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    local.push((i, f_ref(&items_ref[i])));
-                }
-                if !local.is_empty() {
-                    collected.lock().expect("no panics while holding the lock").push(local);
-                }
-            });
-        }
-    });
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    for chunk in collected.into_inner().expect("scope joined all workers") {
-        for (i, r) in chunk {
-            results[i] = Some(r);
-        }
-    }
-    results.into_iter().map(|r| r.expect("every index was processed")).collect()
+    parallel_fold(items, workers, Vec::with_capacity(n), f, |out, r| out.push(r))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn preserves_input_order() {
@@ -107,5 +160,48 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_panics() {
         parallel_map(vec![1], 0, |&x: &i32| x);
+    }
+
+    #[test]
+    fn folds_in_index_order_when_item_zero_finishes_last() {
+        let n = 24;
+        for workers in [2, 3, 8] {
+            // Every item but 0 reports on the channel once mapped, and item
+            // 0's map waits for all n - 1 reports, so it finishes last.
+            let (tx, rx) = mpsc::channel();
+            let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+            let mapped_order = Mutex::new(Vec::new());
+            let folded = parallel_fold(
+                (0..n).collect(),
+                workers,
+                Vec::new(),
+                |&i: &usize| {
+                    if i == 0 {
+                        let rx = rx.lock().expect("only item 0 receives");
+                        for _ in 1..n {
+                            rx.recv().expect("every other item reports");
+                        }
+                    }
+                    mapped_order.lock().expect("no mapper panics").push(i);
+                    if i != 0 {
+                        tx.lock().expect("no sender panics").send(i).expect("item 0 listens");
+                    }
+                    i
+                },
+                |out: &mut Vec<usize>, i| out.push(i),
+            );
+            let mapped_order = mapped_order.into_inner().expect("no mapper panicked");
+            assert_eq!(mapped_order.last(), Some(&0), "{workers} workers: item 0 maps last");
+            assert_eq!(folded, (0..n).collect::<Vec<_>>(), "{workers} workers fold in order");
+        }
+    }
+
+    #[test]
+    fn one_worker_folds_in_index_order() {
+        let folded =
+            parallel_fold((0..10).collect(), 1, Vec::new(), |&i: &u32| i * i, |out, r| out.push(r));
+        assert_eq!(folded, (0..10).map(|i| i * i).collect::<Vec<_>>());
+        // An empty input folds nothing and returns the initial value.
+        assert_eq!(parallel_fold(Vec::<u32>::new(), 3, 7u32, |&x| x, |a, r| *a += r), 7);
     }
 }

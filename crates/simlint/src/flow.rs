@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use crate::exemptions::exemption_for;
-use crate::graph::{named_calls, CallGraph, FnId, ModuleGraph};
+use crate::graph::{named_calls, CallGraph, FnId, ModuleGraph, NamedCall};
 use crate::lexer::{Tok, TokKind};
 use crate::parse::{ItemKind, ParsedFile};
 use crate::report::Finding;
@@ -53,9 +53,12 @@ const INTERIOR_MUT: &[&str] = &[
     "Lazy",
 ];
 
-/// The name of the sharded map primitive whose closure argument runs on
-/// worker threads (see `sim_model::parallel_map`).
-const PARALLEL_MAP: &str = "parallel_map";
+/// The worker-pool entry points (`sim_model::parallel`), each with the index
+/// of its argument that runs concurrently on worker threads — the *shard*
+/// closure. `parallel_map(items, workers, f)` maps with `f`;
+/// `parallel_fold(items, workers, init, map, fold)` maps with `map` and runs
+/// `fold` one result at a time in index order, so `fold` is merge code.
+const POOL_CALLS: &[(&str, usize)] = &[("parallel_map", 2), ("parallel_fold", 3)];
 
 /// Float accumulation sinks that ARE the canonical reducer — calls to these
 /// never need flagging.
@@ -179,11 +182,10 @@ fn rng_discipline(f: &ParsedFile, out: &mut Vec<Finding>) {
         }
     }
 
-    // Part B: an RNG bound outside a parallel_map closure must not be
-    // captured by it — the shards would share one stream and the draw order
-    // would depend on worker scheduling.
-    for call in named_calls(f, PARALLEL_MAP) {
-        let Some(closure) = call.closure.clone() else { continue };
+    // Part B: an RNG bound outside a shard closure must not be captured by
+    // it — the shards would share one stream and the draw order would
+    // depend on worker scheduling.
+    for (call, closure) in pool_calls(f) {
         if f.in_test_region(toks[call.name_tok].line) {
             continue;
         }
@@ -230,16 +232,30 @@ fn rng_discipline(f: &ParsedFile, out: &mut Vec<Finding>) {
                     &f.path,
                     t,
                     format!(
-                        "RNG `{}` is declared outside the parallel_map closure and captured by \
+                        "RNG `{}` is declared outside the {} shard closure and captured by \
                          it: all shards would share one stream and the draw order would depend \
                          on worker scheduling — fork a per-item stream from a named seed \
                          derivation inside the closure instead",
-                        t.text
+                        t.text, toks[call.name_tok].text
                     ),
                 ));
             }
         }
     }
+}
+
+/// Every worker-pool call in `f`, with the token range of its shard
+/// argument.
+fn pool_calls(f: &ParsedFile) -> Vec<(NamedCall, Range<usize>)> {
+    let mut out = Vec::new();
+    for &(name, shard_arg) in POOL_CALLS {
+        for call in named_calls(f, name) {
+            if let Some(shard) = call.arg_list.get(shard_arg).cloned() {
+                out.push((call, shard));
+            }
+        }
+    }
+    out
 }
 
 /// Index of the `;` ending the statement starting near `from` (depth-aware
@@ -286,8 +302,9 @@ fn param_end(toks: &[Tok], from: usize, limit: usize) -> usize {
 
 // -------------------------------------------------------------- reduction-order
 
-/// A function that merges shard results: it calls [`PARALLEL_MAP`], and its
-/// body *outside* the closure arguments is the merge region.
+/// A function that merges shard results: it calls a [`POOL_CALLS`] entry
+/// point, and its body *outside* the shard closures is the merge region (a
+/// `parallel_fold` fold closure included).
 struct MergeFn {
     file: usize,
     item: usize,
@@ -308,19 +325,16 @@ fn reduction_order(
         if !matches!(classify(&f.path), FileKind::Lib | FileKind::Bin) {
             continue;
         }
-        for call in named_calls(f, PARALLEL_MAP) {
+        for (call, closure) in pool_calls(f) {
             if f.in_test_region(f.toks[call.name_tok].line) {
                 continue;
             }
             let Some(item) = f.enclosing_fn(call.name_tok) else { continue };
-            let entry = merges.entry((fi, item)).or_insert(MergeFn {
-                file: fi,
-                item,
-                closures: Vec::new(),
-            });
-            if let Some(c) = call.closure {
-                entry.closures.push(c);
-            }
+            merges
+                .entry((fi, item))
+                .or_insert(MergeFn { file: fi, item, closures: Vec::new() })
+                .closures
+                .push(closure);
         }
     }
 
@@ -390,9 +404,9 @@ fn scan_accumulation(
     let skip = |j: usize| excluded.iter().any(|c| c.contains(&j)) || f.in_test_region(toks[j].line);
     let context = |kind: &str| match via {
         Some(name) => {
-            format!("{kind} in `{name}`, which is reachable from a parallel_map merge function")
+            format!("{kind} in `{name}`, which is reachable from a worker-pool merge function")
         }
-        None => format!("{kind} in a parallel_map merge function"),
+        None => format!("{kind} in a worker-pool merge function"),
     };
     for j in body.start..body.end.min(toks.len()) {
         if skip(j) {
@@ -484,10 +498,22 @@ fn match_paren(toks: &[Tok], open: usize) -> usize {
 
 /// Names bound with float evidence inside `body`: `let [mut] n` whose
 /// statement mentions a float literal, `f64`/`f32`, or an already-float
-/// binding.
+/// binding, and the accumulator parameter of a
+/// `parallel_fold(items, workers, init, map, |acc, r| …)` fold closure
+/// whose `init` shows such evidence.
 fn float_bindings(f: &ParsedFile, body: Range<usize>) -> BTreeSet<String> {
     let toks = &f.toks;
     let mut set: BTreeSet<String> = BTreeSet::new();
+    let is_evidence = |set: &BTreeSet<String>, t: &Tok| {
+        t.kind == TokKind::Float
+            || t.is_ident("f64")
+            || t.is_ident("f32")
+            || (t.kind == TokKind::Ident && set.contains(&t.text))
+    };
+    let folds: Vec<NamedCall> = named_calls(f, "parallel_fold")
+        .into_iter()
+        .filter(|call| body.contains(&call.name_tok))
+        .collect();
     // Two passes so `let b = a;` after `let a = 0.0;` is caught.
     for _ in 0..2 {
         for j in body.start..body.end.min(toks.len()) {
@@ -500,14 +526,20 @@ fn float_bindings(f: &ParsedFile, body: Range<usize>) -> BTreeSet<String> {
             }
             let Some(name) = toks.get(k).filter(|t| t.kind == TokKind::Ident) else { continue };
             let end = stmt_end(toks, k, body.end.min(toks.len()));
-            let evidence = toks[k + 1..end.max(k + 1)].iter().any(|t| {
-                t.kind == TokKind::Float
-                    || t.is_ident("f64")
-                    || t.is_ident("f32")
-                    || (t.kind == TokKind::Ident && set.contains(&t.text))
-            });
-            if evidence {
+            if toks[k + 1..end.max(k + 1)].iter().any(|t| is_evidence(&set, t)) {
                 set.insert(name.text.clone());
+            }
+        }
+        for call in &folds {
+            let (Some(init), Some(fold)) = (call.arg_list.get(2), call.arg_list.get(4)) else {
+                continue;
+            };
+            let Some(acc) = toks.get(fold.start + 1) else { continue };
+            if toks[fold.start].is_punct('|')
+                && acc.kind == TokKind::Ident
+                && toks[init.clone()].iter().any(|t| is_evidence(&set, t))
+            {
+                set.insert(acc.text.clone());
             }
         }
     }
@@ -595,6 +627,32 @@ mod tests {
         let rng_hits: Vec<_> = hits.iter().filter(|h| h.rule == RNG_DISCIPLINE).collect();
         assert_eq!(rng_hits.len(), 1);
         assert_eq!((rng_hits[0].line, rng_hits[0].column), (3, 42));
+    }
+
+    #[test]
+    fn rng_captured_by_parallel_fold_map_closure_is_flagged() {
+        // The map closure is shard code; the fold closure runs one result
+        // at a time in index order, so its RNG use is deterministic.
+        let src = "fn merge(seed: u64) {\n    let mut rng = SimRng::new(seed);\n    \
+                   let out = parallel_fold(items, 4, 0, |i| rng.next_u64() + i, |a, r| {\n        \
+                   *a ^= r ^ rng.next_u64();\n    });\n}\n";
+        let hits = run(&[("crates/bench/src/figures.rs", src)]);
+        let rng_hits: Vec<_> = hits.iter().filter(|h| h.rule == RNG_DISCIPLINE).collect();
+        assert_eq!(rng_hits.len(), 1, "{hits:?}");
+        assert_eq!((rng_hits[0].line, rng_hits[0].column), (3, 46));
+        assert!(rng_hits[0].message.contains("parallel_fold shard closure"));
+    }
+
+    #[test]
+    fn float_accumulation_in_a_fold_closure_is_flagged_but_map_closure_is_not() {
+        let src = "fn merge() -> f64 {\n    parallel_fold(items, 2, 0.0, |x| {\n        \
+                   let mut local = 0.0;\n        local += x;\n        local\n    }, |total, o| {\n        \
+                   *total += o;\n    })\n}\n";
+        let hits = run(&[("crates/bench/src/figures.rs", src)]);
+        let red: Vec<_> = hits.iter().filter(|h| h.rule == REDUCTION_ORDER).collect();
+        // Only the fold-closure `+=` (line 7), not the shard-local one.
+        assert_eq!(red.len(), 1, "{hits:?}");
+        assert_eq!((red[0].line, red[0].column), (7, 16));
     }
 
     #[test]

@@ -24,6 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
+use crate::lexer::Tok;
 use crate::parse::{ItemKind, ParsedFile};
 
 /// A file's position in the module tree.
@@ -277,23 +278,24 @@ fn unique(by_name: &BTreeMap<String, Vec<FnId>>, name: &str) -> Option<FnId> {
     }
 }
 
-/// One call to a named function inside a file, with the token range of its
-/// argument list and of any closure argument (first `|` through the closing
-/// paren) — the shape the `reduction-order` and `rng-discipline` rules need
-/// to separate *shard* code (the closure body, sequential per item) from
-/// *merge* code (the rest of the enclosing function).
+/// One call to a named function inside a file, with the token ranges of
+/// its argument list and of each argument — the shape the
+/// `reduction-order` and `rng-discipline` rules need to separate *shard*
+/// code (a worker-pool closure, sequential per item) from *merge* code (the
+/// rest of the enclosing function).
 #[derive(Debug, Clone)]
 pub struct NamedCall {
     /// Token index of the called name.
     pub name_tok: usize,
     /// Token range of the arguments, excluding the outer parens.
     pub args: Range<usize>,
-    /// Token range of the closure argument, when one is present.
-    pub closure: Option<Range<usize>>,
+    /// Token range of each argument, split at top-level commas; a closure's
+    /// parameter list (`|a, b|`) stays inside its argument.
+    pub arg_list: Vec<Range<usize>>,
 }
 
-/// Finds every `name(…)` call in `file` and returns argument/closure
-/// extents. Matching is token-level; unbalanced parens end at the stream.
+/// Finds every `name(…)` call in `file` and returns argument extents.
+/// Matching is token-level; unbalanced parens end at the stream.
 pub fn named_calls(file: &ParsedFile, name: &str) -> Vec<NamedCall> {
     let toks = &file.toks;
     let mut out = Vec::new();
@@ -317,11 +319,40 @@ pub fn named_calls(file: &ParsedFile, name: &str) -> Vec<NamedCall> {
             k += 1;
         }
         let args = (j + 2)..close;
-        let closure = toks[args.clone().start..args.end]
-            .iter()
-            .position(|t| t.is_punct('|'))
-            .map(|off| (args.start + off)..close);
-        out.push(NamedCall { name_tok: j, args, closure });
+        let arg_list = split_args(toks, args.clone());
+        out.push(NamedCall { name_tok: j, args, arg_list });
+    }
+    out
+}
+
+/// Splits an argument list at the commas outside any bracket and outside
+/// a leading closure parameter list; a trailing comma adds no argument.
+fn split_args(toks: &[Tok], args: Range<usize>) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    let mut start = args.start;
+    let mut depth = 0i32;
+    let mut j = args.start;
+    while j < args.end {
+        let t = &toks[j];
+        let at_arg_head = j == start || (j == start + 1 && toks[start].is_ident("move"));
+        if at_arg_head && t.is_punct('|') {
+            // Skip to the closing `|` of the closure's parameters.
+            j += 1;
+            while j < args.end && !toks[j].is_punct('|') {
+                j += 1;
+            }
+        } else if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth -= 1;
+        } else if t.is_punct(',') && depth == 0 {
+            out.push(start..j);
+            start = j + 1;
+        }
+        j += 1;
+    }
+    if start < args.end {
+        out.push(start..args.end);
     }
     out
 }
@@ -416,12 +447,30 @@ mod tests {
         assert_eq!(calls.len(), 1);
         let c = &calls[0];
         assert!(f.toks[c.name_tok].is_ident("parallel_map"));
-        let closure = c.closure.clone().expect("call has a closure argument");
+        assert_eq!(c.arg_list.len(), 3);
+        let closure = c.arg_list[2].clone();
         assert!(f.toks[closure.start].is_punct('|'));
         // The closure region covers `work` but not `total`.
         let work = f.toks.iter().position(|t| t.is_ident("work")).expect("work in stream");
         let total = f.toks.iter().position(|t| t.is_ident("total")).expect("total in stream");
         assert!(closure.contains(&work));
         assert!(!closure.contains(&total));
+    }
+
+    #[test]
+    fn arguments_split_at_top_level_commas_only() {
+        let f = file(
+            "crates/x/src/lib.rs",
+            "x",
+            "fn m() { parallel_fold(v, 2, (0, [1, 2]), move |(a, b)| a + b, |acc, r| {\n\
+             acc.push((r, 1)) },); }\n",
+        );
+        let calls = named_calls(&f, "parallel_fold");
+        let args: Vec<String> = calls[0]
+            .arg_list
+            .iter()
+            .map(|r| f.toks[r.clone()].iter().map(|t| t.text.as_str()).collect())
+            .collect();
+        assert_eq!(args, ["v", "2", "(0,[1,2])", "move|(a,b)|a+b", "|acc,r|{acc.push((r,1))}"]);
     }
 }

@@ -40,10 +40,10 @@ pub const CANON_MANIFEST: &str = "canon-manifest";
 /// Rule id: malformed, unknown-rule or no-op `simlint: allow` directives.
 pub const ALLOW_HYGIENE: &str = "allow-hygiene";
 /// Rule id: RNG streams must originate from named seed-derivation functions
-/// and must not be shared across `parallel_map` shards.
+/// and must not be shared across `parallel_map` / `parallel_fold` shards.
 pub const RNG_DISCIPLINE: &str = "rng-discipline";
-/// Rule id: float accumulation on a `parallel_map` merge path must go
-/// through the canonical reducer in `sim_stats::reduce`.
+/// Rule id: float accumulation on a `parallel_map` / `parallel_fold` merge
+/// path must go through the canonical reducer in `sim_stats::reduce`.
 pub const REDUCTION_ORDER: &str = "reduction-order";
 /// Rule id: no `static mut` and no non-test statics with interior
 /// mutability in simulation code.
@@ -112,16 +112,17 @@ pub const RULES: &[RuleInfo] = &[
         id: RNG_DISCIPLINE,
         summary: "every RNG construction must trace to a named seed-derivation function \
                   (server_seed, pair_seed, Scenario::seed), and an RNG bound outside a \
-                  parallel_map closure must not be captured by it — shared streams make draw \
-                  order depend on worker scheduling",
+                  parallel_map closure or a parallel_fold map closure must not be captured by \
+                  it — shared streams make draw order depend on worker scheduling",
         scope: "library and binary sources of all first-party crates, non-test code",
     },
     RuleInfo {
         id: REDUCTION_ORDER,
-        summary: "float accumulation (+=, additive .fold, float .sum) inside parallel_map merge \
-                  functions — or anything they reach through unambiguous calls — must go \
-                  through sim_stats::reduce::det_sum/det_merge so the reduction tree is a pure \
-                  function of the data, never of thread timing",
+        summary: "float accumulation (+=, additive .fold, float .sum) inside parallel_map and \
+                  parallel_fold merge functions (a parallel_fold fold closure included) — or \
+                  anything they reach through unambiguous calls — must go through \
+                  sim_stats::reduce::det_sum/det_merge so the reduction tree is a pure function \
+                  of the data, never of thread timing",
         scope: "library and binary sources; module-scoped exemption: stats::reduce (it defines \
                 the canonical reducer)",
     },

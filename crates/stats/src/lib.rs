@@ -15,8 +15,9 @@
 //!   [`det_merge`]) every float accumulation on a parallel merge path must
 //!   go through (enforced by the `reduction-order` simlint rule).
 //! * [`tail`] — bounded-memory tail-latency accumulation
-//!   ([`LatencyHistogram`]): fixed-resolution bins whose merge is bit-exact
-//!   integer addition, for fleet-scale runs that cannot retain raw samples.
+//!   ([`LatencyHistogram`]): fixed-resolution bins, stored only over the
+//!   ones recorded, whose merge is bit-exact integer addition, for
+//!   fleet-scale runs that cannot retain raw samples.
 //!
 //! # Example
 //!

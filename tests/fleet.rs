@@ -219,7 +219,9 @@ fn sharded_runs_are_bit_identical_across_worker_counts() {
     // shards, never what they compute or how the results merge.
     // Power-of-two with binned tails, and least-loaded with exact tails: the
     // latter covers the worker-major least-loaded sweep and the concatenating
-    // exact-tail merge.
+    // exact-tail merge. Two days, so every shard folds in 192 intervals, and
+    // 3 workers, which do not divide the 8 racks, so shards can finish out
+    // of index order and wait for the fold.
     let scale = FleetScale { servers: 64, requests_per_server: 50, seed: 7 };
     for (balancer, tails) in [
         (LoadBalancer::PowerOfTwoChoices, TailAccumulation::binned_default()),
@@ -230,20 +232,21 @@ fn sharded_runs_are_bit_identical_across_worker_counts() {
             scale,
             FleetTopology::racked(8, balancer),
             tails,
-            1,
+            2,
         );
         let one = fleet.run_with_workers(1);
-        let two = fleet.run_with_workers(2);
-        let eight = fleet.run_with_workers(8);
-        assert_eq!(one, two, "1 and 2 workers must produce the identical report");
-        assert_eq!(one, eight, "1 and 8 workers must produce the identical report");
-        assert_eq!(one.p99_ms.to_bits(), eight.p99_ms.to_bits());
-        assert_eq!(
-            one.average_batch_throughput.to_bits(),
-            eight.average_batch_throughput.to_bits()
-        );
-        for (a, b) in one.servers.iter().zip(&eight.servers) {
-            assert_eq!(a.p99_ms.to_bits(), b.p99_ms.to_bits());
+        assert_eq!(one.intervals.len(), 192);
+        for workers in [2, 3, 8] {
+            let other = fleet.run_with_workers(workers);
+            assert_eq!(one, other, "1 and {workers} workers must produce the identical report");
+            assert_eq!(one.p99_ms.to_bits(), other.p99_ms.to_bits());
+            assert_eq!(
+                one.average_batch_throughput.to_bits(),
+                other.average_batch_throughput.to_bits()
+            );
+            for (a, b) in one.servers.iter().zip(&other.servers) {
+                assert_eq!(a.p99_ms.to_bits(), b.p99_ms.to_bits());
+            }
         }
     }
 }

@@ -8,7 +8,7 @@ use stretch_repro::model::{
 };
 use stretch_repro::qos::ServerQueues;
 use stretch_repro::stats::percentile::{percentile, percentile_of_sorted, percentiles_in};
-use stretch_repro::stats::{DistributionSummary, Histogram};
+use stretch_repro::stats::{DistributionSummary, Histogram, LatencyHistogram};
 use stretch_repro::stretch::{RobSkew, StretchMode};
 use stretch_repro::workloads::WorkloadProfile;
 
@@ -176,6 +176,89 @@ proptest! {
         // Cumulative fractions are non-increasing in N.
         for n in 0..10 {
             prop_assert!(h.fraction_at_least(n) + 1e-12 >= h.fraction_at_least(n + 1));
+        }
+    }
+
+    /// `LatencyHistogram` stores counts only over the hull of the bins it
+    /// has recorded. The reference is dense: a `Histogram` over every bin,
+    /// fed the same bin indices and read by the same nearest-rank
+    /// upper-edge rule. Counts and percentiles must agree bit for bit after
+    /// recording, after merging in either order and after merging into an
+    /// empty histogram; and since the window is exactly the hull, equal
+    /// histograms are equal multisets.
+    #[test]
+    fn windowed_latency_histogram_matches_a_dense_reference(
+        resolution in 0usize..4,
+        span in 0.0f64..300.0,
+        values in prop::collection::vec((0usize..12, 0.0f64..1.0, any::<bool>()), 0..200),
+    ) {
+        let resolution_ms = [0.25, 0.5, 1.0, 2.0][resolution];
+        let max_ms = resolution_ms * (1.0 + span);
+        let value = |pick: usize, u: f64| match pick {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => -u * 50.0,
+            3 => max_ms * (1.0 + u),
+            _ => u * max_ms,
+        };
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        for &(pick, u, to_left) in &values {
+            if to_left { &mut left } else { &mut right }.push(value(pick, u));
+        }
+        let regular_bins = (max_ms / resolution_ms).ceil() as usize;
+        let dense = |vs: &[f64]| {
+            let mut h = Histogram::new(regular_bins);
+            for &v in vs {
+                h.record((v.max(0.0) / resolution_ms) as usize);
+            }
+            h
+        };
+        let dense_percentile = |h: &Histogram, p: f64| {
+            let total = h.total();
+            if total == 0 {
+                return None;
+            }
+            let rank = (((p / 100.0) * total as f64).ceil() as u64).clamp(1, total);
+            let mut seen = 0;
+            let bin = (0..h.bins()).find(|&b| {
+                seen += h.count(b);
+                seen >= rank
+            })?;
+            Some(((bin as f64 + 1.0) * resolution_ms).to_bits())
+        };
+        let windowed = |vs: &[f64]| {
+            let mut h = LatencyHistogram::new(resolution_ms, max_ms);
+            for &v in vs {
+                h.record(v);
+            }
+            h
+        };
+        let (a, b) = (windowed(&left), windowed(&right));
+        let mut a_b = a.clone();
+        a_b.merge(&b);
+        let mut b_a = b.clone();
+        b_a.merge(&a);
+        let mut into_empty = LatencyHistogram::new(resolution_ms, max_ms);
+        into_empty.merge(&a);
+        into_empty.merge(&b);
+        let all: Vec<f64> = left.iter().chain(&right).copied().collect();
+        prop_assert_eq!(&a_b, &b_a);
+        prop_assert_eq!(&a_b, &into_empty);
+        prop_assert_eq!(&a_b, &windowed(&all));
+        for (h, reference) in
+            [(&a, dense(&left)), (&b, dense(&right)), (&a_b, dense(&all)), (&b_a, dense(&all))]
+        {
+            prop_assert_eq!(h.len() as u64, reference.total());
+            prop_assert_eq!(h.is_empty(), reference.total() == 0);
+            for p in [0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
+                prop_assert_eq!(
+                    h.percentile(p).map(f64::to_bits),
+                    dense_percentile(&reference, p),
+                    "p{} of {:?}",
+                    p,
+                    all
+                );
+            }
         }
     }
 
