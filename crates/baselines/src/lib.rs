@@ -20,11 +20,6 @@
 //!   contention in all dynamically shared structures is assumed away by
 //!   giving each thread private L1s and branch predictor (Figure 13), with
 //!   an optional Stretch skew layered on top for the combined bar;
-//! * [`Elfen`] — Elfen-style fine-grain borrowing: the latency-sensitive
-//!   thread time-shares the core with a non-contentious partner at
-//!   sub-millisecond granularity (the Section II slack-measurement
-//!   mechanism), with a duty cycle the closed-loop hook adapts to QoS
-//!   headroom;
 //! * [`HybridThrottleSkew`] — *not* a paper configuration: fetch throttling
 //!   layered on a Stretch ROB skew, added as the demonstration that a new
 //!   policy is a one-file change.
@@ -33,13 +28,11 @@
 #![warn(missing_docs)]
 
 pub mod dynamic_sharing;
-pub mod elfen;
 pub mod fetch_throttling;
 pub mod hybrid;
 pub mod ideal_scheduling;
 
 pub use dynamic_sharing::DynamicSharing;
-pub use elfen::{duty_cycle_grid, DutyCycle, Elfen, ElfenSchedule};
 pub use fetch_throttling::{FetchThrottling, FETCH_THROTTLING_RATIOS};
 pub use hybrid::HybridThrottleSkew;
 pub use ideal_scheduling::IdealScheduling;

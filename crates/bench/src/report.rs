@@ -64,22 +64,6 @@ impl TableWriter {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: append a row of displayable values.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -161,13 +145,11 @@ mod tests {
     fn table_renders_header_and_rows() {
         let mut t = TableWriter::new("Example", &["name", "value"]);
         t.row(&["foo".to_string(), "1.0".to_string()]);
-        t.row_display(&["bar", "2"]);
+        t.row(&["bar".to_string(), "2".to_string()]);
         let text = t.render();
         assert!(text.contains("== Example =="));
         assert!(text.contains("foo"));
         assert!(text.contains("bar"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -180,7 +162,7 @@ mod tests {
     #[test]
     fn json_rendering_round_trips_title_and_cells() {
         let mut t = TableWriter::new("Figure 0", &["name", "value"]);
-        t.row_display(&["web-search", "1.25"]);
+        t.row(&["web-search".to_string(), "1.25".to_string()]);
         let text = json::render(&t);
         assert!(text.contains("\"title\": \"Figure 0\""));
         assert!(text.contains("\"web-search\""));

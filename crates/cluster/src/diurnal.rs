@@ -104,15 +104,6 @@ impl DiurnalPattern {
             })
             .collect()
     }
-
-    /// Hours of the day (out of 24) during which the load is strictly below
-    /// `threshold`, estimated on a 5-minute grid.
-    pub fn hours_below(&self, threshold: f64) -> f64 {
-        let grid = 12 * 24; // 5-minute resolution
-        let below =
-            (0..grid).filter(|i| self.load_at(*i as f64 * 24.0 / grid as f64) < threshold).count();
-        below as f64 * 24.0 / grid as f64
-    }
 }
 
 impl CanonicalKey for DiurnalPattern {
@@ -148,18 +139,6 @@ mod tests {
     fn peaks_reach_full_load() {
         assert!(DiurnalPattern::WebSearch.load_at(14.0) > 0.98);
         assert!(DiurnalPattern::YouTube.load_at(15.0) > 0.98);
-    }
-
-    #[test]
-    fn web_search_spends_about_11_hours_below_85_percent() {
-        let hours = DiurnalPattern::WebSearch.hours_below(0.85);
-        assert!((hours - 11.0).abs() < 1.5, "Web Search hours below 85%: {hours:.1}");
-    }
-
-    #[test]
-    fn youtube_spends_about_17_hours_below_85_percent() {
-        let hours = DiurnalPattern::YouTube.hours_below(0.85);
-        assert!((hours - 17.0).abs() < 1.5, "YouTube hours below 85%: {hours:.1}");
     }
 
     #[test]

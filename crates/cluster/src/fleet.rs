@@ -4,21 +4,20 @@
 //! [`crate::CaseStudy`] reproduces the paper's cluster numbers analytically:
 //! a diurnal curve, a load threshold and a hand-fed B-mode speedup. This
 //! module *measures* them instead. A [`Fleet`] is N servers — each an SMT
-//! core pair whose mode is picked by its own
-//! [`stretch::ClosedLoopStretch`] controller — fed by one diurnal-modulated
-//! open-loop arrival stream that a pluggable [`LoadBalancer`] spreads across
-//! the machines. The servers' queues are one [`sim_qos::ServerQueues`] per
-//! shard, the type [`sim_qos::ServerSim`] runs a one-server instance of
-//! (FCFS over the service's worker threads, log-normal service times whose
-//! CPU-bound part stretches with the engaged mode's delivered performance),
-//! and queues persist across control intervals on a continuous clock, so
-//! tails near saturation reflect real backlog build-up rather than a freshly
-//! reset queue. Each control
+//! core pair whose mode is picked by its own [`stretch::SoftwareMonitor`] —
+//! fed by one diurnal-modulated open-loop arrival stream that a pluggable
+//! [`LoadBalancer`] spreads across the machines. The servers' queues are
+//! one [`sim_qos::ServerQueues`] per shard, the type [`sim_qos::ServerSim`]
+//! runs a one-server instance of (FCFS over the service's worker threads,
+//! log-normal service times whose CPU-bound part stretches with the
+//! engaged mode's delivered performance), and queues persist across control
+//! intervals on a continuous clock, so tails near saturation reflect real
+//! backlog build-up rather than a freshly reset queue. Each control
 //! interval every server computes its own tail latency from its own
-//! requests and feeds it to its monitor through the
-//! [`cpu_sim::ColocationPolicy`] closed-loop hook, so B-mode engagement is
-//! a *measured* decision with hysteresis, not a load threshold applied by
-//! fiat.
+//! requests and hands it to its monitor
+//! ([`stretch::SoftwareMonitor::observe_tail_latency`]), so B-mode
+//! engagement is a *measured* decision with hysteresis, not a load
+//! threshold applied by fiat.
 //!
 //! The engagement thresholds are calibrated against the fleet itself
 //! ([`calibrated_monitor_with_peak`]): short pinned-mode runs at the paper's
@@ -84,13 +83,12 @@
 
 use crate::diurnal::DiurnalPattern;
 use crate::topology::{FleetTopology, TailAccumulation};
-use cpu_sim::{ColocationPolicy, QosObservation};
 use serde::{Deserialize, Serialize};
 use sim_model::{parallel_fold, CanonicalKey, KeyEncoder, SimRng};
 use sim_qos::{bisect_peak_rps, ArrivalGenerator, ArrivalProcess, ServerQueues, ServiceSpec};
 use sim_stats::percentile::percentiles_in;
 use sim_stats::{det_merge, det_sum, percentile, LatencyHistogram, Percentiles};
-use stretch::{ClosedLoopStretch, MonitorConfig, PerformanceTable, QosPolicy, StretchConfig};
+use stretch::{MonitorConfig, PerformanceTable, QosPolicy, SoftwareMonitor, StretchConfig};
 
 /// How the fleet's front end spreads arriving requests over the servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -328,24 +326,26 @@ pub fn rack_seed(fleet_seed: u64, rack: usize) -> u64 {
     }
 }
 
-/// The per-server peak sustainable rate (requests/second), measured *on the
-/// fleet itself* at its real operating point — every core colocated, the
-/// baseline mode's delivered performance: the highest per-server rate at
-/// which the fleet, through its own load balancer and with its own
-/// measurement budget, still meets the tail target on the median
-/// server-interval. Determined by bisection over pinned-mode mini-runs,
-/// mirroring how [`sim_qos::ServerSim::find_peak_load_rps`] establishes a lone
-/// server's peak. The result does not depend on `cfg.monitor` (the runs are
-/// pinned-mode), so one measurement serves both threshold calibration and
-/// the day's run — [`Fleet::with_peak`] accepts it precomputed.
+/// The per-server peak rate (requests/second), measured *on the fleet
+/// itself* at its real operating point — every core colocated, the
+/// baseline mode's delivered performance. [`bisect_peak_rps`] searches
+/// between 5% and 100% of that performance's no-queueing capacity. A probe
+/// runs 6 pinned-mode intervals on fresh queues, through the fleet's own
+/// load balancer and measurement budget, and passes when the median
+/// server-interval tail over the last 4 of them is at or under the target.
+/// This mirrors how [`sim_qos::ServerSim::find_peak_load_rps`] establishes
+/// a lone server's peak. The result does not depend on `cfg.monitor` (the
+/// runs are pinned-mode), so one measurement serves both threshold
+/// calibration and the day's run — [`Fleet::with_peak`] accepts it
+/// precomputed.
 ///
-/// Calibrating on the fleet matters twice over: a queue-aware balancer
-/// pools the servers' capacity (so the fleet peak can sit well above
-/// `servers ×` the single-server peak), and calibrating at the *colocated*
-/// operating point keeps "load 1.0" QoS-sustainable in baseline mode — a
-/// peak taken at full dedicated-core performance would make the colocated
-/// fleet supercritical at its own rated peak, piling up hours of backlog
-/// that poisons the tail signal long after the peak passes.
+/// Most shapes pass every probe, so their peak is the top of the bracket,
+/// `capacity × (1 − 0.95 · 2⁻¹²)`; some seeds reject a rate inside it
+/// (YouTube under least-loaded dispatch at `FleetScale::quick(10)` peaks at
+/// 0.951 of capacity). Calibrating on the fleet matters twice over: a
+/// queue-aware balancer pools the servers' capacity (so the fleet peak can
+/// sit well above `servers ×` the single-server peak), and the capacity is
+/// that of the colocated baseline mode, not of a dedicated core.
 ///
 /// Under a [`FleetTopology::Racked`] topology the measurement runs on *one
 /// rack* (the fleet's actual dispatch unit — the cluster tier only ever
@@ -675,7 +675,7 @@ pub struct FleetIntervalReport {
 /// Small-sample contract: tail fields summarise *measured* requests only.
 /// A server can sit idle for whole intervals (`starved_intervals` counts
 /// them); those intervals produce no tail sample, no QoS violation and no
-/// monitor observation — the controller simply holds its previous mode.
+/// monitor observation — the monitor simply holds its previous mode.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServerSummary {
     /// Intervals this server spent in B-mode.
@@ -739,7 +739,7 @@ pub struct Fleet {
 
 impl Fleet {
     /// Builds a fleet, validating the configuration and measuring the
-    /// per-server peak sustainable rate (as [`measured_peak_rps`]).
+    /// per-server peak rate (as [`measured_peak_rps`]).
     ///
     /// # Panics
     ///
@@ -768,9 +768,9 @@ impl Fleet {
         &self.cfg
     }
 
-    /// Per-server peak sustainable arrival rate (requests/second), measured
-    /// at the colocated baseline operating point; the fleet peak is
-    /// `servers` times this.
+    /// Per-server peak arrival rate (requests/second), measured at the
+    /// colocated baseline operating point ([`measured_peak_rps`]); the
+    /// fleet peak is `servers` times this.
     pub fn peak_rps(&self) -> f64 {
         self.peak_rps
     }
@@ -870,8 +870,8 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
     let metric_percentile = spec.tail_metric.percentile();
 
     let mut state = DispatchState::for_servers(cfg, plan.seed, n);
-    let mut controllers: Vec<ClosedLoopStretch> =
-        (0..n).map(|_| ClosedLoopStretch::new(cfg.stretch, cfg.monitor)).collect();
+    let mut monitors: Vec<SoftwareMonitor> =
+        (0..n).map(|_| SoftwareMonitor::new(cfg.stretch, cfg.monitor)).collect();
 
     let mut day_tails: Vec<TailAcc> = (0..n).map(|_| TailAcc::new(&cfg.tails)).collect();
     let mut engaged_counts = vec![0usize; n];
@@ -889,7 +889,7 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
         // the *previous* interval's measurement (control acts on
         // history, as on real hardware).
         modes.clear();
-        modes.extend(controllers.iter().map(|c| c.mode()));
+        modes.extend(monitors.iter().map(SoftwareMonitor::mode));
         slowdowns.clear();
         slowdowns.extend(
             modes
@@ -908,13 +908,13 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
             run_interval(cfg, &mut state, plan.balancer, rate, &slowdowns, t as u64);
 
         // Every server observes its own tail from its own requests and
-        // feeds its monitor through the policy trait — *if* it measured
-        // any. A server-interval with zero requests is unmeasured: no
-        // tail, no violation, no observation (the controller holds its
-        // mode), rather than a fabricated perfect 0 ms tail.
+        // feeds its monitor — *if* it measured any. A server-interval with
+        // zero requests is unmeasured: no tail, no violation, no
+        // observation (the monitor holds its mode), rather than a
+        // fabricated perfect 0 ms tail.
         let mut violations = 0usize;
         let mut measured_servers = 0usize;
-        for (s, controller) in controllers.iter_mut().enumerate() {
+        for (s, monitor) in monitors.iter_mut().enumerate() {
             for &v in state.samples[s].samples() {
                 day_tails[s].record(v);
             }
@@ -924,11 +924,7 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
                     if tail > spec.qos_target_ms {
                         violations += 1;
                     }
-                    let _ = controller.on_sample(&QosObservation::tail_latency(
-                        tail,
-                        spec.qos_target_ms,
-                        load,
-                    ));
+                    let _ = monitor.observe_tail_latency(tail, spec.qos_target_ms);
                 }
                 None => starved_counts[s] += 1,
             }
@@ -949,8 +945,8 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
             starved_intervals: starved_counts[s],
             p99_ms: day_tails[s].percentiles(&mut state.scratch, [99.0])[0],
             requests: day_tails[s].len(),
-            mode_changes: controllers[s].mode_changes(),
-            throttle_events: controllers[s].throttle_events(),
+            mode_changes: monitors[s].mode_changes(),
+            throttle_events: monitors[s].throttle_events(),
         })
         .collect();
     ShardDay { intervals, servers }
@@ -1097,7 +1093,7 @@ mod tests {
         let report = Fleet::new(quick_fleet(LoadBalancer::LeastLoaded)).run();
         // Night intervals (deep trough) must be almost fully engaged, the
         // daily peak (almost) fully disengaged. Skip the first two intervals:
-        // the controllers start in Baseline and need the hysteresis streak.
+        // the monitors start in Baseline and need the hysteresis streak.
         let trough: Vec<f64> = report
             .intervals
             .iter()
@@ -1198,6 +1194,28 @@ mod tests {
     }
 
     #[test]
+    fn peak_search_can_reject_a_rate_inside_the_bracket() {
+        // A probe judges 4 intervals on fresh queues, so near capacity its
+        // verdict depends on the seed: seed 10 rejects a rate below the
+        // bracket top, seed 42 accepts every probe and peaks at the top.
+        let bracket_top = |fleet: &Fleet| {
+            let cfg = fleet.cfg();
+            let perf = cfg.table.baseline.ls_performance.clamp(0.05, 1.0);
+            bisect_peak_rps(&cfg.service, perf, |_| true).expect("every probe passes")
+        };
+        let study = CaseStudy::youtube();
+        let rejected = study.fleet(LoadBalancer::LeastLoaded, FleetScale::quick(10));
+        let top = bracket_top(&rejected);
+        assert!(
+            rejected.peak_rps() < top,
+            "seed 10 should peak below the bracket top ({} vs {top})",
+            rejected.peak_rps()
+        );
+        let accepted = study.fleet(LoadBalancer::LeastLoaded, FleetScale::quick(42));
+        assert_eq!(accepted.peak_rps().to_bits(), bracket_top(&accepted).to_bits());
+    }
+
+    #[test]
     fn non_divisor_control_interval_rejected() {
         let mut cfg = quick_fleet(LoadBalancer::RoundRobin);
         cfg.interval_hours = 0.9; // 26.67 intervals would overrun the day
@@ -1217,14 +1235,10 @@ mod tests {
     #[test]
     fn calibrated_thresholds_are_ordered_and_in_range() {
         let cfg = quick_fleet(LoadBalancer::RoundRobin);
-        match cfg.monitor.policy {
-            QosPolicy::TailLatency { engage_below, disengage_above } => {
-                assert!(engage_below > 0.0);
-                assert!(engage_below < disengage_above);
-                assert!(disengage_above <= 1.45);
-            }
-            other => panic!("calibration must produce a tail-latency policy, got {other:?}"),
-        }
+        let QosPolicy::TailLatency { engage_below, disengage_above } = cfg.monitor.policy;
+        assert!(engage_below > 0.0);
+        assert!(engage_below < disengage_above);
+        assert!(disengage_above <= 1.45);
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!   engagement threshold × B-mode batch speedup
 //!   ([`CaseStudy`], the analytical cross-check).
 //! * [`fleet`] — a *measured* datacenter run: [`Fleet`] simulates N servers
-//!   behind a pluggable [`LoadBalancer`], each running a
-//!   [`stretch::ClosedLoopStretch`] mode controller fed by the tail latency
-//!   of its own requests, under a diurnal-modulated open-loop arrival
-//!   stream. Engagement is decided by measurement and hysteresis, the fleet
+//!   behind a pluggable [`LoadBalancer`], each running its own
+//!   [`stretch::SoftwareMonitor`] fed by the tail latency of its own
+//!   requests, under a diurnal-modulated open-loop arrival stream.
+//!   Engagement is decided by measurement and hysteresis, the fleet
 //!   reports measured tail percentiles, and the resulting 24-hour batch
 //!   gain lands within two percentage points of the accounting
 //!   (`tests/fleet.rs` pins this).

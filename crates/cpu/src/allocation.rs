@@ -548,14 +548,6 @@ impl ServerRunResult {
             .filter_map(|t| self.thread_uipc(t))
             .sum()
     }
-
-    /// The worst (lowest) UIPC among latency-sensitive threads, if any ran.
-    pub fn min_ls_uipc(&self) -> Option<f64> {
-        (0..self.threads.len())
-            .filter(|&t| self.threads[t].class.is_latency_sensitive())
-            .filter_map(|t| self.thread_uipc(t))
-            .min_by(|a, b| a.total_cmp(b))
-    }
 }
 
 #[cfg(test)]
@@ -722,7 +714,6 @@ mod tests {
             );
         }
         assert!(result.batch_throughput() > 0.0);
-        assert!(result.min_ls_uipc().expect("one LS thread") > 0.1);
         // Greedy isolation: the LS thread runs alone on core 0.
         assert_eq!(result.placement.cores()[0], vec![0]);
     }

@@ -63,17 +63,6 @@ pub struct BranchStats {
     pub mispredictions: u64,
 }
 
-impl BranchStats {
-    /// Misprediction rate in `[0, 1]`.
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.predictions as f64
-        }
-    }
-}
-
 /// The hybrid branch predictor plus BTB and RAS.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BranchPredictor {
@@ -354,7 +343,6 @@ mod tests {
         run_always_taken(&mut p, ThreadId::T0, 0x1000, 0x2000, 10);
         let s = p.stats(ThreadId::T0);
         assert_eq!(s.predictions, 10);
-        assert!(s.mispredict_rate() <= 0.5);
         p.reset_stats();
         assert_eq!(p.stats(ThreadId::T0).predictions, 0);
     }

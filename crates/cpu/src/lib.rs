@@ -17,10 +17,10 @@
 //!   that Stretch's modes program, as per-thread share vectors.
 //! * [`fetch::FetchPolicy`] — ICOUNT, round-robin and 1:M fetch throttling.
 //! * [`policy`] — the [`ColocationPolicy`] trait every resource-allocation
-//!   scheme (Stretch and all baselines) implements, parameterised by a
-//!   [`ColocationTopology`] (SMT width + which thread is the
-//!   latency-sensitive one), plus the static [`EqualPartition`] /
-//!   [`PrivateCore`] policies.
+//!   scheme (Stretch and every baseline) implements: the core setup it
+//!   wants for a [`ColocationTopology`] (SMT width + which thread is the
+//!   latency-sensitive one) and its result-store identity, plus the static
+//!   [`EqualPartition`] / [`PrivateCore`] policies.
 //! * [`allocation`] — the [`AllocationPolicy`] layer *above* colocation:
 //!   which threads land on which core of an M-core server, with
 //!   [`Greedy`] / [`RoundRobin`] / [`SymbiosisAware`] reference allocators
@@ -76,9 +76,7 @@ pub use allocation::{
 pub use branch::{BranchPredictor, BranchStats, Prediction};
 pub use fetch::{FetchPolicy, FetchScheduler};
 pub use partition::PartitionPolicy;
-pub use policy::{
-    ColocationPolicy, ColocationTopology, EqualPartition, PolicyAction, PrivateCore, QosObservation,
-};
+pub use policy::{ColocationPolicy, ColocationTopology, EqualPartition, PrivateCore};
 pub use resource_study::StudiedResource;
 pub use runner::{run_core, ColocationResult, CoreSetup, SimLength, ThreadRunResult};
 pub use scenario::{colocation_seed, pair_seed, Scenario};

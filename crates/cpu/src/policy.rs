@@ -2,24 +2,19 @@
 //! SMT core between a latency-sensitive and a batch thread.
 //!
 //! The paper's argument is that Stretch, dynamic ROB sharing, fetch
-//! throttling, Elfen-style duty cycling and idealised software scheduling are
-//! *interchangeable policies* over the same core. This module makes that
-//! literal: a policy
+//! throttling and idealised software scheduling are *interchangeable
+//! policies* over the same core. This module makes that literal: a policy
 //!
-//! * configures the core ([`ColocationPolicy::setup`] → [`CoreSetup`]),
-//! * reacts to per-interval QoS telemetry
-//!   ([`ColocationPolicy::on_sample`] over a [`QosObservation`], returning a
-//!   [`PolicyAction`] — the generalisation of Stretch's software-monitor
-//!   loop), and
+//! * configures the core ([`ColocationPolicy::setup`] → [`CoreSetup`]), and
 //! * identifies itself for the experiment result store
 //!   ([`sim_model::CanonicalKey`], a supertrait), so two different policies
 //!   can never alias onto one cached cell even when their core setups happen
 //!   to coincide.
 //!
 //! The [`crate::Scenario`] builder runs a policy open loop (one setup for the
-//! whole run); the `cluster_sim` crate's fleet simulation drives the closed
-//! loop, feeding each server's policy the tail latency of its own requests
-//! and charging the interval to the mode the policy engaged.
+//! whole run). The closed loop that picks a Stretch mode from measured tail
+//! latency lives in the `stretch` crate's software monitor, which the
+//! `cluster_sim` crate's fleet simulation drives directly.
 //!
 //! Static policies that need nothing beyond a fixed [`CoreSetup`] live here
 //! ([`EqualPartition`], [`PrivateCore`], and the Figure 4/5 resource-study
@@ -30,48 +25,6 @@
 use crate::runner::CoreSetup;
 use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
-
-/// One interval's QoS telemetry, fed to a policy's closed-loop hook.
-///
-/// The fields mirror what the paper's software monitor can observe: tail
-/// latency against the service's target (the primary CPI²-style signal), the
-/// instantaneous queue depth (the Rubik-style alternative) and the measured
-/// load as a fraction of peak.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QosObservation {
-    /// Observed tail latency over the interval, in milliseconds.
-    pub tail_latency_ms: f64,
-    /// The service's QoS target, in milliseconds.
-    pub qos_target_ms: f64,
-    /// Instantaneous queue length, when the deployment exposes it.
-    pub queue_length: Option<usize>,
-    /// Offered load as a fraction of peak sustainable load.
-    pub load: f64,
-}
-
-impl QosObservation {
-    /// An observation carrying only the tail-latency signal.
-    pub fn tail_latency(tail_latency_ms: f64, qos_target_ms: f64, load: f64) -> QosObservation {
-        QosObservation { tail_latency_ms, qos_target_ms, queue_length: None, load }
-    }
-}
-
-/// What a policy wants done after an observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyAction {
-    /// Keep the current core configuration.
-    Keep,
-    /// The policy's operating point has changed: re-query
-    /// [`ColocationPolicy::setup`] and reprogram the core (a mode change,
-    /// costing a pipeline flush on real hardware). Policies whose knob lives
-    /// above the core — e.g. Elfen's scheduler duty cycle — also answer
-    /// `Reconfigure`; their setup is unchanged but the scheduler-level
-    /// parameters must be reapplied.
-    Reconfigure,
-    /// QoS violations persist at the policy's most protective configuration:
-    /// throttle the batch co-runner, as the baseline CPI² framework would.
-    ThrottleCoRunner,
-}
 
 /// The thread layout of one colocated core: how many hardware threads it has
 /// and which of them runs the latency-sensitive service. The remaining
@@ -115,12 +68,6 @@ impl ColocationTopology {
     pub fn ls_thread(&self) -> ThreadId {
         self.ls_thread
     }
-
-    /// The batch threads, in index order.
-    pub fn batch_threads(&self) -> impl Iterator<Item = ThreadId> + '_ {
-        let ls = self.ls_thread;
-        ThreadId::first_n(self.threads).filter(move |t| *t != ls)
-    }
 }
 
 impl CanonicalKey for ColocationTopology {
@@ -152,22 +99,6 @@ pub trait ColocationPolicy: CanonicalKey + Send + Sync {
     /// [`ColocationTopology::pair`].
     fn setup(&self, cfg: &CoreConfig) -> CoreSetup {
         self.setup_for(cfg, &ColocationTopology::pair())
-    }
-
-    /// Closed-loop hook: digest one interval of QoS telemetry and say what to
-    /// do. Open-loop policies keep the default (do nothing).
-    fn on_sample(&mut self, obs: &QosObservation) -> PolicyAction {
-        let _ = obs;
-        PolicyAction::Keep
-    }
-
-    /// Whether this policy models two threads sharing the core. Policies
-    /// that operate *above* the core — Elfen's scheduler-level time-sharing
-    /// — return `false`, and [`crate::Scenario::run`] rejects colocated runs
-    /// under them instead of returning plausible-looking numbers that model
-    /// no real system.
-    fn supports_colocation(&self) -> bool {
-        true
     }
 
     /// Clones the policy behind a box (object-safe `Clone`).
@@ -309,13 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_policies_keep_on_samples() {
-        let mut p = EqualPartition;
-        let obs = QosObservation::tail_latency(20.0, 100.0, 0.3);
-        assert_eq!(p.on_sample(&obs), PolicyAction::Keep);
-    }
-
-    #[test]
     fn distinct_policies_have_distinct_canonical_keys() {
         let digest = |p: &dyn ColocationPolicy| {
             let mut enc = KeyEncoder::new();
@@ -353,14 +277,6 @@ mod tests {
         let t = ColocationTopology::pair();
         assert_eq!(t.threads(), 2);
         assert_eq!(t.ls_thread(), ThreadId::T0);
-        assert_eq!(t.batch_threads().collect::<Vec<_>>(), vec![ThreadId::T1]);
-    }
-
-    #[test]
-    fn smt4_topology_lists_three_batch_threads() {
-        let t = ColocationTopology::new(4, ThreadId::T1);
-        assert_eq!(t.batch_threads().count(), 3);
-        assert!(t.batch_threads().all(|b| b != ThreadId::T1));
     }
 
     #[test]

@@ -237,9 +237,7 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if no thread has a workload, or if both threads have one under
-    /// a policy whose [`ColocationPolicy::supports_colocation`] is `false`
-    /// (e.g. Elfen, whose time-sharing happens above the core model).
+    /// Panics if no thread has a workload.
     pub fn run(self) -> ColocationResult {
         let Scenario { cfg, policy, length, seed, threads } = self;
         let width = threads.len();
@@ -255,12 +253,6 @@ impl Scenario {
             [only] => (pair_seed(seed, only, STANDALONE_LABEL), false),
             many => (colocation_seed(seed, many), true),
         };
-        assert!(
-            !colocated || policy.supports_colocation(),
-            "policy '{}' does not model colocation on the core (its sharing happens above \
-             the cycle model); run it through Scenario::standalone instead",
-            policy.name()
-        );
         let topology = ColocationTopology::new(width, ThreadId::T0);
         let setup = policy.setup_for(&cfg, &topology);
         let mut builder = setup.apply(SmtCoreBuilder::new(cfg)).smt_width(width);

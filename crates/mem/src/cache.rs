@@ -35,18 +35,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Miss ratio in `[0, 1]`; 0 when no accesses were made.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 /// One bank-agnostic set-associative cache with true-LRU replacement.
 ///
 /// Tags are full block addresses; capacity and associativity come from a
@@ -426,14 +414,5 @@ mod tests {
         assert_eq!(c.stats().misses, 2);
         c.reset_stats();
         assert_eq!(c.stats().misses, 0);
-    }
-
-    #[test]
-    fn miss_ratio_bounds() {
-        let mut s = CacheStats::default();
-        assert_eq!(s.miss_ratio(), 0.0);
-        s.hits = 3;
-        s.misses = 1;
-        assert!((s.miss_ratio() - 0.25).abs() < 1e-12);
     }
 }

@@ -5,7 +5,6 @@
 //! caches, a hybrid branch predictor, a stride prefetcher, an 8 MB NUCA LLC
 //! and 75 ns memory.
 
-use crate::ThreadId;
 use serde::{Deserialize, Serialize};
 
 /// L1 cache geometry and behaviour.
@@ -197,16 +196,6 @@ impl Default for CoreConfig {
 }
 
 impl CoreConfig {
-    /// Default (equal) ROB partition size for one thread: half the capacity.
-    pub fn default_rob_partition(&self, _thread: ThreadId) -> usize {
-        self.rob_capacity / 2
-    }
-
-    /// Default (equal) LSQ partition size for one thread: half the capacity.
-    pub fn default_lsq_partition(&self, _thread: ThreadId) -> usize {
-        self.lsq_capacity / 2
-    }
-
     /// Scales the LSQ partition in proportion to a ROB partition, as the
     /// paper does ("we also manage the LSQ in proportion to the ROB", §IV).
     ///
@@ -271,13 +260,6 @@ mod tests {
         assert_eq!(c.uncore.llc_latency, 28);
         assert!((c.uncore.mem_latency_ns - 75.0).abs() < f64::EPSILON);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn equal_partitions_are_half() {
-        let c = CoreConfig::default();
-        assert_eq!(c.default_rob_partition(ThreadId::T0), 96);
-        assert_eq!(c.default_lsq_partition(ThreadId::T1), 32);
     }
 
     #[test]

@@ -23,11 +23,10 @@
 //! # Example
 //!
 //! ```
-//! use sim_model::{CoreConfig, ThreadId};
+//! use sim_model::CoreConfig;
 //!
 //! let cfg = CoreConfig::default();
 //! assert_eq!(cfg.rob_capacity, 192);
-//! assert_eq!(cfg.rob_capacity / 2, cfg.default_rob_partition(ThreadId::T0));
 //! ```
 
 #![forbid(unsafe_code)]

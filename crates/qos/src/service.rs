@@ -57,8 +57,8 @@ pub struct ServiceSpec {
     /// Fraction of the service time that is CPU-bound and therefore scales
     /// with the inverse of the delivered single-thread performance; the rest
     /// (I/O, network, lock waits) is unaffected by core slowdown. This is why
-    /// Elfen-style duty-cycling can take away most of the core without
-    /// inflating request latency proportionally.
+    /// the §II duty cycling can take away most of the core without inflating
+    /// request latency proportionally.
     pub cpu_fraction: f64,
     /// Number of worker threads processing requests in parallel on one server.
     pub workers: usize,

@@ -5,7 +5,7 @@
 //! reports the complementary quantity — the minimum fraction of full-core
 //! performance required — as a function of load. This module computes it by
 //! searching over the performance fraction at each load level, exactly as the
-//! paper does with its Elfen-style duty-cycle modulation.
+//! paper does with its §II duty-cycle modulation.
 
 use crate::arrival::ArrivalProcess;
 use crate::server::{ServerSim, SimParams};
@@ -48,7 +48,7 @@ impl SlackPoint {
     }
 
     /// Whether a policy that delivers `performance` (a fraction of full
-    /// single-thread performance, e.g. an Elfen duty cycle or a Stretch
+    /// single-thread performance, e.g. a §II duty cycle or a Stretch
     /// mode's measured `ls_performance`) still meets the QoS target at this
     /// load point. Infeasible points are met by no delivered performance.
     pub fn met_by(&self, performance: f64) -> bool {

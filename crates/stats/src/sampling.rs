@@ -39,11 +39,6 @@ impl SamplingPlan {
         SamplingPlan { samples: 1, warmup_instructions: 3_000, measured_instructions: 8_000 }
     }
 
-    /// Total instructions simulated per thread across all samples.
-    pub fn total_instructions(&self) -> u64 {
-        (self.warmup_instructions + self.measured_instructions) * self.samples as u64
-    }
-
     /// Validates the plan.
     ///
     /// # Errors
@@ -77,12 +72,6 @@ mod tests {
         assert_eq!(p.warmup_instructions, 100_000);
         assert_eq!(p.measured_instructions, 50_000);
         assert!(p.validate().is_ok());
-    }
-
-    #[test]
-    fn total_instruction_accounting() {
-        let p = SamplingPlan { samples: 2, warmup_instructions: 10, measured_instructions: 5 };
-        assert_eq!(p.total_instructions(), 30);
     }
 
     #[test]

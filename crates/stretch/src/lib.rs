@@ -11,17 +11,15 @@
 //! hardware thread to a co-running batch thread, boosting batch throughput
 //! without violating QoS targets. The mechanism is a handful of ROB
 //! partitioning configurations provisioned at design time; the policy is a
-//! CPI²-style software monitor driven by a QoS metric (tail latency or
-//! queue length) that picks among them.
+//! CPI²-style software monitor driven by the service's tail latency that
+//! picks among them.
 //!
-//! To the rest of the repository, Stretch is just another
+//! To the rest of the repository, a pinned Stretch mode is just another
 //! [`cpu_sim::ColocationPolicy`] — the same interface every baseline
 //! implements — and runs through the same [`cpu_sim::Scenario`] entry point:
 //!
 //! * [`policy`] — [`PinnedStretch`] (one mode for a whole run; what the
-//!   evaluation figures sweep) and [`ClosedLoopStretch`] (the §IV-C control
-//!   loop packaged as a policy: QoS telemetry in via `on_sample`, core
-//!   reconfigurations out).
+//!   evaluation figures sweep).
 //! * [`config`] — ROB skews ([`RobSkew`]), the provisioned configuration set
 //!   ([`StretchConfig`]) and the runtime mode ([`StretchMode`]:
 //!   Baseline / B-mode / Q-mode), plus the mapping onto the core's
@@ -30,9 +28,9 @@
 //!   charges the mode-change pipeline flush.
 //! * [`monitor`] — the software monitor ([`SoftwareMonitor`]): sliding-window
 //!   QoS tracking, hysteresis, B-/Q-mode engagement and the co-runner
-//!   throttling fallback. [`ClosedLoopStretch`] wraps it behind the policy
-//!   trait; the cluster layer's fleet simulation (`cluster_sim::Fleet`)
-//!   runs one per server over a simulated day.
+//!   throttling fallback. It is the one closed loop: the cluster layer's
+//!   fleet simulation (`cluster_sim::Fleet`) runs one per server over a
+//!   simulated day and feeds it each interval's measured tail directly.
 //! * [`table`] — per-mode performance numbers ([`PerformanceTable`]): what
 //!   each mode leaves the latency-sensitive thread and buys the batch
 //!   thread, the input a fleet day is charged against.
@@ -61,5 +59,5 @@ pub mod table;
 
 pub use config::{RobSkew, StretchConfig, StretchMode};
 pub use monitor::{MonitorAction, MonitorConfig, QosPolicy, SoftwareMonitor};
-pub use policy::{ClosedLoopStretch, PinnedStretch};
+pub use policy::PinnedStretch;
 pub use table::{ModePerformance, PerformanceTable};

@@ -1,8 +1,11 @@
 //! The software monitor (§IV-C): an extension of Google's CPI² framework
 //! that tracks a QoS metric and picks the Stretch mode to engage.
 //!
-//! The monitor periodically samples a QoS signal — tail latency relative to
-//! the target, or queue length — and decides which mode to engage:
+//! This is the repository's one closed loop: the fleet simulation
+//! (`cluster_sim::Fleet`) owns one [`SoftwareMonitor`] per server and calls
+//! [`SoftwareMonitor::observe_tail_latency`] with each measured
+//! server-interval's tail. The monitor compares that tail against the
+//! service's QoS target and decides which mode to engage:
 //!
 //! * ample slack (metric well below the target) → engage **B-mode**;
 //! * metric approaching the target → disengage B-mode (back to the baseline
@@ -19,7 +22,7 @@ use crate::config::{StretchConfig, StretchMode};
 use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
 
-/// Which QoS signal the monitor consumes.
+/// Which QoS signal the monitor consumes, and its thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum QosPolicy {
     /// Drive decisions from measured tail latency versus the QoS target
@@ -33,15 +36,6 @@ pub enum QosPolicy {
         /// target.
         disengage_above: f64,
     },
-    /// Drive decisions from instantaneous queue length (the Rubik-style
-    /// alternative the paper sketches): short queues mean slack, long queues
-    /// mean the service needs full performance.
-    QueueLength {
-        /// Engage B-mode when the queue is at or below this depth.
-        engage_at_or_below: usize,
-        /// Disengage (and possibly engage Q-mode) above this depth.
-        disengage_above: usize,
-    },
 }
 
 impl QosPolicy {
@@ -51,11 +45,6 @@ impl QosPolicy {
         QosPolicy::TailLatency { engage_below: 0.6, disengage_above: 0.9 }
     }
 
-    /// The default queue-length policy.
-    pub fn default_queue_length() -> QosPolicy {
-        QosPolicy::QueueLength { engage_at_or_below: 1, disengage_above: 4 }
-    }
-
     /// Validates threshold ordering.
     ///
     /// # Errors
@@ -63,24 +52,11 @@ impl QosPolicy {
     /// Returns an error if the engage threshold is not below the disengage
     /// threshold.
     pub fn validate(&self) -> Result<(), String> {
-        match self {
-            QosPolicy::TailLatency { engage_below, disengage_above } => {
-                if !(*engage_below > 0.0
-                    && engage_below < disengage_above
-                    && *disengage_above <= 1.5)
-                {
-                    return Err(format!(
-                        "tail-latency thresholds must satisfy 0 < engage ({engage_below}) < disengage ({disengage_above}) <= 1.5"
-                    ));
-                }
-            }
-            QosPolicy::QueueLength { engage_at_or_below, disengage_above } => {
-                if engage_at_or_below >= disengage_above {
-                    return Err(format!(
-                        "queue-length thresholds must satisfy engage ({engage_at_or_below}) < disengage ({disengage_above})"
-                    ));
-                }
-            }
+        let QosPolicy::TailLatency { engage_below, disengage_above } = *self;
+        if !(engage_below > 0.0 && engage_below < disengage_above && disengage_above <= 1.5) {
+            return Err(format!(
+                "tail-latency thresholds must satisfy 0 < engage ({engage_below}) < disengage ({disengage_above}) <= 1.5"
+            ));
         }
         Ok(())
     }
@@ -88,14 +64,8 @@ impl QosPolicy {
 
 impl CanonicalKey for QosPolicy {
     fn encode_key(&self, enc: &mut KeyEncoder) {
-        match *self {
-            QosPolicy::TailLatency { engage_below, disengage_above } => {
-                enc.tag(0).f64(engage_below).f64(disengage_above);
-            }
-            QosPolicy::QueueLength { engage_at_or_below, disengage_above } => {
-                enc.tag(1).usize(engage_at_or_below).usize(disengage_above);
-            }
-        }
+        let QosPolicy::TailLatency { engage_below, disengage_above } = *self;
+        enc.tag(0).f64(engage_below).f64(disengage_above);
     }
 }
 
@@ -187,38 +157,14 @@ impl SoftwareMonitor {
     }
 
     /// Feeds one tail-latency observation (both in milliseconds) and returns
-    /// the requested action. Only meaningful when the monitor was built with
-    /// a tail-latency policy; a queue-length policy treats the ratio against
-    /// the target like a latency ratio.
+    /// the requested action.
     pub fn observe_tail_latency(&mut self, tail_ms: f64, target_ms: f64) -> MonitorAction {
-        let (engage_below, disengage_above) = match self.cfg.policy {
-            QosPolicy::TailLatency { engage_below, disengage_above } => {
-                (engage_below, disengage_above)
-            }
-            // Allow latency observations under a queue policy by mapping the
-            // default thresholds.
-            QosPolicy::QueueLength { .. } => (0.6, 0.9),
-        };
+        let QosPolicy::TailLatency { engage_below, disengage_above } = self.cfg.policy;
         let ratio = if target_ms > 0.0 { tail_ms / target_ms } else { f64::INFINITY };
         self.decide(ratio < engage_below, ratio > disengage_above, ratio > 1.0)
     }
 
-    /// Feeds one queue-length observation and returns the requested action.
-    pub fn observe_queue_length(&mut self, queue_length: usize) -> MonitorAction {
-        let (engage_at_or_below, disengage_above) = match self.cfg.policy {
-            QosPolicy::QueueLength { engage_at_or_below, disengage_above } => {
-                (engage_at_or_below, disengage_above)
-            }
-            QosPolicy::TailLatency { .. } => (1, 4),
-        };
-        self.decide(
-            queue_length <= engage_at_or_below,
-            queue_length > disengage_above,
-            queue_length > disengage_above * 2,
-        )
-    }
-
-    /// Common decision logic. `slack` / `pressure` / `violation` classify the
+    /// The decision logic. `slack` / `pressure` / `violation` classify the
     /// current observation.
     fn decide(&mut self, slack: bool, pressure: bool, violation: bool) -> MonitorAction {
         if violation {
@@ -331,27 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_length_policy_engages_and_disengages() {
-        let mut m = SoftwareMonitor::new(
-            StretchConfig::recommended(),
-            MonitorConfig {
-                policy: QosPolicy::default_queue_length(),
-                engage_after: 2,
-                violations_before_throttle: 3,
-            },
-        );
-        assert_eq!(m.observe_queue_length(0), MonitorAction::Keep);
-        match m.observe_queue_length(1) {
-            MonitorAction::SwitchTo(mode) => assert!(mode.is_batch_boost()),
-            other => panic!("expected engagement, got {other:?}"),
-        }
-        match m.observe_queue_length(10) {
-            MonitorAction::SwitchTo(mode) => assert!(mode.is_qos_boost()),
-            other => panic!("expected Q-mode under pressure, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn q_mode_relaxes_to_baseline_when_pressure_subsides() {
         let mut m = monitor();
         // Push into Q-mode.
@@ -394,6 +319,16 @@ mod tests {
             "hysteresis should prevent flapping ({} changes)",
             m.mode_changes()
         );
+    }
+
+    #[test]
+    fn default_config_keeps_its_key_bytes() {
+        // Fleet cache keys (`fleet/v3`) encode the monitor config, so these
+        // bytes may only move with a cell-family bump: otherwise every
+        // stored fleet run would silently stop being served.
+        let mut enc = KeyEncoder::new();
+        MonitorConfig::default().encode_key(&mut enc);
+        assert_eq!(enc.digest(), "4ccb232e0d5b3f0a05c700ca9d1ee577");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   its B-/Q-/baseline modes and the software QoS monitor that picks them.
 //! * [`qos`] — request-level queueing simulation, latency percentiles, slack
 //!   analysis (package `sim_qos`).
-//! * [`baselines`] — fetch throttling, dynamic sharing, ideal software scheduling, Elfen.
+//! * [`baselines`] — fetch throttling, dynamic sharing, ideal software scheduling.
 //! * [`cluster`] — diurnal load models, the analytical cluster case studies
 //!   and the measured load-balanced fleet simulation, whose per-server
 //!   Stretch monitors drive every simulated day (package `cluster_sim`).
@@ -46,9 +46,7 @@ pub use workloads;
 
 /// Commonly used items, suitable for glob import in examples.
 pub mod prelude {
-    pub use baselines::{
-        DynamicSharing, Elfen, FetchThrottling, HybridThrottleSkew, IdealScheduling,
-    };
+    pub use baselines::{DynamicSharing, FetchThrottling, HybridThrottleSkew, IdealScheduling};
     pub use cluster_sim::{CaseStudy, Fleet, FleetConfig, FleetScale, LoadBalancer};
     pub use cpu_sim::{
         AllocationPolicy, ColocationPolicy, ColocationResult, ColocationTopology, CoreSetup,

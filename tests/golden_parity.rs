@@ -165,15 +165,3 @@ fn fleet_case_studies_match_the_pinned_quick_fixtures() {
     fixture(CaseStudy::web_search(), FLEET_WS_GAIN, FLEET_WS_P99_MS, FLEET_WS_HOURS);
     fixture(CaseStudy::youtube(), FLEET_YT_GAIN, FLEET_YT_P99_MS, FLEET_YT_HOURS);
 }
-
-#[test]
-fn elfen_keeps_its_analytical_performance_mapping() {
-    // Elfen never ran through the cycle-level `run_*` functions; its
-    // contract is the duty-cycle → delivered-performance mapping the §II
-    // slack measurement uses. The policy must preserve it and run on a
-    // contention-free core.
-    let elfen = Elfen::new(stretch_repro::baselines::DutyCycle::new(0.3));
-    assert!((elfen.delivered_performance() - 0.3).abs() < 1e-12);
-    let cfg = CoreConfig::default();
-    assert_eq!(elfen.setup(&cfg), PrivateCore::full().setup(&cfg));
-}
