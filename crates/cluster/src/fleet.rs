@@ -36,6 +36,15 @@
 //! fleet run is bit-identical across processes and servers never share a
 //! random stream.
 //!
+//! The peak search ([`measured_peak_rps`]) probes 13 rates, each on fresh
+//! queues from the same probe seed, so it draws that seed's randomness
+//! once and replays it at every rate: each interval's arrival draws and
+//! each server's service-time factors, kept as a probe first needs them.
+//! A probe stops as soon as its pass/fail verdict is settled. One dispatch
+//! loop serves the day, the calibration runs and the replayed probes: it is
+//! generic over where its requests come from, so no request pays a dynamic
+//! call.
+//!
 //! # Fleet at scale: sharding, racks, skip-ahead
 //!
 //! Under a [`FleetTopology::Racked`] topology the fleet is a cluster of
@@ -75,17 +84,21 @@
 //! sweep's first minimum is the first idle server when there is one), and
 //! its per-server *skip-ahead watermark* lets an idle server — one whose
 //! last worker completion is not after the incoming arrival — answer a
-//! power-of-two probe in O(1), reading no worker. Per-server sample
-//! buffers and the percentile scratch copy live in the shard's dispatch
-//! state and are reused every interval, and every tail goes through the
-//! linear-time selection of
-//! [`sim_stats::percentile`](mod@sim_stats::percentile).
+//! power-of-two probe in O(1), reading no worker. Each sojourn is recorded
+//! once, into its server's sample buffer; the shard's interval tail and
+//! each server's day tail are filled from those buffers. The buffers and
+//! the percentile scratch copy live in the shard's dispatch state and are
+//! reused every interval, and every tail goes through the linear-time
+//! selection of [`sim_stats::percentile`](mod@sim_stats::percentile).
 
 use crate::diurnal::DiurnalPattern;
 use crate::topology::{FleetTopology, TailAccumulation};
 use serde::{Deserialize, Serialize};
 use sim_model::{parallel_fold, CanonicalKey, KeyEncoder, SimRng};
-use sim_qos::{bisect_peak_rps, ArrivalGenerator, ArrivalProcess, ServerQueues, ServiceSpec};
+use sim_qos::{
+    bisect_peak_rps, ArrivalClock, ArrivalDraw, ArrivalDraws, ArrivalGenerator, ArrivalProcess,
+    ServerQueues, ServiceSpec,
+};
 use sim_stats::percentile::percentiles_in;
 use sim_stats::{det_merge, det_sum, percentile, LatencyHistogram, Percentiles};
 use stretch::{MonitorConfig, PerformanceTable, QosPolicy, SoftwareMonitor, StretchConfig};
@@ -339,6 +352,20 @@ pub fn rack_seed(fleet_seed: u64, rack: usize) -> u64 {
 /// calibration and the day's run — [`Fleet::with_peak`] accepts it
 /// precomputed.
 ///
+/// Every probe replays one tape of random numbers, drawn lazily from the
+/// probe seed's streams: each interval's arrival draws, the first time a
+/// probe reaches the interval, and each server's service-time factors, in
+/// the order the server takes requests (how many it takes differs from
+/// probe to probe). The arrival clock multiplies each draw by the probed
+/// rate's mean gap and each factor is multiplied by the service median, so
+/// every probe sees the inputs a live run at its rate draws, bit for bit;
+/// the balancer RNG restarts from the same state in every probe. A probe
+/// also stops as soon as its verdict is settled: once more of its measured
+/// tails are at or under the target than over it by more than the
+/// server-intervals still to run, the median passes whatever those add
+/// (and fails in the mirror case). The median of N tails lies between ranks
+/// ⌊(N−1)/2⌋ and ⌈(N−1)/2⌉, so either bound decides it.
+///
 /// Most shapes pass every probe, so their peak is the top of the bracket,
 /// `capacity × (1 − 0.95 · 2⁻¹²)`; some seeds reject a rate inside it
 /// (YouTube under least-loaded dispatch at `FleetScale::quick(10)` peaks at
@@ -362,15 +389,44 @@ pub fn rack_seed(fleet_seed: u64, rack: usize) -> u64 {
 pub fn measured_peak_rps(cfg: &FleetConfig) -> f64 {
     cfg.validate().expect("invalid fleet configuration");
     let cfg = &calibration_config(cfg);
-    let spec = &cfg.service;
+    let target_ms = cfg.service.qos_target_ms;
     let baseline_perf = cfg.table.baseline.ls_performance.clamp(0.05, 1.0);
-    let peak = bisect_peak_rps(spec, baseline_perf, |per_server_rps| {
+    let seed = cfg.seed ^ PEAK_PROBE_TAG;
+    let mut tape = ProbeTape::new(seed, cfg.servers);
+    let peak = bisect_peak_rps(&cfg.service, baseline_perf, |per_server_rps| {
         let rate = per_server_rps * cfg.servers as f64;
-        let tails = pinned_tails(cfg, baseline_perf, rate, 0x9ea4, 6);
-        percentile(&tails, 50.0).expect("peak calibration produced samples") <= spec.qos_target_ms
+        let mut verdict = None;
+        let tails =
+            pinned_tails(cfg, seed, &mut tape, baseline_perf, rate, 6, |tails, remaining| {
+                verdict = settled_verdict(tails, target_ms, remaining);
+                verdict.is_some()
+            });
+        verdict.unwrap_or_else(|| {
+            percentile(&tails, 50.0).expect("peak calibration produced samples") <= target_ms
+        })
     });
     match peak {
         Ok(rps) | Err(rps) => rps,
+    }
+}
+
+/// The tag the peak probes' seed is `cfg.seed` xor'ed with.
+const PEAK_PROBE_TAG: u64 = 0x9ea4;
+
+/// Whether the median of a probe's tails is at or under `target_ms`, once
+/// `remaining` more tails can no longer change that: `Some(true)` when the
+/// tails at or under the target outnumber those over it by more than
+/// `remaining` (both median ranks are then at or under it), `Some(false)`
+/// in the mirror case (the lower rank is over it), `None` otherwise.
+fn settled_verdict(tails: &[f64], target_ms: f64, remaining: usize) -> Option<bool> {
+    let within = tails.iter().filter(|&&tail| tail <= target_ms).count();
+    let over = tails.len() - within;
+    if within > over + remaining {
+        Some(true)
+    } else if over > within + remaining {
+        Some(false)
+    } else {
+        None
     }
 }
 
@@ -393,16 +449,14 @@ fn calibration_config(cfg: &FleetConfig) -> FleetConfig {
 }
 
 /// Dispatch state shared by every interval of one shard of one fleet run:
-/// the shard's [`ServerQueues`] (queues persist across intervals),
-/// per-server service-time streams, the balancer's round-robin cursor and
-/// RNG, the arrival-stream root and the continuous clock — plus the buffers
-/// every interval reuses, so an interval allocates nothing per server.
+/// the shard's [`ServerQueues`] (queues persist across intervals), the
+/// balancer's round-robin cursor and RNG and the continuous clock — plus
+/// the buffers every interval reuses, so an interval allocates nothing per
+/// server. The requests themselves come from [`RequestStreams`].
 struct DispatchState {
     queues: ServerQueues,
-    service_rngs: Vec<SimRng>,
     rr_next: usize,
     balancer_rng: SimRng,
-    arrival_root: SimRng,
     clock_ms: f64,
     /// Each server's sojourn times (always exact) over the last interval
     /// [`run_interval`] simulated; cleared as the next one starts.
@@ -412,20 +466,14 @@ struct DispatchState {
 }
 
 impl DispatchState {
-    /// State for one shard of `servers` machines under shard seed `seed`.
-    /// Service streams are keyed by the shard seed and the shard-*local*
-    /// index — for shard 0 of a run (and any flat fleet) this is exactly
-    /// the historical per-server derivation.
-    fn for_servers(cfg: &FleetConfig, seed: u64, servers: usize) -> DispatchState {
-        let mut root = SimRng::new(seed);
-        let arrival_root = root.fork(1);
-        let balancer_rng = root.fork(2);
+    /// Fresh state for one shard of `servers` machines under shard seed
+    /// `seed`.
+    fn new(cfg: &FleetConfig, seed: u64, servers: usize) -> DispatchState {
+        let (_, balancer_rng) = shard_roots(seed);
         DispatchState {
             queues: ServerQueues::new(servers, cfg.service.workers),
-            service_rngs: (0..servers).map(|s| SimRng::new(server_seed(seed, s))).collect(),
             rr_next: 0,
             balancer_rng,
-            arrival_root,
             clock_ms: 0.0,
             samples: vec![Percentiles::new(); servers],
             scratch: Vec::new(),
@@ -436,6 +484,160 @@ impl DispatchState {
     /// `None` when it measured no request (a starved server-interval).
     fn server_tail(&mut self, s: usize, p: f64) -> Option<f64> {
         percentiles_in(&mut self.scratch, self.samples[s].samples(), [p]).map(|[tail]| tail)
+    }
+}
+
+/// The arrival-stream root and the balancer RNG of the shard seeded `seed`.
+fn shard_roots(seed: u64) -> (SimRng, SimRng) {
+    let mut root = SimRng::new(seed);
+    let arrival_root = root.fork(1);
+    (arrival_root, root.fork(2))
+}
+
+/// One interval's requests: their arrival times and the service-time
+/// factor of each request a server takes. [`run_interval`] is generic over
+/// it, so live streams and the peak search's tape share one dispatch loop,
+/// compiled once for each.
+trait RequestSource {
+    /// The next arrival, in ms after the interval starts.
+    fn next_arrival_ms(&mut self) -> f64;
+    /// The log-normal factor ([`SimRng::log_normal_factor`]) of the next
+    /// request `server` takes.
+    fn service_factor(&mut self, server: usize) -> f64;
+}
+
+/// A run's randomness, interval by interval.
+trait RequestStreams {
+    /// Interval `t`'s requests at `rate_rps`. Intervals are taken in
+    /// order, starting from 0.
+    fn interval(&mut self, cfg: &FleetConfig, t: u64, rate_rps: f64) -> impl RequestSource + '_;
+}
+
+/// A shard's live random streams: the arrival-stream root each interval
+/// forks its own stream from, and every server's service-time stream.
+/// Service streams are keyed by the shard seed and the shard-*local* index
+/// — for shard 0 of a run (and any flat fleet) this is exactly the
+/// historical per-server derivation.
+struct LiveStreams {
+    arrival_root: SimRng,
+    service_rngs: Vec<SimRng>,
+}
+
+impl LiveStreams {
+    fn new(seed: u64, servers: usize) -> LiveStreams {
+        let (arrival_root, _) = shard_roots(seed);
+        let service_rngs = (0..servers).map(|s| SimRng::new(server_seed(seed, s))).collect();
+        LiveStreams { arrival_root, service_rngs }
+    }
+}
+
+impl RequestStreams for LiveStreams {
+    fn interval(&mut self, cfg: &FleetConfig, t: u64, rate_rps: f64) -> impl RequestSource + '_ {
+        LiveInterval {
+            arrivals: ArrivalGenerator::new(
+                cfg.arrivals.with_rate(rate_rps),
+                self.arrival_root.fork(t),
+            ),
+            service_rngs: &mut self.service_rngs,
+            sigma: cfg.service.service_sigma,
+        }
+    }
+}
+
+/// One interval of [`LiveStreams`], drawn as it is dispatched.
+struct LiveInterval<'a> {
+    arrivals: ArrivalGenerator,
+    service_rngs: &'a mut [SimRng],
+    sigma: f64,
+}
+
+impl RequestSource for LiveInterval<'_> {
+    #[inline]
+    fn next_arrival_ms(&mut self) -> f64 {
+        self.arrivals.next_arrival_ms()
+    }
+
+    #[inline]
+    fn service_factor(&mut self, server: usize) -> f64 {
+        self.service_rngs[server].log_normal_factor(self.sigma)
+    }
+}
+
+/// The peak search's common random numbers (see [`measured_peak_rps`]):
+/// the draws of the probe seed's [`LiveStreams`], kept as they are first
+/// needed so that every probe replays them.
+struct ProbeTape {
+    streams: LiveStreams,
+    /// Interval `t`'s arrival draws, drawn when a probe first reaches it.
+    arrivals: Vec<Vec<ArrivalDraw>>,
+    /// Each server's service factors, in the order it takes requests.
+    factors: Vec<Vec<f64>>,
+    /// Requests each server has taken in the current probe.
+    taken: Vec<usize>,
+}
+
+impl ProbeTape {
+    fn new(seed: u64, servers: usize) -> ProbeTape {
+        ProbeTape {
+            streams: LiveStreams::new(seed, servers),
+            arrivals: Vec::new(),
+            factors: vec![Vec::new(); servers],
+            taken: vec![0; servers],
+        }
+    }
+}
+
+impl RequestStreams for ProbeTape {
+    /// Interval 0 starts a probe, so every server's factors replay from
+    /// their first again.
+    fn interval(&mut self, cfg: &FleetConfig, t: u64, rate_rps: f64) -> impl RequestSource + '_ {
+        if t == 0 {
+            self.taken.fill(0);
+        }
+        let index = t as usize;
+        if index == self.arrivals.len() {
+            let mut draws = ArrivalDraws::new(cfg.arrivals, self.streams.arrival_root.fork(t));
+            let requests = cfg.servers * cfg.requests_per_server;
+            self.arrivals.push((0..requests).map(|_| draws.next_draw()).collect());
+        }
+        TapeInterval {
+            clock: ArrivalClock::new(cfg.arrivals.with_rate(rate_rps)),
+            arrivals: self.arrivals[index].iter(),
+            service_rngs: &mut self.streams.service_rngs,
+            factors: &mut self.factors,
+            taken: &mut self.taken,
+            sigma: cfg.service.service_sigma,
+        }
+    }
+}
+
+/// One interval of a [`ProbeTape`], replayed at one rate. A server whose
+/// factors run out draws the next from its stream and keeps it.
+struct TapeInterval<'a> {
+    clock: ArrivalClock,
+    arrivals: std::slice::Iter<'a, ArrivalDraw>,
+    service_rngs: &'a mut [SimRng],
+    factors: &'a mut [Vec<f64>],
+    taken: &'a mut [usize],
+    sigma: f64,
+}
+
+impl RequestSource for TapeInterval<'_> {
+    #[inline]
+    fn next_arrival_ms(&mut self) -> f64 {
+        let draw = self.arrivals.next().expect("the tape holds every arrival of the interval");
+        self.clock.advance(*draw)
+    }
+
+    #[inline]
+    fn service_factor(&mut self, server: usize) -> f64 {
+        let factors = &mut self.factors[server];
+        let next = self.taken[server];
+        self.taken[server] += 1;
+        if next == factors.len() {
+            factors.push(self.service_rngs[server].log_normal_factor(self.sigma));
+        }
+        factors[next]
     }
 }
 
@@ -495,12 +697,12 @@ impl TailAcc {
 }
 
 /// Simulates one control interval's measurement slice for one shard:
-/// `shard servers × requests_per_server` arrivals at `rate_rps`, dispatched
-/// through `balancer` onto the shard's persistent per-server queues.
-/// Leaves each server's sojourn times in `state.samples` (always exact — the
-/// monitor path needs exact per-interval tails and they are transient) and
-/// returns the shard's interval-wide accumulator (under the configured
-/// retention policy).
+/// `shard servers × requests_per_server` arrivals from `requests`,
+/// dispatched through `balancer` onto the shard's persistent per-server
+/// queues, where server `s` serves a request in `medians_ms[s]` times the
+/// request's service factor. Leaves each server's sojourn times in
+/// `state.samples` (always exact: the monitor path needs exact
+/// per-interval tails and they are transient).
 ///
 /// Per-server sample counts are surfaced through `state.samples` (`len()`):
 /// under a queue-aware balancer the per-server interval count is random and
@@ -510,21 +712,14 @@ fn run_interval(
     cfg: &FleetConfig,
     state: &mut DispatchState,
     balancer: LoadBalancer,
-    rate_rps: f64,
-    slowdowns: &[f64],
-    interval_idx: u64,
-) -> TailAcc {
+    medians_ms: &[f64],
+    requests: &mut impl RequestSource,
+) {
     let n = state.samples.len();
-    let spec = &cfg.service;
-    let mut arrivals = ArrivalGenerator::new(
-        cfg.arrivals.with_rate(rate_rps),
-        state.arrival_root.fork(interval_idx),
-    );
     state.samples.iter_mut().for_each(Percentiles::clear);
-    let mut fleet = TailAcc::new(&cfg.tails);
     let mut last_arrival = state.clock_ms;
     for _ in 0..n * cfg.requests_per_server {
-        let arrival = state.clock_ms + arrivals.next_arrival_ms();
+        let arrival = state.clock_ms + requests.next_arrival_ms();
         last_arrival = arrival;
         let s = match balancer {
             LoadBalancer::RoundRobin => {
@@ -551,32 +746,45 @@ fn run_interval(
                 }
             }
         };
-        let service_ms = state.service_rngs[s]
-            .log_normal(spec.service_median_ms * slowdowns[s], spec.service_sigma);
+        let service_ms = medians_ms[s] * requests.service_factor(s);
         let sojourn = state.queues.admit(s, arrival, service_ms);
         state.samples[s].record(sojourn);
-        fleet.record(sojourn);
     }
     state.clock_ms = last_arrival;
-    fleet
 }
 
 /// Per-server tails (ms) of a pinned-mode run on fresh queues: every server
 /// at delivered performance `perf`, `intervals` control intervals at
-/// `rate_rps` through the configured balancer, RNG streams rooted at
-/// `cfg.seed ^ tag`. The first two intervals are discarded as queue
-/// warm-up, and server-intervals that measured nothing are skipped: a
-/// starved server contributes no evidence, and a substituted 0.0 would drag
-/// a calibration median toward "all slack".
-fn pinned_tails(cfg: &FleetConfig, perf: f64, rate_rps: f64, tag: u64, intervals: u64) -> Vec<f64> {
-    let mut state = DispatchState::for_servers(cfg, cfg.seed ^ tag, cfg.servers);
-    let slowdowns = vec![cfg.service.slowdown(perf.clamp(0.05, 1.0)); cfg.servers];
-    let metric = cfg.service.tail_metric.percentile();
+/// `rate_rps` through the configured balancer, its RNG rooted at `seed`
+/// and the requests taken from `streams`. The first two intervals are
+/// discarded as queue warm-up, and server-intervals that measured nothing
+/// are skipped: a starved server contributes no evidence, and a substituted
+/// 0.0 would drag a calibration median toward "all slack". After each
+/// measured interval `settled` sees the tails so far and the number of
+/// server-intervals still to run; the run stops once it returns true.
+fn pinned_tails(
+    cfg: &FleetConfig,
+    seed: u64,
+    streams: &mut impl RequestStreams,
+    perf: f64,
+    rate_rps: f64,
+    intervals: u64,
+    mut settled: impl FnMut(&[f64], usize) -> bool,
+) -> Vec<f64> {
+    let n = cfg.servers;
+    let mut state = DispatchState::new(cfg, seed, n);
+    let spec = &cfg.service;
+    let medians_ms = vec![spec.service_median_ms * spec.slowdown(perf.clamp(0.05, 1.0)); n];
+    let metric = spec.tail_metric.percentile();
     let mut tails = Vec::new();
     for t in 0..intervals {
-        run_interval(cfg, &mut state, cfg.balancer, rate_rps, &slowdowns, t);
+        let mut requests = streams.interval(cfg, t, rate_rps);
+        run_interval(cfg, &mut state, cfg.balancer, &medians_ms, &mut requests);
         if t >= 2 {
-            tails.extend((0..cfg.servers).filter_map(|s| state.server_tail(s, metric)));
+            tails.extend((0..n).filter_map(|s| state.server_tail(s, metric)));
+            if settled(&tails, n * (intervals - 1 - t) as usize) {
+                break;
+            }
         }
     }
     tails
@@ -626,7 +834,9 @@ pub fn calibrated_monitor_with_peak(
     let cfg = &calibration_config(cfg);
     let rate = engage_below_load * cfg.servers as f64 * peak_rps;
     let ratios_for = |perf: f64, tag: u64| -> Vec<f64> {
-        let tails = pinned_tails(cfg, perf, rate, tag, 8);
+        let seed = cfg.seed ^ tag;
+        let mut streams = LiveStreams::new(seed, cfg.servers);
+        let tails = pinned_tails(cfg, seed, &mut streams, perf, rate, 8, |_, _| false);
         tails.iter().map(|tail| tail / cfg.service.qos_target_ms).collect()
     };
     let baseline = ratios_for(cfg.table.baseline.ls_performance, 0xca1b_0001);
@@ -869,7 +1079,8 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
     let steps = cfg.total_intervals();
     let metric_percentile = spec.tail_metric.percentile();
 
-    let mut state = DispatchState::for_servers(cfg, plan.seed, n);
+    let mut state = DispatchState::new(cfg, plan.seed, n);
+    let mut streams = LiveStreams::new(plan.seed, n);
     let mut monitors: Vec<SoftwareMonitor> =
         (0..n).map(|_| SoftwareMonitor::new(cfg.stretch, cfg.monitor)).collect();
 
@@ -878,7 +1089,7 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
     let mut starved_counts = vec![0usize; n];
     let mut intervals = Vec::with_capacity(steps);
     let mut modes = Vec::with_capacity(n);
-    let mut slowdowns = Vec::with_capacity(n);
+    let mut medians_ms = Vec::with_capacity(n);
 
     for t in 0..steps {
         let hour = (t as f64 * cfg.interval_hours) % 24.0;
@@ -890,12 +1101,11 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
         // history, as on real hardware).
         modes.clear();
         modes.extend(monitors.iter().map(SoftwareMonitor::mode));
-        slowdowns.clear();
-        slowdowns.extend(
-            modes
-                .iter()
-                .map(|m| spec.slowdown(cfg.table.for_mode(*m).ls_performance.clamp(0.05, 1.0))),
-        );
+        medians_ms.clear();
+        medians_ms.extend(modes.iter().map(|m| {
+            spec.service_median_ms
+                * spec.slowdown(cfg.table.for_mode(*m).ls_performance.clamp(0.05, 1.0))
+        }));
         let engaged = modes.iter().filter(|m| m.is_batch_boost()).count();
         for (s, m) in modes.iter().enumerate() {
             if m.is_batch_boost() {
@@ -904,19 +1114,23 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
         }
         let speedup_sum = modes.iter().map(|m| cfg.table.for_mode(*m).batch_speedup).sum::<f64>();
 
-        let interval_tail =
-            run_interval(cfg, &mut state, plan.balancer, rate, &slowdowns, t as u64);
+        let mut requests = streams.interval(cfg, t as u64, rate);
+        run_interval(cfg, &mut state, plan.balancer, &medians_ms, &mut requests);
 
         // Every server observes its own tail from its own requests and
         // feeds its monitor — *if* it measured any. A server-interval with
         // zero requests is unmeasured: no tail, no violation, no
         // observation (the monitor holds its mode), rather than a
-        // fabricated perfect 0 ms tail.
+        // fabricated perfect 0 ms tail. The interval's shard tail takes
+        // every sojourn in server order: exact percentiles select by value
+        // and binned counts add, so the order is immaterial.
+        let mut interval_tail = TailAcc::new(&cfg.tails);
         let mut violations = 0usize;
         let mut measured_servers = 0usize;
         for (s, monitor) in monitors.iter_mut().enumerate() {
             for &v in state.samples[s].samples() {
                 day_tails[s].record(v);
+                interval_tail.record(v);
             }
             match state.server_tail(s, metric_percentile) {
                 Some(tail) => {
@@ -1213,6 +1427,90 @@ mod tests {
         );
         let accepted = study.fleet(LoadBalancer::LeastLoaded, FleetScale::quick(42));
         assert_eq!(accepted.peak_rps().to_bits(), bracket_top(&accepted).to_bits());
+    }
+
+    /// The peak search as it was before the tape: every probe draws live
+    /// streams and runs all 6 intervals before it takes the median.
+    fn live_full_length_peak_rps(cfg: &FleetConfig) -> f64 {
+        let cfg = &calibration_config(cfg);
+        let perf = cfg.table.baseline.ls_performance.clamp(0.05, 1.0);
+        let seed = cfg.seed ^ PEAK_PROBE_TAG;
+        let peak = bisect_peak_rps(&cfg.service, perf, |per_server_rps| {
+            let rate = per_server_rps * cfg.servers as f64;
+            let mut streams = LiveStreams::new(seed, cfg.servers);
+            let tails = pinned_tails(cfg, seed, &mut streams, perf, rate, 6, |_, _| false);
+            percentile(&tails, 50.0).expect("samples") <= cfg.service.qos_target_ms
+        });
+        match peak {
+            Ok(rps) | Err(rps) => rps,
+        }
+    }
+
+    #[test]
+    fn replayed_early_stopping_peak_search_equals_the_live_full_length_one() {
+        // Seeds whose search rejects a rate inside the bracket under every
+        // balancer, so probes fail as well as pass, plus seed 42, where
+        // every probe passes. Only the peak is compared, so one calibrated
+        // config per study serves every seed and balancer.
+        let bracket_top = |cfg: &FleetConfig| {
+            let perf = cfg.table.baseline.ls_performance.clamp(0.05, 1.0);
+            bisect_peak_rps(&cfg.service, perf, |_| true).expect("every probe passes")
+        };
+        let cases = [
+            (CaseStudy::web_search(), vec![10, 42]),
+            (CaseStudy::youtube(), vec![10, 25, 39, 57, 42]),
+        ];
+        for (study, seeds) in cases {
+            let base = study.fleet_config(LoadBalancer::RoundRobin, FleetScale::quick(42));
+            for seed in seeds {
+                for balancer in LoadBalancer::ALL {
+                    let cfg = FleetConfig { seed, balancer, ..base.clone() };
+                    let peak = measured_peak_rps(&cfg);
+                    let live = live_full_length_peak_rps(&cfg);
+                    let shape = format!("{} seed {seed} {balancer}", cfg.service.name);
+                    assert_eq!(peak.to_bits(), live.to_bits(), "{shape}");
+                    assert_eq!(
+                        peak < bracket_top(&cfg),
+                        seed != 42,
+                        "{shape}: peak {peak} against the bracket top"
+                    );
+                }
+            }
+        }
+        // One racked shape with binned tails: the search runs on one rack.
+        let base =
+            CaseStudy::youtube().fleet_config(LoadBalancer::RoundRobin, FleetScale::quick(42));
+        let cfg = FleetConfig {
+            seed: 10,
+            topology: FleetTopology::racked(2, LoadBalancer::LeastLoaded),
+            tails: TailAccumulation::binned_default(),
+            ..base
+        };
+        assert_eq!(measured_peak_rps(&cfg).to_bits(), live_full_length_peak_rps(&cfg).to_bits());
+    }
+
+    #[test]
+    fn a_settled_verdict_is_the_median_verdict_whatever_the_rest_adds() {
+        // Random tails around a target of 1.0 (ties included), random
+        // counts still to run and random values for them: wherever
+        // `settled_verdict` decides, the median of everything agrees.
+        let mut rng = SimRng::new(0x5e77_71ed);
+        let value = |rng: &mut SimRng| match rng.below(4) {
+            0 => 1.0,
+            _ => 2.0 * rng.uniform_f64(),
+        };
+        let mut decided = [0usize; 2];
+        for _ in 0..4000 {
+            let tails: Vec<f64> = (0..rng.below(24)).map(|_| value(&mut rng)).collect();
+            let remaining = rng.below(12) as usize;
+            let Some(verdict) = settled_verdict(&tails, 1.0, remaining) else { continue };
+            decided[usize::from(verdict)] += 1;
+            let mut all = tails.clone();
+            all.extend((0..rng.below(remaining as u64 + 1)).map(|_| value(&mut rng)));
+            let median = percentile(&all, 50.0).expect("a decided verdict has tails");
+            assert_eq!(median <= 1.0, verdict, "tails {tails:?}, then {all:?}");
+        }
+        assert!(decided.iter().all(|&n| n > 100), "both verdicts must be exercised: {decided:?}");
     }
 
     #[test]

@@ -115,9 +115,12 @@ impl SimRng {
         }
     }
 
-    /// Exponentially distributed value with the given mean.
+    /// Exponentially distributed value with the given mean:
+    /// `-mean · ln(1 − u)`.
     ///
-    /// Used for Poisson inter-arrival times in the queueing simulator.
+    /// The queueing simulator's arrivals draw the `ln(1 − u)` once and
+    /// multiply it by each rate's mean gap (`sim_qos::arrival`), which gives
+    /// these bits.
     #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         debug_assert!(mean > 0.0);
@@ -132,8 +135,15 @@ impl SimRng {
     /// for real services.
     pub fn log_normal(&mut self, median: f64, sigma: f64) -> f64 {
         debug_assert!(median > 0.0);
-        let n = self.standard_normal();
-        median * (sigma * n).exp()
+        median * self.log_normal_factor(sigma)
+    }
+
+    /// The median-free part of [`SimRng::log_normal`]: `exp(sigma · n)` for
+    /// a standard normal `n`, so `log_normal(median, sigma)` is
+    /// `median * log_normal_factor(sigma)`, bit for bit. A run that replays
+    /// one service-time draw at several medians keeps this factor.
+    pub fn log_normal_factor(&mut self, sigma: f64) -> f64 {
+        (sigma * self.standard_normal()).exp()
     }
 
     /// Standard normal variate (Box–Muller).

@@ -6,6 +6,16 @@
 //! service time (§II). The default process is therefore a two-state MMPP
 //! (Markov-modulated Poisson process) that alternates between a calm and a
 //! bursty state; a plain Poisson process is also available.
+//!
+//! An [`ArrivalGenerator`] is two halves. [`ArrivalDraws`] holds the RNG
+//! and draws each arrival's rate-free randomness (an [`ArrivalDraw`]): the
+//! `ln(1 − u)` of its exponential gap and whether it falls inside a burst,
+//! whose bookkeeping never reads the rate. An [`ArrivalClock`] holds no RNG:
+//! it multiplies a draw's `ln(1 − u)` by the mean gap of one rate and
+//! advances the clock. [`ArrivalGenerator::next_arrival_ms`] is the clock
+//! applied to a fresh draw, so a peak search can draw a run's arrivals once
+//! and replay them at every probed rate through the same arithmetic, with
+//! the same bits as a live generator at that rate.
 
 use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder, SimRng};
@@ -118,18 +128,120 @@ fn truncated_burst_mean(burst_length: f64) -> f64 {
     len * (1.0 - q_cap)
 }
 
-/// Stateful generator of arrival timestamps for an [`ArrivalProcess`].
+/// One arrival's rate-free randomness: the `ln(1 − u)` its exponential gap
+/// scales and whether it falls inside a burst. [`ArrivalDraws`] draws it; an
+/// [`ArrivalClock`] turns it into a timestamp at any rate.
+#[derive(Debug, Clone, Copy)]
+pub struct ArrivalDraw {
+    ln_u: f64,
+    burst: bool,
+}
+
+/// The rate-free half of an [`ArrivalGenerator`]: draws every arrival's
+/// [`ArrivalDraw`] from the RNG exactly as the generator consumes it. The
+/// process's rate is never read, so one sequence of draws serves every rate
+/// of the process's shape.
 #[derive(Debug, Clone)]
-pub struct ArrivalGenerator {
+pub struct ArrivalDraws {
     process: ArrivalProcess,
     rng: SimRng,
-    now_ms: f64,
     burst_remaining: u64,
-    /// Calm-gap scale keeping the average rate at nominal despite burst
-    /// requests; a pure function of the (immutable) process parameters,
-    /// precomputed here because the generator sits on the dispatch hot
-    /// path.
-    calm_correction: f64,
+}
+
+impl ArrivalDraws {
+    /// Draws for `process`'s shape from `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ArrivalProcess::validate`] rejects the process.
+    pub fn new(process: ArrivalProcess, rng: SimRng) -> ArrivalDraws {
+        process.validate().expect("invalid arrival process");
+        ArrivalDraws { process, rng, burst_remaining: 0 }
+    }
+
+    /// The next arrival's draw. A calm arrival may start a burst (a
+    /// [`SimRng::chance`] and a capped [`SimRng::geometric`] length) before
+    /// its gap is drawn; the requests of a burst draw only their gap.
+    #[inline]
+    pub fn next_draw(&mut self) -> ArrivalDraw {
+        let burst = match self.process {
+            ArrivalProcess::Poisson { .. } => false,
+            ArrivalProcess::Bursty { burst_prob, burst_length, .. } => {
+                if self.burst_remaining > 0 {
+                    self.burst_remaining -= 1;
+                    true
+                } else {
+                    if self.rng.chance(burst_prob) {
+                        self.burst_remaining =
+                            self.rng.geometric(1.0 / burst_length.max(1.0)).min(BURST_CAP);
+                    }
+                    false
+                }
+            }
+        };
+        // The `ln(1 − u)` that `SimRng::exponential` scales by its mean.
+        let u = 1.0 - self.rng.uniform_f64();
+        ArrivalDraw { ln_u: u.ln(), burst }
+    }
+}
+
+/// The rate-bound half of an [`ArrivalGenerator`]: the mean gaps of one
+/// rate and the running clock. It holds no RNG; [`ArrivalClock::advance`]
+/// turns an [`ArrivalDraw`] into the timestamp a live generator at this
+/// rate gives, bit for bit.
+#[derive(Debug, Clone)]
+pub struct ArrivalClock {
+    /// Mean gap (ms) of a calm arrival: `1000 / rate`, scaled by the calm
+    /// correction of a bursty process.
+    calm_gap_ms: f64,
+    /// Mean gap (ms) inside a burst: the calm gap over the burst factor.
+    burst_gap_ms: f64,
+    now_ms: f64,
+}
+
+impl ArrivalClock {
+    /// A clock at time 0 for `process` at its rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ArrivalProcess::validate`] rejects the process.
+    pub fn new(process: ArrivalProcess) -> ArrivalClock {
+        process.validate().expect("invalid arrival process");
+        // Scale the calm-period gap so the *average* rate stays at the
+        // nominal value despite the extra burst requests: each calm request
+        // spawns `burst_prob * E[min(G, BURST_CAP)]` burst requests that each
+        // take `1/burst_factor` of a gap. The expectation must be the
+        // *truncated*-geometric mean — using the nominal `burst_length`
+        // ignores the cap and over-corrects, biasing the realised rate low
+        // (fractions of a percent at the default length of 12, ~40% at 256).
+        let (calm_correction, burst_factor) = match process {
+            ArrivalProcess::Poisson { .. } => (1.0, 1.0),
+            ArrivalProcess::Bursty { burst_prob, burst_factor, burst_length, .. } => {
+                let extra = burst_prob * truncated_burst_mean(burst_length);
+                ((1.0 + extra) / (1.0 + extra / burst_factor), burst_factor)
+            }
+        };
+        let calm_gap_ms = 1000.0 / process.rate_rps() * calm_correction;
+        ArrivalClock { calm_gap_ms, burst_gap_ms: calm_gap_ms / burst_factor, now_ms: 0.0 }
+    }
+
+    /// Advances the clock by `draw`'s gap and returns the arrival's
+    /// timestamp (ms): the gap is `-mean · ln(1 − u)`, the product
+    /// [`SimRng::exponential`] forms.
+    #[inline]
+    pub fn advance(&mut self, draw: ArrivalDraw) -> f64 {
+        let mean_gap_ms = if draw.burst { self.burst_gap_ms } else { self.calm_gap_ms };
+        self.now_ms += -mean_gap_ms * draw.ln_u;
+        self.now_ms
+    }
+}
+
+/// Stateful generator of arrival timestamps for an [`ArrivalProcess`]:
+/// an [`ArrivalClock`] fed by [`ArrivalDraws`].
+#[derive(Debug, Clone)]
+pub struct ArrivalGenerator {
+    draws: ArrivalDraws,
+    clock: ArrivalClock,
 }
 
 impl CanonicalKey for ArrivalProcess {
@@ -152,45 +264,16 @@ impl ArrivalGenerator {
     ///
     /// Panics if [`ArrivalProcess::validate`] rejects the process.
     pub fn new(process: ArrivalProcess, rng: SimRng) -> ArrivalGenerator {
-        process.validate().expect("invalid arrival process");
-        // Scale the calm-period gap so the *average* rate stays at the
-        // nominal value despite the extra burst requests: each calm request
-        // spawns `burst_prob * E[min(G, BURST_CAP)]` burst requests that each
-        // take `1/burst_factor` of a gap. The expectation must be the
-        // *truncated*-geometric mean — using the nominal `burst_length`
-        // ignores the cap and over-corrects, biasing the realised rate low
-        // (fractions of a percent at the default length of 12, ~40% at 256).
-        let calm_correction = match process {
-            ArrivalProcess::Poisson { .. } => 1.0,
-            ArrivalProcess::Bursty { burst_prob, burst_factor, burst_length, .. } => {
-                let extra = burst_prob * truncated_burst_mean(burst_length);
-                (1.0 + extra) / (1.0 + extra / burst_factor)
-            }
-        };
-        ArrivalGenerator { process, rng, now_ms: 0.0, burst_remaining: 0, calm_correction }
+        ArrivalGenerator {
+            draws: ArrivalDraws::new(process, rng),
+            clock: ArrivalClock::new(process),
+        }
     }
 
     /// Timestamp (ms) of the next request arrival.
+    #[inline]
     pub fn next_arrival_ms(&mut self) -> f64 {
-        let mean_gap_ms = 1000.0 / self.process.rate_rps();
-        let gap = match self.process {
-            ArrivalProcess::Poisson { .. } => self.rng.exponential(mean_gap_ms),
-            ArrivalProcess::Bursty { burst_prob, burst_factor, burst_length, .. } => {
-                let calm_gap = mean_gap_ms * self.calm_correction;
-                if self.burst_remaining > 0 {
-                    self.burst_remaining -= 1;
-                    self.rng.exponential(calm_gap / burst_factor)
-                } else {
-                    if self.rng.chance(burst_prob) {
-                        self.burst_remaining =
-                            self.rng.geometric(1.0 / burst_length.max(1.0)).min(BURST_CAP);
-                    }
-                    self.rng.exponential(calm_gap)
-                }
-            }
-        };
-        self.now_ms += gap;
-        self.now_ms
+        self.clock.advance(self.draws.next_draw())
     }
 }
 

@@ -23,7 +23,9 @@
 //!   [`service::ServiceSpec::slowdown`] mapping from delivered performance
 //!   to service-time stretch shared with the fleet simulation).
 //! * [`arrival`] — Poisson and bursty (two-state MMPP) open-loop arrivals,
-//!   validated at construction ([`arrival::ArrivalProcess::validate`]).
+//!   validated at construction ([`arrival::ArrivalProcess::validate`]). A
+//!   generator is a rate-free draw ([`arrival::ArrivalDraws`]) fed to a
+//!   rate-bound clock ([`arrival::ArrivalClock`]).
 //! * [`queue`] — the request model: the FCFS queues of one or more servers
 //!   over their worker threads ([`queue::ServerQueues`], stored worker-major
 //!   so a least-loaded choice is one sweep) and the 12-step bisection that
@@ -33,12 +35,22 @@
 //! * [`sweep`] — latency-versus-load curves (Figure 1).
 //! * [`slack`] — minimum performance meeting QoS per load level (Figure 2).
 //!
+//! A run's randomness does not depend on its rate or its performance
+//! fraction, so a search draws it once and replays it (common random
+//! numbers): every arrival's `ln(1 − u)` and burst state, and every
+//! request's log-normal service factor. Each replay forms the products a
+//! live run forms — the rate's mean gap times the stored `ln`, the
+//! stretched median times the stored factor — so it has the live run's
+//! bits. The peak search and the Figure 1 and 2 curves each replay one
+//! tape of a run (see [`server`]) at every probed rate, load point and
+//! performance fraction, instead of redrawing the same seed each time.
+//!
 //! The `cluster_sim` crate scales this single-server model to a datacenter:
 //! its fleet simulation dispatches one arrival stream over N servers held in
 //! one [`queue::ServerQueues`] per shard, whose backlogs its load balancers
-//! probe, finds the fleet's peak with [`queue::bisect_peak_rps`], and
-//! calibrates Stretch's engagement thresholds from the tails the queueing
-//! model produces.
+//! probe, finds the fleet's peak with [`queue::bisect_peak_rps`] over
+//! probes that replay one tape of the same draws, and calibrates Stretch's
+//! engagement thresholds from the tails the queueing model produces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +62,7 @@ pub mod service;
 pub mod slack;
 pub mod sweep;
 
-pub use arrival::{ArrivalGenerator, ArrivalProcess};
+pub use arrival::{ArrivalClock, ArrivalDraw, ArrivalDraws, ArrivalGenerator, ArrivalProcess};
 pub use queue::{bisect_peak_rps, ServerQueues};
 pub use server::{LatencySummary, ServerSim, SimParams};
 pub use service::{ServiceSpec, TailMetric};

@@ -106,10 +106,18 @@ impl ServerQueues {
 }
 
 /// Finds a service's peak sustainable arrival rate (requests/second) by
-/// bisection: the highest rate `meets` accepts, searched in 12 steps between
-/// 5% and 100% of the no-queueing capacity at delivered performance
-/// `performance` (`workers × 1000 / mean service time`). `meets` must be
-/// monotone: true at low rates, false beyond the peak.
+/// bisection between 5% and 100% of the no-queueing capacity at delivered
+/// performance `performance` (`workers × 1000 / mean service time`): one
+/// probe of `meets` at the 5% floor, then 12 at the midpoint of the
+/// bracket, which moves its lower end up to an accepted midpoint and its
+/// upper end down to a rejected one.
+///
+/// The result is well defined for any predicate, monotone or not. It is
+/// the last midpoint `meets` accepted, or the floor when it accepted none;
+/// when every probe passes, that is the top of the bracket,
+/// `capacity × (1 − 0.95 · 2⁻¹²)`. When `meets` is monotone (true at low
+/// rates, false beyond a threshold inside the bracket), the result lies
+/// within one final step, `0.95 · capacity · 2⁻¹²`, below the threshold.
 ///
 /// # Errors
 ///

@@ -6,8 +6,20 @@
 //! `1 / performance_fraction` — degrading the core's single-thread
 //! performance stretches every request proportionally. Sojourn (queueing +
 //! service) times are collected and summarised.
+//!
+//! A run's randomness does not depend on its rate or performance fraction:
+//! each request's arrival draw ([`crate::ArrivalDraw`]) and service-time
+//! factor ([`SimRng::log_normal_factor`]) come from the seed alone. A run
+//! draws them once into a tape and replays it: the arrival clock
+//! multiplies each draw by the rate's mean gap, and each factor is
+//! multiplied by the median stretched for the performance fraction, the
+//! products a live-stream run forms, so a replay has its bits. The peak
+//! search ([`ServerSim::find_peak_load_rps`]) and the curves of Figures 1
+//! and 2 ([`crate::latency_vs_load`], [`crate::slack_curve`]) each draw one
+//! tape and replay it at every probed rate, load point and performance
+//! fraction.
 
-use crate::arrival::{ArrivalGenerator, ArrivalProcess};
+use crate::arrival::{ArrivalClock, ArrivalDraw, ArrivalDraws, ArrivalProcess};
 use crate::queue::{bisect_peak_rps, ServerQueues};
 use crate::service::ServiceSpec;
 use serde::{Deserialize, Serialize};
@@ -104,6 +116,12 @@ impl LatencySummary {
     }
 }
 
+/// One run's arrival draws and service-time factors, in request order (see
+/// the module docs).
+pub(crate) struct RunTape {
+    requests: Vec<(ArrivalDraw, f64)>,
+}
+
 /// The discrete-event server simulator.
 #[derive(Debug, Clone)]
 pub struct ServerSim {
@@ -131,30 +149,62 @@ impl ServerSim {
     /// The peak sustainable arrival rate (requests/second) at full
     /// performance: the highest rate at which the tail-latency target is
     /// still met. Determined by bisection over simulation runs, mirroring
-    /// how the paper establishes each service's peak load empirically.
+    /// how the paper establishes each service's peak load empirically; the
+    /// runs replay one tape of `params`' randomness.
     /// Returns 0.0 when even 5% of capacity violates QoS: the configuration
     /// is hopeless.
     pub fn find_peak_load_rps(&self, params: SimParams) -> f64 {
-        bisect_peak_rps(&self.spec, params.performance_fraction, |rate| {
-            self.meets_qos(rate, params)
-        })
-        .unwrap_or(0.0)
+        self.peak_on(&self.tape(params), params)
     }
 
     /// Whether the QoS target is met at the given arrival rate.
     pub fn meets_qos(&self, rate_rps: f64, params: SimParams) -> bool {
-        let summary = self.run_at_rate(rate_rps, params);
-        summary.tail(self.spec.tail_metric) <= self.spec.qos_target_ms
+        self.meets_target(&self.run_at_rate(rate_rps, params))
     }
 
     /// Runs the simulation at an absolute arrival rate.
     pub fn run_at_rate(&self, rate_rps: f64, params: SimParams) -> LatencySummary {
+        self.replay(&self.tape(params), rate_rps, params)
+    }
+
+    fn meets_target(&self, summary: &LatencySummary) -> bool {
+        summary.tail(self.spec.tail_metric) <= self.spec.qos_target_ms
+    }
+
+    /// The randomness of a run under `params`: its seed and its
+    /// `warmup_requests + requests` requests.
+    pub(crate) fn tape(&self, params: SimParams) -> RunTape {
+        let mut rng = SimRng::new(params.seed);
+        let mut arrivals = ArrivalDraws::new(self.arrivals, rng.fork(1));
+        let mut service_rng = rng.fork(2);
+        let sigma = self.spec.service_sigma;
+        let total = params.warmup_requests + params.requests;
+        RunTape {
+            requests: (0..total)
+                .map(|_| (arrivals.next_draw(), service_rng.log_normal_factor(sigma)))
+                .collect(),
+        }
+    }
+
+    /// [`ServerSim::find_peak_load_rps`] on a drawn `tape` of `params`.
+    pub(crate) fn peak_on(&self, tape: &RunTape, params: SimParams) -> f64 {
+        bisect_peak_rps(&self.spec, params.performance_fraction, |rate| {
+            self.meets_target(&self.replay(tape, rate, params))
+        })
+        .unwrap_or(0.0)
+    }
+
+    /// The run at `rate_rps` under `params`, replayed from their `tape`.
+    pub(crate) fn replay(
+        &self,
+        tape: &RunTape,
+        rate_rps: f64,
+        params: SimParams,
+    ) -> LatencySummary {
         params.validate().expect("invalid simulation parameters");
         assert!(rate_rps > 0.0, "arrival rate must be positive");
-        let mut rng = SimRng::new(params.seed);
-        let arrival_rng = rng.fork(1);
-        let mut service_rng = rng.fork(2);
-        let mut arrivals = ArrivalGenerator::new(self.arrivals.with_rate(rate_rps), arrival_rng);
+        debug_assert_eq!(tape.requests.len(), params.warmup_requests + params.requests);
+        let mut clock = ArrivalClock::new(self.arrivals.with_rate(rate_rps));
         // Only the CPU-bound portion of the service time stretches when the
         // core delivers less single-thread performance.
         let median_ms =
@@ -162,11 +212,8 @@ impl ServerSim {
 
         let mut queue = ServerQueues::new(1, self.spec.workers);
         let mut sojourn = Percentiles::new();
-        let total = params.warmup_requests + params.requests;
-        for i in 0..total {
-            let arrival = arrivals.next_arrival_ms();
-            let service_ms = service_rng.log_normal(median_ms, self.spec.service_sigma);
-            let sojourn_ms = queue.admit(0, arrival, service_ms);
+        for (i, &(draw, factor)) in tape.requests.iter().enumerate() {
+            let sojourn_ms = queue.admit(0, clock.advance(draw), median_ms * factor);
             if i >= params.warmup_requests {
                 sojourn.record(sojourn_ms);
             }

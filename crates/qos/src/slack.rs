@@ -8,7 +8,7 @@
 //! paper does with its §II duty-cycle modulation.
 
 use crate::arrival::ArrivalProcess;
-use crate::server::{ServerSim, SimParams};
+use crate::server::{RunTape, ServerSim, SimParams};
 use crate::service::ServiceSpec;
 use serde::{Deserialize, Serialize};
 
@@ -60,7 +60,9 @@ impl SlackPoint {
 ///
 /// `loads` lists the load fractions to evaluate (the paper uses 10%–100% in
 /// 10% steps). The search over performance fractions uses the same
-/// granularity as the figure (5% steps).
+/// granularity as the figure (5% steps). The peak search and every run at
+/// every load and fraction replay one tape of `params`' randomness (see
+/// [`crate::server`]).
 ///
 /// # Panics
 ///
@@ -68,7 +70,8 @@ impl SlackPoint {
 pub fn slack_curve(spec: &ServiceSpec, params: SimParams, loads: &[f64]) -> Vec<SlackPoint> {
     assert!(!loads.is_empty(), "need at least one load point");
     let sim = ServerSim::new(spec.clone(), ArrivalProcess::bursty(100.0));
-    let peak = sim.find_peak_load_rps(params);
+    let tape = sim.tape(params);
+    let peak = sim.peak_on(&tape, params);
     loads
         .iter()
         .map(|&load| {
@@ -76,7 +79,7 @@ pub fn slack_curve(spec: &ServiceSpec, params: SimParams, loads: &[f64]) -> Vec<
             // A zero peak means the target is unmet even at a trickle of
             // requests — every load point is infeasible.
             let (required_performance, feasible) = if peak > 0.0 {
-                required_performance(&sim, peak, load, params)
+                required_performance(&sim, &tape, peak, load, params)
             } else {
                 (1.0, false)
             };
@@ -92,6 +95,7 @@ pub fn slack_curve(spec: &ServiceSpec, params: SimParams, loads: &[f64]) -> Vec<
 /// infeasible rather than "requires 1.0".
 fn required_performance(
     sim: &ServerSim,
+    tape: &RunTape,
     peak_rps: f64,
     load: f64,
     params: SimParams,
@@ -102,7 +106,7 @@ fn required_performance(
     let mut feasible = false;
     let steps: Vec<f64> = (1..=20).map(|i| i as f64 * 0.05).collect();
     for &fraction in steps.iter().rev() {
-        let summary = sim.run_at_load(load, peak_rps, params.with_performance(fraction));
+        let summary = sim.replay(tape, load * peak_rps, params.with_performance(fraction));
         if summary.tail(metric) <= target {
             required = fraction;
             feasible = true;

@@ -18,7 +18,12 @@ pub struct LoadPoint {
 /// latency summary at each point, as in Figure 1.
 ///
 /// The peak sustainable load is determined first at full performance; all
-/// points are expressed relative to it.
+/// points are expressed relative to it. The peak search and every point
+/// replay one tape of `params`' randomness, so each point has the bits of
+/// [`ServerSim::run_at_load`] at that load.
+///
+/// Returns an empty curve when the target is hopeless: the peak is zero
+/// because even 5% of capacity misses it, so there is no load to sweep.
 ///
 /// # Panics
 ///
@@ -32,7 +37,11 @@ pub fn latency_vs_load(
     assert!(steps > 0, "need at least one load step");
     assert!(min_load > 0.0 && min_load < 1.0, "min_load must be in (0, 1)");
     let sim = ServerSim::new(spec.clone(), ArrivalProcess::bursty(100.0));
-    let peak = sim.find_peak_load_rps(params);
+    let tape = sim.tape(params);
+    let peak = sim.peak_on(&tape, params);
+    if peak <= 0.0 {
+        return Vec::new();
+    }
     let mut points = Vec::with_capacity(steps);
     for i in 0..steps {
         let load = if steps == 1 {
@@ -40,7 +49,7 @@ pub fn latency_vs_load(
         } else {
             min_load + (1.0 - min_load) * i as f64 / (steps - 1) as f64
         };
-        let latency = sim.run_at_load(load, peak, params);
+        let latency = sim.replay(&tape, load * peak, params);
         points.push(LoadPoint { load, latency });
     }
     points
@@ -75,6 +84,15 @@ mod tests {
                 p.latency.p99_ms
             );
         }
+    }
+
+    #[test]
+    fn hopeless_target_gives_an_empty_curve() {
+        let mut spec = ServiceSpec::web_search();
+        // Valid (above the median) but unmeetable: the tail of the service
+        // times alone exceeds it, so the peak is zero.
+        spec.qos_target_ms = spec.service_median_ms * 1.01;
+        assert!(latency_vs_load(&spec, SimParams::quick(7), 0.1, 5).is_empty());
     }
 
     #[test]

@@ -34,8 +34,8 @@ fn main() {
 
     println!();
     println!("Minimum single-thread performance required to keep meeting QoS,");
-    println!("and whether an Elfen schedule at a 60% duty cycle would meet it:");
-    println!("  load    required perf   slack   Elfen@60%");
+    println!("and whether a 60% duty cycle (§II) would meet it:");
+    println!("  load    required perf   slack   60% duty");
     let duty_cycle = 0.6;
     let loads: Vec<f64> = (1..=10).map(|i| i as f64 * 0.1).collect();
     for point in slack_curve(&spec, params, &loads) {

@@ -165,3 +165,59 @@ fn fleet_case_studies_match_the_pinned_quick_fixtures() {
     fixture(CaseStudy::web_search(), FLEET_WS_GAIN, FLEET_WS_P99_MS, FLEET_WS_HOURS);
     fixture(CaseStudy::youtube(), FLEET_YT_GAIN, FLEET_YT_P99_MS, FLEET_YT_HOURS);
 }
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: &[u64]) -> u64 {
+    words.iter().flat_map(|w| w.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every field of Figure 1's and Figure 2's request-level curves for each
+/// Table I service at `SimParams::quick(42)`, floats by their bits: the
+/// load sweep `latency_vs_load(spec, params, 0.1, 10)` and the slack curve
+/// at loads 0.1, 0.2, …, 1.0. Pinned from the live-stream simulator, before
+/// the peak searches and curves replayed one drawn tape per run; a change
+/// to arrivals, service draws, the queue, the peak bisection or the curve
+/// loops that moves any value fails here.
+#[test]
+fn request_level_curves_match_the_pinned_quick_fixture() {
+    use stretch_repro::qos::{latency_vs_load, slack_curve, ServiceSpec, SimParams};
+    const PINNED: [(&str, u64, u64); 4] = [
+        ("data-serving", 0x2170_2f4a_b7c7_1255, 0x8473_f4bc_5409_f36a),
+        ("web-serving", 0xed32_2ef9_6495_8be7, 0x9a47_1f08_2f2a_e7a2),
+        ("web-search", 0xde90_6321_27e2_7bd6, 0x609a_9c4f_4875_8d9a),
+        ("media-streaming", 0x1f4e_b212_f65e_3852, 0x2b2b_b97b_8884_54a3),
+    ];
+    let loads: Vec<f64> = (1..=10).map(|i| i as f64 / 10.0).collect();
+    let digests: Vec<(String, u64, u64)> = ServiceSpec::all()
+        .iter()
+        .map(|spec| {
+            let mut sweep = Vec::new();
+            for point in latency_vs_load(spec, SimParams::quick(42), 0.1, 10) {
+                let l = point.latency;
+                sweep.extend(
+                    [point.load, l.mean_ms, l.p95_ms, l.p99_ms, l.p995_ms, l.max_ms]
+                        .map(f64::to_bits),
+                );
+                sweep.push(l.requests as u64);
+            }
+            let mut slack = Vec::new();
+            for point in slack_curve(spec, SimParams::quick(42), &loads) {
+                slack.extend([
+                    point.load.to_bits(),
+                    point.required_performance.to_bits(),
+                    u64::from(point.feasible),
+                ]);
+            }
+            (spec.name.to_string(), fnv1a(&sweep), fnv1a(&slack))
+        })
+        .collect();
+    let shown: Vec<String> = digests
+        .iter()
+        .map(|(name, sweep, slack)| format!("(\"{name}\", {sweep:#018x}, {slack:#018x}),"))
+        .collect();
+    let pinned: Vec<(String, u64, u64)> =
+        PINNED.iter().map(|&(name, sweep, slack)| (name.to_string(), sweep, slack)).collect();
+    assert_eq!(digests, pinned, "(load sweep, slack curve) digests drifted: {shown:#?}");
+}

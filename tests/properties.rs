@@ -6,9 +6,12 @@ use stretch_repro::mem::{HierarchyConfig, LoadResult, MemoryHierarchy, Sharing};
 use stretch_repro::model::{
     CacheConfig, CoreConfig, SimRng, ThreadId, TraceGenerator, WorkloadClass,
 };
-use stretch_repro::qos::ServerQueues;
+use stretch_repro::qos::{
+    ArrivalClock, ArrivalDraws, ArrivalGenerator, ArrivalProcess, LatencySummary, ServerQueues,
+    ServerSim, ServiceSpec, SimParams,
+};
 use stretch_repro::stats::percentile::{percentile, percentile_of_sorted, percentiles_in};
-use stretch_repro::stats::{DistributionSummary, Histogram, LatencyHistogram};
+use stretch_repro::stats::{DistributionSummary, Histogram, LatencyHistogram, Percentiles};
 use stretch_repro::stretch::{RobSkew, StretchMode};
 use stretch_repro::workloads::WorkloadProfile;
 
@@ -550,5 +553,178 @@ proptest! {
         }
         mem.repeat_rejected_loads(&order, k);
         prop_assert_eq!(format!("{mem:?}"), format!("{plain:?}"));
+    }
+}
+
+/// An arrival process of a random shape at `rate_rps`: Poisson, or bursty
+/// with a burst probability of 0, of 1 or drawn in between.
+fn arrival_process(
+    rate_rps: f64,
+    shape: u32,
+    burst_prob: f64,
+    burst_factor: f64,
+    burst_length: f64,
+) -> ArrivalProcess {
+    let burst_prob = match shape {
+        0 => return ArrivalProcess::Poisson { rate_rps },
+        1 => 0.0,
+        2 => 1.0,
+        _ => burst_prob,
+    };
+    ArrivalProcess::Bursty { rate_rps, burst_prob, burst_factor, burst_length }
+}
+
+/// The arrival generator as it drew gaps before the rate-free draws were
+/// split from the clock: each gap is `SimRng::exponential` at the mean of
+/// the arrival's state, computed from the rate on every call.
+struct LiveArrivals {
+    process: ArrivalProcess,
+    rng: SimRng,
+    now_ms: f64,
+    burst_remaining: u64,
+    calm_correction: f64,
+}
+
+impl LiveArrivals {
+    fn new(process: ArrivalProcess, rng: SimRng) -> LiveArrivals {
+        let calm_correction = match process {
+            ArrivalProcess::Poisson { .. } => 1.0,
+            ArrivalProcess::Bursty { burst_prob, burst_factor, burst_length, .. } => {
+                // The truncated-geometric mean of a burst capped at 64.
+                let len = burst_length.max(1.0);
+                let q = 1.0 - 1.0 / len;
+                let mut q_cap = 1.0;
+                for _ in 0..64 {
+                    q_cap *= q;
+                }
+                let extra = burst_prob * (len * (1.0 - q_cap));
+                (1.0 + extra) / (1.0 + extra / burst_factor)
+            }
+        };
+        LiveArrivals { process, rng, now_ms: 0.0, burst_remaining: 0, calm_correction }
+    }
+
+    fn next_arrival_ms(&mut self) -> f64 {
+        let mean_gap_ms = 1000.0 / self.process.rate_rps();
+        let gap = match self.process {
+            ArrivalProcess::Poisson { .. } => self.rng.exponential(mean_gap_ms),
+            ArrivalProcess::Bursty { burst_prob, burst_factor, burst_length, .. } => {
+                let calm_gap = mean_gap_ms * self.calm_correction;
+                if self.burst_remaining > 0 {
+                    self.burst_remaining -= 1;
+                    self.rng.exponential(calm_gap / burst_factor)
+                } else {
+                    if self.rng.chance(burst_prob) {
+                        self.burst_remaining =
+                            self.rng.geometric(1.0 / burst_length.max(1.0)).min(64);
+                    }
+                    self.rng.exponential(calm_gap)
+                }
+            }
+        };
+        self.now_ms += gap;
+        self.now_ms
+    }
+}
+
+fn summary_bits(s: &LatencySummary) -> [u64; 6] {
+    let ms = [s.mean_ms, s.p95_ms, s.p99_ms, s.p995_ms, s.max_ms].map(f64::to_bits);
+    [ms[0], ms[1], ms[2], ms[3], ms[4], s.requests as u64]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // ---------------- request-level replay ----------------
+
+    #[test]
+    fn log_normal_is_its_median_times_the_factor(
+        seed in any::<u64>(),
+        median in 1e-3f64..1e4,
+        sigma in 0.0f64..2.0,
+    ) {
+        let mut live = SimRng::new(seed);
+        let mut factors = live.clone();
+        for _ in 0..32 {
+            prop_assert_eq!(
+                live.log_normal(median, sigma).to_bits(),
+                (median * factors.log_normal_factor(sigma)).to_bits()
+            );
+        }
+    }
+
+    /// One sequence of draws, replayed through a clock at several rates,
+    /// gives at each rate the timestamps of a live `ArrivalGenerator` and of
+    /// the generator as it drew before the split, bit for bit.
+    #[test]
+    fn replayed_arrival_draws_match_live_generators_at_any_rate(
+        seed in any::<u64>(),
+        shape in 0u32..4,
+        burst in (0.0f64..1.0, 1.0f64..16.0, 1.0f64..100.0),
+        rates in prop::collection::vec(1e-2f64..1e5, 1..4),
+    ) {
+        let (burst_prob, burst_factor, burst_length) = burst;
+        let process = arrival_process(100.0, shape, burst_prob, burst_factor, burst_length);
+        let mut draws = ArrivalDraws::new(process, SimRng::new(seed));
+        let tape: Vec<_> = (0..300).map(|_| draws.next_draw()).collect();
+        for rate in rates {
+            let at_rate = process.with_rate(rate);
+            let mut clock = ArrivalClock::new(at_rate);
+            let mut live = ArrivalGenerator::new(at_rate, SimRng::new(seed));
+            let mut before = LiveArrivals::new(at_rate, SimRng::new(seed));
+            for &draw in &tape {
+                let replayed = clock.advance(draw).to_bits();
+                prop_assert_eq!(replayed, live.next_arrival_ms().to_bits(), "rate {}", rate);
+                prop_assert_eq!(replayed, before.next_arrival_ms().to_bits(), "rate {}", rate);
+            }
+        }
+    }
+
+    /// `ServerSim::run_at_rate`, which replays a drawn tape, against the
+    /// live-stream loop it replaced: arrivals and service times drawn as
+    /// each request is admitted.
+    #[test]
+    fn run_at_rate_matches_the_live_stream_loop(
+        seed in any::<u64>(),
+        service in 0usize..4,
+        shape in 0u32..4,
+        burst in (0.0f64..1.0, 1.0f64..16.0, 1.0f64..100.0),
+        load in 0.02f64..1.5,
+        performance in 0.05f64..1.0,
+        counts in (1usize..400, 0usize..60),
+    ) {
+        let spec = ServiceSpec::all().swap_remove(service);
+        let (burst_prob, burst_factor, burst_length) = burst;
+        let process = arrival_process(100.0, shape, burst_prob, burst_factor, burst_length);
+        let params = SimParams { requests: counts.0, warmup_requests: counts.1, seed, performance_fraction: performance };
+        let rate = load * spec.workers as f64 * 1000.0 / spec.mean_service_ms(performance);
+        let replayed = ServerSim::new(spec.clone(), process).run_at_rate(rate, params);
+
+        let mut rng = SimRng::new(seed);
+        let mut arrivals = LiveArrivals::new(process.with_rate(rate), rng.fork(1));
+        let mut service_rng = rng.fork(2);
+        let median_ms = spec.service_median_ms * spec.slowdown(performance);
+        let mut queue = ServerQueues::new(1, spec.workers);
+        let mut sojourn = Percentiles::new();
+        for i in 0..params.warmup_requests + params.requests {
+            let arrival = arrivals.next_arrival_ms();
+            let service_ms = service_rng.log_normal(median_ms, spec.service_sigma);
+            let sojourn_ms = queue.admit(0, arrival, service_ms);
+            if i >= params.warmup_requests {
+                sojourn.record(sojourn_ms);
+            }
+        }
+        let [p95_ms, p99_ms, p995_ms] =
+            percentiles_in(&mut Vec::new(), sojourn.samples(), [95.0, 99.0, 99.5])
+                .unwrap_or([0.0; 3]);
+        let live = LatencySummary {
+            mean_ms: sojourn.mean().unwrap_or(0.0),
+            p95_ms,
+            p99_ms,
+            p995_ms,
+            max_ms: sojourn.max().unwrap_or(0.0),
+            requests: sojourn.len(),
+        };
+        prop_assert_eq!(summary_bits(&replayed), summary_bits(&live));
     }
 }
