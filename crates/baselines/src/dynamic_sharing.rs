@@ -7,18 +7,12 @@
 
 use cpu_sim::{ColocationPolicy, ColocationTopology, CoreSetup, FetchPolicy, PartitionPolicy};
 use mem_sim::Sharing;
-use sim_model::{CanonicalKey, CoreConfig, KeyEncoder};
+use sim_model::CoreConfig;
 
 /// The dynamically shared ROB policy: ICOUNT fetch, shared caches and
 /// predictor (as in the baseline), but no ROB/LSQ partitioning.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DynamicSharing;
-
-impl CanonicalKey for DynamicSharing {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.str("policy/dynamic-sharing");
-    }
-}
 
 impl ColocationPolicy for DynamicSharing {
     fn name(&self) -> String {
@@ -34,10 +28,6 @@ impl ColocationPolicy for DynamicSharing {
             l1d_sharing: Sharing::Shared,
             bp_sharing: Sharing::Shared,
         }
-    }
-
-    fn clone_policy(&self) -> Box<dyn ColocationPolicy> {
-        Box::new(*self)
     }
 }
 

@@ -8,7 +8,7 @@
 
 use cpu_sim::{ColocationPolicy, ColocationTopology, CoreSetup, FetchPolicy, PartitionPolicy};
 use mem_sim::Sharing;
-use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
+use sim_model::{CoreConfig, ThreadId};
 
 /// The fetch-throttling ratios (`M` in 1:M) evaluated in Figure 12.
 pub const FETCH_THROTTLING_RATIOS: [u32; 4] = [2, 4, 8, 16];
@@ -38,12 +38,6 @@ impl FetchThrottling {
     }
 }
 
-impl CanonicalKey for FetchThrottling {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.str("policy/fetch-throttling").field(&self.ls_thread).field(&self.ratio);
-    }
-}
-
 impl ColocationPolicy for FetchThrottling {
     fn name(&self) -> String {
         format!("fetch throttling 1:{}", self.ratio)
@@ -59,10 +53,6 @@ impl ColocationPolicy for FetchThrottling {
             l1d_sharing: Sharing::Shared,
             bp_sharing: Sharing::Shared,
         }
-    }
-
-    fn clone_policy(&self) -> Box<dyn ColocationPolicy> {
-        Box::new(*self)
     }
 }
 

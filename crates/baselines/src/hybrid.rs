@@ -8,12 +8,12 @@
 //! much window the batch thread can clog, while a mild 1:M fetch ratio keeps
 //! the latency-sensitive thread's front-end slots protected. It is not a
 //! paper configuration — it exists to exercise the [`ColocationPolicy`]
-//! surface end to end (setup, canonical identity, scenario runs) with a
-//! scheme none of the built-in figures use.
+//! surface end to end (the core setup it programs, scenario runs and an
+//! extra row of Figure 12) with a scheme the paper does not evaluate.
 
 use cpu_sim::{ColocationPolicy, ColocationTopology, CoreSetup, FetchPolicy, PartitionPolicy};
 use mem_sim::Sharing;
-use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
+use sim_model::{CoreConfig, ThreadId};
 
 /// Fetch throttling layered on an asymmetric ROB split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,16 +47,6 @@ impl HybridThrottleSkew {
     }
 }
 
-impl CanonicalKey for HybridThrottleSkew {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.str("policy/hybrid-throttle-skew")
-            .field(&self.ls_thread)
-            .field(&self.ratio)
-            .usize(self.ls_rob)
-            .usize(self.batch_rob);
-    }
-}
-
 impl ColocationPolicy for HybridThrottleSkew {
     fn name(&self) -> String {
         format!("hybrid 1:{} + {}-{}", self.ratio, self.ls_rob, self.batch_rob)
@@ -76,10 +66,6 @@ impl ColocationPolicy for HybridThrottleSkew {
             l1d_sharing: Sharing::Shared,
             bp_sharing: Sharing::Shared,
         }
-    }
-
-    fn clone_policy(&self) -> Box<dyn ColocationPolicy> {
-        Box::new(*self)
     }
 }
 
@@ -133,23 +119,6 @@ mod tests {
             "hybrid batch {:.3} vs baseline {:.3}",
             hybrid.expect_thread(ThreadId::T1).uipc,
             baseline.expect_thread(ThreadId::T1).uipc
-        );
-    }
-
-    #[test]
-    fn canonical_key_distinguishes_operating_points() {
-        let digest = |p: &HybridThrottleSkew| {
-            let mut enc = KeyEncoder::new();
-            p.encode_key(&mut enc);
-            enc.digest()
-        };
-        assert_ne!(
-            digest(&HybridThrottleSkew::recommended()),
-            digest(&HybridThrottleSkew::new(ThreadId::T0, 4, 56, 136))
-        );
-        assert_ne!(
-            digest(&HybridThrottleSkew::recommended()),
-            digest(&HybridThrottleSkew::new(ThreadId::T0, 2, 48, 144))
         );
     }
 

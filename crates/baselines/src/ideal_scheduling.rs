@@ -11,7 +11,7 @@
 
 use cpu_sim::{ColocationPolicy, ColocationTopology, CoreSetup, FetchPolicy, PartitionPolicy};
 use mem_sim::Sharing;
-use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
+use sim_model::{CoreConfig, ThreadId};
 
 /// Ideal software scheduling: private L1-I, L1-D and branch predictor for
 /// each thread. The ROB/LSQ stay equally partitioned unless a Stretch skew is
@@ -43,20 +43,6 @@ impl Default for IdealScheduling {
     }
 }
 
-impl CanonicalKey for IdealScheduling {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.str("policy/ideal-scheduling");
-        match self.skew {
-            None => {
-                enc.tag(0);
-            }
-            Some((t, ls, batch)) => {
-                enc.tag(1).field(&t).usize(ls).usize(batch);
-            }
-        }
-    }
-}
-
 impl ColocationPolicy for IdealScheduling {
     fn name(&self) -> String {
         match self.skew {
@@ -74,7 +60,7 @@ impl ColocationPolicy for IdealScheduling {
     /// Panics if the requested skew exceeds the ROB capacity.
     fn setup_for(&self, cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup {
         let partition = match self.skew {
-            None => PartitionPolicy::equal_n(cfg, topology.threads()),
+            None => PartitionPolicy::equal(cfg, topology.threads()),
             Some((ls_thread, ls_rob, batch_rob)) => {
                 PartitionPolicy::ls_split(cfg, topology.threads(), ls_thread, ls_rob, batch_rob)
             }
@@ -86,10 +72,6 @@ impl ColocationPolicy for IdealScheduling {
             l1d_sharing: Sharing::PrivatePerThread,
             bp_sharing: Sharing::PrivatePerThread,
         }
-    }
-
-    fn clone_policy(&self) -> Box<dyn ColocationPolicy> {
-        Box::new(*self)
     }
 }
 
@@ -119,20 +101,17 @@ mod tests {
     }
 
     #[test]
-    fn pure_and_combined_policies_have_distinct_keys() {
-        let digest = |p: &IdealScheduling| {
-            let mut enc = KeyEncoder::new();
-            p.encode_key(&mut enc);
-            enc.digest()
-        };
-        assert_ne!(
-            digest(&IdealScheduling::new()),
-            digest(&IdealScheduling::with_stretch(ThreadId::T0, 56, 136))
-        );
-        assert_ne!(
-            digest(&IdealScheduling::with_stretch(ThreadId::T0, 56, 136)),
-            digest(&IdealScheduling::with_stretch(ThreadId::T1, 56, 136))
-        );
+    fn the_pure_policy_programs_the_rob_only_study_core() {
+        // Figure 13's ideal scheduling and Figure 5's ROB-only sharing are
+        // one core, so the experiment engine serves them from one cell.
+        let cfg = CoreConfig::default();
+        for threads in [2, 4] {
+            let topology = ColocationTopology::new(threads, ThreadId::T0);
+            assert_eq!(
+                IdealScheduling::new().setup_for(&cfg, &topology),
+                cpu_sim::StudiedResource::Rob.setup(&cfg, threads)
+            );
+        }
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //!
 //! The paper's framing is that all of these mechanisms are interchangeable
 //! resource-allocation policies over the same SMT core; this crate makes
-//! them literally interchangeable values. Run any of them through
-//! [`cpu_sim::Scenario`] (`Scenario::colocate(ls, batch).policy(p).run()`) or
-//! the experiment engine's colocation matrix:
+//! them literally interchangeable values. Each is nothing more than the
+//! [`cpu_sim::CoreSetup`] it programs, and the experiment engine caches a
+//! cell by that setup, so a baseline that programs the same core as another
+//! policy shares its cells. Run any of them through [`cpu_sim::Scenario`]
+//! (`Scenario::colocate(ls, batch).policy(p).run()`) or the experiment
+//! engine's colocation matrix:
 //!
 //! * [`DynamicSharing`] — a dynamically shared ROB (no partitioning at all),
 //!   the Figure 11 configuration;
@@ -19,7 +22,10 @@
 //! * [`IdealScheduling`] — idealised software scheduling (SMiTe-style):
 //!   contention in all dynamically shared structures is assumed away by
 //!   giving each thread private L1s and branch predictor (Figure 13), with
-//!   an optional Stretch skew layered on top for the combined bar;
+//!   an optional Stretch skew layered on top for the combined bar. Without
+//!   the skew it programs the same core as Figure 5's ROB-only
+//!   configuration (`cpu_sim::StudiedResource::Rob`), so the two share
+//!   their cells;
 //! * [`HybridThrottleSkew`] — *not* a paper configuration: fetch throttling
 //!   layered on a Stretch ROB skew, added as the demonstration that a new
 //!   policy is a one-file change.

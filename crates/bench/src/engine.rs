@@ -14,7 +14,8 @@
 //!   instead of running the simulation twice;
 //! * **persistent caching** — with a [`ResultStore`] attached, results
 //!   survive the process, keyed by a collision-free canonical digest of the
-//!   core configuration, *policy identity* (allocation and colocation),
+//!   core configuration, the [`cpu_sim::CoreSetup`] the colocation policy
+//!   programs (plus the allocation policy's identity for a whole server),
 //!   thread grouping or whole-server placement, seed and simulation length
 //!   (see [`crate::store`]); a warm-cache invocation performs zero
 //!   simulation runs, which [`CacheStats`] makes verifiable;
@@ -37,8 +38,8 @@ use std::sync::{Condvar, Mutex};
 
 use cluster_sim::{CaseStudy, Fleet, FleetReport, FleetScale, LoadBalancer};
 use cpu_sim::{
-    AllocationPolicy, ColocationPolicy, PrivateCore, Scenario, ServerScenario, ServerSpec,
-    ServerThread, SimLength, ThreadRunResult, ThreadSpec,
+    AllocationPolicy, ColocationPolicy, ColocationTopology, PrivateCore, Scenario, ServerScenario,
+    ServerSpec, ServerThread, SimLength, ThreadRunResult, ThreadSpec,
 };
 use serde_json::Value;
 use sim_model::{parallel_map, CoreConfig, KeyEncoder, ThreadId, TraceSource};
@@ -469,26 +470,28 @@ impl Engine {
 
     /// One latency-sensitive × N-batch SMT colocation cell under a
     /// [`ColocationPolicy`]: `1 + batches.len()` hardware threads sharing one
-    /// core. The cache digest covers the *policy identity* (its
-    /// [`sim_model::CanonicalKey`]), not just the core setup it happens to
-    /// produce, so two policies can never alias onto one cell; the
-    /// slot-ordered name list keys the thread grouping, so the historical
-    /// two-thread pairs and the wider SMT4 groupings are distinct cells of
-    /// one `smt/v1` family. The computation is one [`Scenario::colocate_n`]
-    /// run, which seeds the grouping with [`cpu_sim::colocation_seed`] over
-    /// the slot-ordered names, so the same grouping sees identical
-    /// instruction streams under every policy.
+    /// core. A run is a pure function of the core configuration, length,
+    /// seed, the [`cpu_sim::CoreSetup`] the policy programs for this width
+    /// (LS thread at T0) and the slot-ordered names, so the cache digest
+    /// covers exactly those: two policies that program the same core share
+    /// one cell, and the historical two-thread pairs and the wider SMT4
+    /// groupings are distinct cells of one `smt/v2` family. The computation
+    /// is one [`Scenario::colocate_n`] run of that setup, which seeds the
+    /// grouping with [`cpu_sim::colocation_seed`] over the slot-ordered
+    /// names, so the same grouping sees identical instruction streams under
+    /// every policy.
     ///
     /// # Panics
     ///
     /// Panics if any workload name is unknown or `batches` is empty.
     pub fn smt(&self, policy: &dyn ColocationPolicy, ls: &str, batches: &[String]) -> SmtOutcome {
-        let mut key = self.core_key("smt/v1");
-        policy.encode_key(&mut key);
         let mut names = Vec::with_capacity(1 + batches.len());
         names.push(ls.to_string());
         names.extend(batches.iter().cloned());
-        key.list(&names);
+        let topology = ColocationTopology::new(names.len(), ThreadId::T0);
+        let setup = policy.setup_for(&self.cfg.core, &topology);
+        let mut key = self.core_key("smt/v2");
+        key.field(&setup).list(&names);
         self.run_cached(&key, &format!("smt {}", names.join(" x ")), || {
             let ls_profile =
                 latency_sensitive::profile_by_name(ls).expect("known latency-sensitive name");
@@ -501,7 +504,7 @@ impl Engine {
                 .collect();
             let result = Scenario::colocate_n(ls_profile, batch_profiles)
                 .config(self.cfg.core)
-                .boxed_policy(policy.clone_policy())
+                .policy(setup)
                 .length(self.cfg.length)
                 .seed(self.cfg.seed)
                 .run();
@@ -532,9 +535,12 @@ impl Engine {
     /// batch jobs follow in offer order. Each batch name's stand-alone UIPC
     /// is resolved through the engine's own cached [`Engine::standalone`]
     /// cells and fed to the allocator (the symbiosis signal), and the cache
-    /// digest covers both policy identities, the server shape, the *chosen
-    /// placement* and the offered names — so an allocation change that moves
-    /// a thread is a different cell even under the same allocator name.
+    /// digest covers the allocation policy's identity, the per-core
+    /// [`cpu_sim::CoreSetup`] the colocation policy programs, the server
+    /// shape, the *chosen placement* and the offered names — so an
+    /// allocation change that moves a thread is a different cell even under
+    /// the same allocator name. The run is handed that placement and that
+    /// setup.
     ///
     /// # Panics
     ///
@@ -556,10 +562,11 @@ impl Engine {
         }))
         .collect();
         let placement = allocation.assign(&threads, &spec);
-        let mut key = self.core_key("server/v1");
+        let topology = ColocationTopology::new(spec.threads_per_core, ThreadId::T0);
+        let setup = colocation.setup_for(&self.cfg.core, &topology);
+        let mut key = self.core_key("server/v2");
         allocation.encode_key(&mut key);
-        colocation.encode_key(&mut key);
-        key.field(&spec).field(&placement);
+        key.field(&setup).field(&spec).field(&placement);
         let names: Vec<String> = threads.iter().map(|t| t.name.clone()).collect();
         key.list(&names);
         let what =
@@ -567,8 +574,8 @@ impl Engine {
         self.run_cached(&key, &what, || {
             let mut scenario = ServerScenario::new(spec)
                 .config(self.cfg.core)
-                .boxed_allocation(allocation.clone_policy())
-                .boxed_colocation(colocation.clone_policy())
+                .allocation(placement)
+                .colocation(setup)
                 .length(self.cfg.length)
                 .seed(self.cfg.seed);
             for thread in threads {
@@ -788,10 +795,10 @@ mod tests {
     }
 
     #[test]
-    fn policies_with_identical_setups_are_still_distinct_cells() {
-        // PinnedStretch in Baseline mode produces the exact same CoreSetup
-        // as EqualPartition; the cache digest must still tell them apart
-        // because it covers the policy identity, not the derived setup.
+    fn policies_with_identical_setups_share_one_cell() {
+        // PinnedStretch in Baseline mode programs the exact same CoreSetup
+        // as EqualPartition, and the setup is all of a policy a run sees:
+        // the cache digest covers the setup, so both requests are one cell.
         let engine = Engine::new(quick_cfg());
         let a = engine.pair(&EqualPartition, "web-search", "zeusmp");
         let b = engine.pair(
@@ -799,15 +806,18 @@ mod tests {
             "web-search",
             "zeusmp",
         );
-        assert_eq!(engine.stats().misses, 2, "identical setups must not merge distinct policies");
-        // Same setup + same derived seed -> identical numbers.
+        assert_eq!(engine.stats().misses, 1, "identical setups are one cell");
+        assert_eq!(engine.stats().memo_hits, 1);
         assert_eq!(a.ls_uipc.to_bits(), b.ls_uipc.to_bits());
         assert_eq!(a.batch_uipc.to_bits(), b.batch_uipc.to_bits());
+        // The setup handed over is the policy's own, however it is passed.
+        let _ = engine.pair(&EqualPartition.setup(&engine.cfg().core), "web-search", "zeusmp");
+        assert_eq!(engine.stats().misses, 1);
     }
 
     #[test]
     fn pair_and_smt_requests_share_one_cell() {
-        // A pair is the N = 1 face of the smt/v1 cell family: asking for the
+        // A pair is the N = 1 face of the smt/v2 cell family: asking for the
         // same grouping through either entry point must hit one cached cell.
         let engine = Engine::new(quick_cfg());
         let pair = engine.pair(&EqualPartition, "web-search", "zeusmp");
@@ -867,6 +877,24 @@ mod tests {
         assert_eq!(engine.stats().misses, 5, "allocation identity must split server cells");
         assert_ne!(greedy.cores, rr.cores, "the two allocators place threads differently");
         assert_eq!(rr.cores, vec![vec![0, 2], vec![1]]);
+    }
+
+    #[test]
+    fn server_cells_follow_the_core_setup() {
+        let engine = Engine::new(quick_cfg());
+        let spec = ServerSpec::new(2, 2);
+        let batches = vec!["zeusmp".to_string(), "gcc".to_string()];
+        let server = |colocation: &dyn ColocationPolicy| {
+            engine.server(spec, &cpu_sim::Greedy, colocation, "web-search", &batches)
+        };
+        let equal = server(&EqualPartition);
+        let pinned = server(&stretch::PinnedStretch::new(stretch::StretchMode::Baseline));
+        // 3 shared stand-alone cells + one server cell both setups share.
+        assert_eq!(engine.stats().misses, 4, "identical per-core setups are one server cell");
+        assert_eq!(equal, pinned);
+        let b_mode = stretch::StretchMode::BatchBoost(stretch::RobSkew::recommended_b_mode());
+        let _ = server(&stretch::PinnedStretch::new(b_mode));
+        assert_eq!(engine.stats().misses, 5, "another per-core setup is another server cell");
     }
 
     #[test]

@@ -101,7 +101,7 @@ use sim_qos::{
 };
 use sim_stats::percentile::percentiles_in;
 use sim_stats::{det_merge, det_sum, percentile, LatencyHistogram, Percentiles};
-use stretch::{MonitorConfig, PerformanceTable, QosPolicy, SoftwareMonitor, StretchConfig};
+use stretch::{MonitorConfig, PerformanceTable, SoftwareMonitor, StretchConfig};
 
 /// How the fleet's front end spreads arriving requests over the servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -244,7 +244,7 @@ impl FleetConfig {
         }
         self.service.validate()?;
         self.arrivals.validate()?;
-        self.monitor.policy.validate()?;
+        self.monitor.validate()?;
         if !(self.interval_hours > 0.0 && self.interval_hours <= 24.0) {
             return Err(format!("control interval {} h must be in (0, 24]", self.interval_hours));
         }
@@ -846,11 +846,7 @@ pub fn calibrated_monitor_with_peak(
     let disengage_above = percentile(&stretched, 90.0)
         .expect("calibration produced samples")
         .clamp(engage_below + 0.02, 1.45);
-    MonitorConfig {
-        policy: QosPolicy::TailLatency { engage_below, disengage_above },
-        engage_after: 2,
-        violations_before_throttle: 4,
-    }
+    MonitorConfig { engage_below, disengage_above, engage_after: 2, violations_before_throttle: 4 }
 }
 
 /// Per-interval fleet telemetry.
@@ -1533,7 +1529,7 @@ mod tests {
     #[test]
     fn calibrated_thresholds_are_ordered_and_in_range() {
         let cfg = quick_fleet(LoadBalancer::RoundRobin);
-        let QosPolicy::TailLatency { engage_below, disengage_above } = cfg.monitor.policy;
+        let MonitorConfig { engage_below, disengage_above, .. } = cfg.monitor;
         assert!(engage_below > 0.0);
         assert!(engage_below < disengage_above);
         assert!(disengage_above <= 1.45);

@@ -21,15 +21,17 @@
 //!   (pairing window-hungry with compute-bound jobs, in the spirit of
 //!   symbiotic job scheduling).
 //!
-//! Like colocation policies, allocation policies carry a [`CanonicalKey`]
-//! identity so cached experiment cells can never alias across policies whose
-//! placements happen to coincide on one input.
+//! Unlike a colocation policy, which is nothing but the core setup it
+//! programs, an allocation policy carries a [`CanonicalKey`] identity: the
+//! experiment engine keys a whole-server cell by the allocator as well as by
+//! the placement it chose. A [`Placement`] is itself an allocation policy,
+//! the one that returns exactly it.
 
-use crate::policy::ColocationPolicy;
+use crate::policy::{ColocationPolicy, ColocationTopology};
 use crate::runner::{ColocationResult, SimLength, ThreadRunResult};
 use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize};
-use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, TraceSource, WorkloadClass};
+use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId, TraceSource, WorkloadClass};
 
 /// What the allocator knows about one schedulable thread.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,16 +64,6 @@ impl ThreadSpec {
     pub fn with_standalone_uipc(mut self, uipc: f64) -> ThreadSpec {
         self.standalone_uipc = Some(uipc);
         self
-    }
-}
-
-impl CanonicalKey for ThreadSpec {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.str(&self.name).tag(if self.class.is_latency_sensitive() { 0 } else { 1 });
-        match self.standalone_uipc {
-            None => enc.tag(0),
-            Some(v) => enc.tag(1).f64(v),
-        };
     }
 }
 
@@ -170,7 +162,7 @@ impl CanonicalKey for Placement {
 /// A server-level thread-to-core allocation policy.
 ///
 /// Mirrors the shape of [`ColocationPolicy`] one level up: a pure placement
-/// function plus a [`CanonicalKey`] identity and an object-safe clone.
+/// function, plus a [`CanonicalKey`] identity.
 pub trait AllocationPolicy: CanonicalKey + Send + Sync {
     /// Human-readable policy name (used in logs and result labels).
     fn name(&self) -> String;
@@ -181,14 +173,20 @@ pub trait AllocationPolicy: CanonicalKey + Send + Sync {
     ///
     /// Implementations panic when the threads do not fit the server.
     fn assign(&self, threads: &[ThreadSpec], server: &ServerSpec) -> Placement;
-
-    /// Clones the policy behind a box (object-safe `Clone`).
-    fn clone_policy(&self) -> Box<dyn AllocationPolicy>;
 }
 
-impl Clone for Box<dyn AllocationPolicy> {
-    fn clone(&self) -> Box<dyn AllocationPolicy> {
-        self.clone_policy()
+/// A placement is the allocation policy that returns exactly it.
+impl AllocationPolicy for Placement {
+    fn name(&self) -> String {
+        "explicit placement".to_string()
+    }
+
+    /// # Panics
+    ///
+    /// Panics, as [`Placement::new`] does, if the placement does not place
+    /// exactly `threads` on `server`.
+    fn assign(&self, threads: &[ThreadSpec], server: &ServerSpec) -> Placement {
+        Placement::new(self.cores.clone(), threads.len(), server)
     }
 }
 
@@ -264,10 +262,6 @@ impl AllocationPolicy for Greedy {
         }
         Placement::new(cores, threads.len(), server)
     }
-
-    fn clone_policy(&self) -> Box<dyn AllocationPolicy> {
-        Box::new(*self)
-    }
 }
 
 /// Deal threads across cores in arrival order, blind to class — the naive
@@ -298,10 +292,6 @@ impl AllocationPolicy for RoundRobin {
             cores[c].push(t);
         }
         Placement::new(cores, threads.len(), server)
-    }
-
-    fn clone_policy(&self) -> Box<dyn AllocationPolicy> {
-        Box::new(*self)
     }
 }
 
@@ -355,10 +345,6 @@ impl AllocationPolicy for SymbiosisAware {
             }
         }
         Placement::new(cores, threads.len(), server)
-    }
-
-    fn clone_policy(&self) -> Box<dyn AllocationPolicy> {
-        Box::new(*self)
     }
 }
 
@@ -416,21 +402,9 @@ impl ServerScenario {
         self
     }
 
-    /// Sets an already-boxed allocation policy.
-    pub fn boxed_allocation(mut self, policy: Box<dyn AllocationPolicy>) -> ServerScenario {
-        self.allocation = policy;
-        self
-    }
-
     /// Sets the per-core colocation policy.
     pub fn colocation(mut self, policy: impl ColocationPolicy + 'static) -> ServerScenario {
         self.colocation = Box::new(policy);
-        self
-    }
-
-    /// Sets an already-boxed per-core colocation policy.
-    pub fn boxed_colocation(mut self, policy: Box<dyn ColocationPolicy>) -> ServerScenario {
-        self.colocation = policy;
         self
     }
 
@@ -464,7 +438,9 @@ impl ServerScenario {
     /// Within a core, latency-sensitive threads occupy the lowest slots (so a
     /// core's LS service sits at T0, matching what a pinned colocation policy
     /// protects); batch threads follow in placement order; unused hardware
-    /// threads stay idle.
+    /// threads stay idle. Every occupied core runs the one setup the
+    /// colocation policy programs for a `threads_per_core`-wide core with its
+    /// LS thread at T0.
     ///
     /// # Panics
     ///
@@ -474,6 +450,8 @@ impl ServerScenario {
         assert!(!threads.is_empty(), "a server scenario needs at least one thread");
         let specs: Vec<ThreadSpec> = threads.iter().map(|t| t.spec.clone()).collect();
         let placement = allocation.assign(&specs, &server);
+        let topology = ColocationTopology::new(server.threads_per_core, ThreadId::T0);
+        let setup = colocation.setup_for(&cfg, &topology);
         let mut sources: Vec<Option<Box<dyn TraceSource + Send + Sync>>> =
             threads.into_iter().map(|t| Some(t.source)).collect();
 
@@ -501,7 +479,7 @@ impl ServerScenario {
                 .collect();
             let result = Scenario::from_slots(slot_sources)
                 .config(cfg)
-                .boxed_policy(colocation.clone_policy())
+                .policy(setup.clone())
                 .length(length)
                 .seed(seed)
                 .run();
@@ -625,8 +603,24 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
-        // Boxed clones keep the identity.
-        assert_eq!(digest(Greedy.clone_policy().as_ref()), a);
+    }
+
+    #[test]
+    fn a_placement_used_as_an_allocation_returns_itself() {
+        let server = ServerSpec::new(2, 2);
+        let threads = specs(1, 2);
+        let spread = Placement::new(vec![vec![0, 2], vec![1]], 3, &server);
+        assert_eq!(spread.assign(&threads, &server), spread);
+        // Greedy would isolate the service; the placement does not re-place.
+        assert_ne!(Greedy.assign(&threads, &server), spread);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_placement_used_as_an_allocation_rejects_another_thread_count() {
+        let server = ServerSpec::new(2, 2);
+        let placement = Placement::new(vec![vec![0, 2], vec![1]], 3, &server);
+        let _ = placement.assign(&specs(1, 1), &server);
     }
 
     #[test]

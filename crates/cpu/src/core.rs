@@ -396,18 +396,13 @@ impl SmtCoreBuilder {
     /// # Panics
     ///
     /// Panics if the core configuration fails validation, or if an explicit
-    /// static partition does not cover exactly the configured SMT width.
+    /// static partition does not cover exactly the configured SMT width or
+    /// leaves a thread with a workload no ROB entries.
     pub fn build(self) -> SmtCore {
         self.cfg.validate().expect("invalid core configuration");
         let partition =
-            self.partition.unwrap_or_else(|| PartitionPolicy::equal_n(&self.cfg, self.smt_width));
-        if let Some(covered) = partition.threads() {
-            assert!(
-                covered == self.smt_width,
-                "partition covers {covered} threads but the core has {}",
-                self.smt_width
-            );
-        }
+            self.partition.unwrap_or_else(|| PartitionPolicy::equal(&self.cfg, self.smt_width));
+        check_partition(&partition, self.traces.iter().map(Option::is_some));
         let mut hier_cfg = HierarchyConfig::from_core(&self.cfg);
         hier_cfg.threads = self.smt_width;
         hier_cfg.l1i_sharing = self.l1i_sharing;
@@ -442,12 +437,33 @@ impl SmtCoreBuilder {
     }
 }
 
-impl SmtCore {
-    /// Convenience constructor: baseline core with the given traces.
-    pub fn baseline(cfg: CoreConfig, t0: BoxedTrace, t1: BoxedTrace) -> SmtCore {
-        SmtCoreBuilder::new(cfg).thread(ThreadId::T0, t0).thread(ThreadId::T1, t1).build()
+/// Checks a partition against the threads of the core it programs, given as
+/// one flag per hardware thread that is set when the thread has a workload.
+/// A static partition must cover exactly those threads and give each one
+/// with a workload at least one ROB entry: a zero share never dispatches, so
+/// the thread would commit nothing and measure a uIPC of 0.
+///
+/// # Panics
+///
+/// Panics if either condition fails.
+fn check_partition(partition: &PartitionPolicy, active: impl ExactSizeIterator<Item = bool>) {
+    let PartitionPolicy::Static { rob, .. } = partition else { return };
+    assert!(
+        rob.len() == active.len(),
+        "partition covers {} threads but the core has {}",
+        rob.len(),
+        active.len()
+    );
+    for (idx, (&entries, has_workload)) in rob.iter().zip(active).enumerate() {
+        assert!(
+            entries > 0 || !has_workload,
+            "partition gives thread {} no ROB entries but it has a workload",
+            ThreadId::from_index(idx)
+        );
     }
+}
 
+impl SmtCore {
     /// Current cycle.
     pub fn now(&self) -> Cycle {
         self.now
@@ -538,14 +554,14 @@ impl SmtCore {
     /// return to the baseline). Per §IV-C, the change is accompanied by a
     /// pipeline flush of both threads; set `flush` to `false` only for
     /// experiments that want to isolate the steady-state effect.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`SmtCoreBuilder::build`] does, if a static partition does
+    /// not cover exactly the core's SMT width or leaves a thread with a
+    /// workload no ROB entries.
     pub fn set_partition(&mut self, partition: PartitionPolicy, flush: bool) {
-        if let Some(covered) = partition.threads() {
-            assert!(
-                covered == self.threads.len(),
-                "partition covers {covered} threads but the core has {}",
-                self.threads.len()
-            );
-        }
+        check_partition(&partition, self.threads.iter().map(ThreadState::active));
         self.partition = partition;
         if flush {
             for thread in ThreadId::first_n(self.threads.len()) {
@@ -1209,6 +1225,11 @@ mod tests {
         SmtCoreBuilder::new(CoreConfig::default()).thread(ThreadId::T0, trace).build()
     }
 
+    /// The §V-A baseline pair: the builder's defaults with two traces.
+    fn pair_core(cfg: CoreConfig, t0: BoxedTrace, t1: BoxedTrace) -> SmtCore {
+        SmtCoreBuilder::new(cfg).thread(ThreadId::T0, t0).thread(ThreadId::T1, t1).build()
+    }
+
     #[test]
     fn alu_loop_reaches_high_ipc() {
         let mut core = single_thread_core(AluLoop::boxed());
@@ -1278,7 +1299,7 @@ mod tests {
             core.run_instructions(ThreadId::T0, 5_000, 2_000_000);
             core.committed(ThreadId::T0) as f64 / core.cycles() as f64
         };
-        let mut core = SmtCore::baseline(cfg, StreamingLoads::boxed(11), AluLoop::boxed());
+        let mut core = pair_core(cfg, StreamingLoads::boxed(11), AluLoop::boxed());
         // Run until both threads commit a workload's worth.
         for _ in 0..200_000 {
             core.step();
@@ -1298,12 +1319,12 @@ mod tests {
     #[test]
     fn partition_change_flushes_and_continues() {
         let cfg = CoreConfig::default();
-        let mut core = SmtCore::baseline(cfg, AluLoop::boxed(), StreamingLoads::boxed(5));
+        let mut core = pair_core(cfg, AluLoop::boxed(), StreamingLoads::boxed(5));
         for _ in 0..1_000 {
             core.step();
         }
         let before = core.committed(ThreadId::T0);
-        core.set_partition(PartitionPolicy::rob_split(&cfg, 56, 136), true);
+        core.set_partition(PartitionPolicy::rob_shares(&cfg, &[56, 136]), true);
         assert_eq!(core.thread_stats(ThreadId::T0).mode_change_flushes, 1);
         for _ in 0..5_000 {
             core.step();
@@ -1318,13 +1339,13 @@ mod tests {
         // committed count keeps increasing monotonically and the stream stays
         // consistent (every committed op is counted exactly once).
         let cfg = CoreConfig::default();
-        let mut core = SmtCore::baseline(cfg, AluLoop::boxed(), AluLoop::boxed());
+        let mut core = pair_core(cfg, AluLoop::boxed(), AluLoop::boxed());
         let mut last = 0;
         for i in 0..3_000 {
             core.step();
             if i % 500 == 0 {
                 let skew = if (i / 500) % 2 == 0 { (56, 136) } else { (96, 96) };
-                core.set_partition(PartitionPolicy::rob_split(&cfg, skew.0, skew.1), true);
+                core.set_partition(PartitionPolicy::rob_shares(&cfg, &[skew.0, skew.1]), true);
             }
             let c = core.committed(ThreadId::T0);
             assert!(c >= last);
@@ -1433,8 +1454,40 @@ mod tests {
         let cfg = CoreConfig::default();
         let _ = SmtCoreBuilder::new(cfg)
             .smt_width(4)
-            .partition(PartitionPolicy::equal(&cfg)) // 2-thread split on a 4-thread core
+            .partition(PartitionPolicy::equal(&cfg, 2)) // 2-thread split on a 4-thread core
             .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "gives thread T1 no ROB entries but it has a workload")]
+    fn builder_rejects_a_zero_rob_share_for_a_thread_with_a_workload() {
+        let cfg = CoreConfig::default();
+        let _ = SmtCoreBuilder::new(cfg)
+            .partition(PartitionPolicy::rob_shares(&cfg, &[96, 0]))
+            .thread(ThreadId::T0, AluLoop::boxed())
+            .thread(ThreadId::T1, AluLoop::boxed())
+            .build();
+    }
+
+    #[test]
+    fn an_idle_thread_may_hold_a_zero_rob_share() {
+        let cfg = CoreConfig::default();
+        let mut core = SmtCoreBuilder::new(cfg)
+            .partition(PartitionPolicy::rob_shares(&cfg, &[96, 0]))
+            .thread(ThreadId::T0, AluLoop::boxed())
+            .build();
+        core.run_instructions(ThreadId::T0, 1_000, 100_000);
+        assert!(core.committed(ThreadId::T0) >= 1_000);
+        core.set_partition(PartitionPolicy::rob_shares(&cfg, &[192, 0]), true);
+        assert_eq!(core.partition().rob_limit(&cfg, ThreadId::T0), 192);
+    }
+
+    #[test]
+    #[should_panic(expected = "gives thread T0 no ROB entries but it has a workload")]
+    fn set_partition_rejects_a_zero_rob_share_for_a_thread_with_a_workload() {
+        let cfg = CoreConfig::default();
+        let mut core = pair_core(cfg, AluLoop::boxed(), AluLoop::boxed());
+        core.set_partition(PartitionPolicy::rob_shares(&cfg, &[0, 192]), true);
     }
 
     #[test]
@@ -1464,7 +1517,7 @@ mod tests {
             }
             fn reset(&mut self) {}
         }
-        let mut core = SmtCore::baseline(
+        let mut core = pair_core(
             CoreConfig::default(),
             Box::new(StridedChase(0x100_0000)),
             PointerChase::boxed(4),
@@ -1496,7 +1549,7 @@ mod tests {
         // statistic shows, so compare the hierarchy's whole state.
         let mut cfg = CoreConfig { mshrs_per_thread: 1, ..CoreConfig::default() };
         cfg.uncore.llc_capacity_bytes = 256 * 1024;
-        let build = || SmtCore::baseline(cfg, StreamingLoads::boxed(21), StreamingLoads::boxed(22));
+        let build = || pair_core(cfg, StreamingLoads::boxed(21), StreamingLoads::boxed(22));
         let (mut plain, mut warped) = (build(), build());
         while plain.cycles() < 20_000 {
             plain.step();

@@ -17,14 +17,16 @@
 //!   that Stretch's modes program, as per-thread share vectors.
 //! * [`fetch::FetchPolicy`] — ICOUNT, round-robin and 1:M fetch throttling.
 //! * [`policy`] — the [`ColocationPolicy`] trait every resource-allocation
-//!   scheme (Stretch and every baseline) implements: the core setup it
-//!   wants for a [`ColocationTopology`] (SMT width + which thread is the
-//!   latency-sensitive one) and its result-store identity, plus the static
-//!   [`EqualPartition`] / [`PrivateCore`] policies.
+//!   scheme (Stretch and every baseline) implements: the [`CoreSetup`] it
+//!   programs for a [`ColocationTopology`] (SMT width + which thread is the
+//!   latency-sensitive one). That setup is all a policy is to a run and to
+//!   the result store, and a [`CoreSetup`] is itself a policy. The module
+//!   also holds the static [`EqualPartition`] / [`PrivateCore`] policies.
 //! * [`allocation`] — the [`AllocationPolicy`] layer *above* colocation:
 //!   which threads land on which core of an M-core server, with
 //!   [`Greedy`] / [`RoundRobin`] / [`SymbiosisAware`] reference allocators
-//!   and the [`ServerScenario`] runner composing both layers.
+//!   (each with a result-store identity; a [`Placement`] is itself an
+//!   allocator) and the [`ServerScenario`] runner composing both layers.
 //! * [`scenario`] — the [`Scenario`] builder, the single entry point for
 //!   stand-alone and colocated runs under any policy.
 //! * [`runner`] — the measurement loop ([`run_core`]) and the UIPC figure of

@@ -9,10 +9,10 @@
 //! full capacity (bounded only by total occupancy).
 //!
 //! The limit registers are per-thread *vectors* sized to the core's SMT width
-//! (T ≥ 1); the dual-threaded constructors ([`PartitionPolicy::equal`],
-//! [`PartitionPolicy::rob_split`]) remain as thin T=2 wrappers. All share
-//! vectors are validated at construction time: a partitioning must cover at
-//! least one thread, and explicit splits must fit the physical capacity.
+//! (T ≥ 1), and every constructor takes that width; the classic pair is
+//! `threads == 2`. All share vectors are validated at construction time: a
+//! partitioning must cover at least one thread, and explicit splits must fit
+//! the physical capacity.
 
 use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
@@ -36,17 +36,12 @@ pub enum PartitionPolicy {
 }
 
 impl PartitionPolicy {
-    /// The baseline equal partitioning of the classic dual-threaded core.
-    pub fn equal(cfg: &CoreConfig) -> PartitionPolicy {
-        PartitionPolicy::equal_n(cfg, 2)
-    }
-
-    /// Equal partitioning across `threads` hardware threads.
+    /// The baseline equal partitioning across `threads` hardware threads.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn equal_n(cfg: &CoreConfig, threads: usize) -> PartitionPolicy {
+    pub fn equal(cfg: &CoreConfig, threads: usize) -> PartitionPolicy {
         assert!(threads >= 1, "a partition must cover at least one thread");
         PartitionPolicy::Static {
             rob: vec![cfg.rob_capacity / threads; threads],
@@ -54,18 +49,9 @@ impl PartitionPolicy {
         }
     }
 
-    /// Static partitioning with an explicit ROB split for the classic pair;
-    /// the LSQ is split in proportion to the ROB, as the paper does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the requested ROB entries exceed the core's ROB capacity.
-    pub fn rob_split(cfg: &CoreConfig, t0_rob: usize, t1_rob: usize) -> PartitionPolicy {
-        PartitionPolicy::rob_shares(cfg, &[t0_rob, t1_rob])
-    }
-
     /// Static partitioning from an explicit per-thread ROB share vector; the
-    /// LSQ share of each thread is derived in proportion to its ROB share.
+    /// LSQ share of each thread is derived in proportion to its ROB share, as
+    /// the paper does.
     ///
     /// # Panics
     ///
@@ -88,7 +74,7 @@ impl PartitionPolicy {
     /// Static partitioning that gives the designated latency-sensitive thread
     /// `ls_rob` entries and splits a `batch_rob` *total* evenly among the
     /// remaining `threads - 1` batch threads. With `threads == 2` this is
-    /// exactly [`PartitionPolicy::rob_split`] in either thread order.
+    /// the two-entry [`PartitionPolicy::rob_shares`] in either thread order.
     ///
     /// # Panics
     ///
@@ -112,19 +98,15 @@ impl PartitionPolicy {
         PartitionPolicy::rob_shares(cfg, &shares)
     }
 
-    /// Per-thread full-size private structures for the classic pair, used by
-    /// the per-resource contention study when the ROB is *not* the resource
-    /// under study (each thread behaves as if it had the whole window).
-    pub fn private_full(cfg: &CoreConfig) -> PartitionPolicy {
-        PartitionPolicy::private_full_n(cfg, 2)
-    }
-
-    /// Per-thread full-size private structures across `threads` threads.
+    /// Per-thread full-size private structures across `threads` threads,
+    /// used by the per-resource contention study when the ROB is *not* the
+    /// resource under study (each thread behaves as if it had the whole
+    /// window).
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn private_full_n(cfg: &CoreConfig, threads: usize) -> PartitionPolicy {
+    pub fn private_full(cfg: &CoreConfig, threads: usize) -> PartitionPolicy {
         assert!(threads >= 1, "a partition must cover at least one thread");
         PartitionPolicy::Static {
             rob: vec![cfg.rob_capacity; threads],
@@ -201,7 +183,7 @@ mod tests {
     #[test]
     fn equal_split_matches_table_ii() {
         let cfg = CoreConfig::default();
-        let p = PartitionPolicy::equal(&cfg);
+        let p = PartitionPolicy::equal(&cfg, 2);
         assert_eq!(p.rob_limit(&cfg, ThreadId::T0), 96);
         assert_eq!(p.rob_limit(&cfg, ThreadId::T1), 96);
         assert_eq!(p.lsq_limit(&cfg, ThreadId::T0), 32);
@@ -211,7 +193,7 @@ mod tests {
     #[test]
     fn equal_split_generalises_to_smt4() {
         let cfg = CoreConfig::default();
-        let p = PartitionPolicy::equal_n(&cfg, 4);
+        let p = PartitionPolicy::equal(&cfg, 4);
         for t in ThreadId::first_n(4) {
             assert_eq!(p.rob_limit(&cfg, t), 48);
             assert_eq!(p.lsq_limit(&cfg, t), 16);
@@ -222,7 +204,7 @@ mod tests {
     #[test]
     fn rob_split_scales_lsq() {
         let cfg = CoreConfig::default();
-        let p = PartitionPolicy::rob_split(&cfg, 56, 136);
+        let p = PartitionPolicy::rob_shares(&cfg, &[56, 136]);
         assert_eq!(p.rob_limit(&cfg, ThreadId::T0), 56);
         assert_eq!(p.rob_limit(&cfg, ThreadId::T1), 136);
         // 56/192 * 64 = 18.67 -> 18; 136/192 * 64 = 45.33 -> 45.
@@ -235,11 +217,11 @@ mod tests {
         let cfg = CoreConfig::default();
         assert_eq!(
             PartitionPolicy::ls_split(&cfg, 2, ThreadId::T0, 56, 136),
-            PartitionPolicy::rob_split(&cfg, 56, 136)
+            PartitionPolicy::rob_shares(&cfg, &[56, 136])
         );
         assert_eq!(
             PartitionPolicy::ls_split(&cfg, 2, ThreadId::T1, 56, 136),
-            PartitionPolicy::rob_split(&cfg, 136, 56)
+            PartitionPolicy::rob_shares(&cfg, &[136, 56])
         );
     }
 
@@ -266,7 +248,7 @@ mod tests {
     #[test]
     fn private_full_gives_each_thread_everything() {
         let cfg = CoreConfig::default();
-        let p = PartitionPolicy::private_full(&cfg);
+        let p = PartitionPolicy::private_full(&cfg, 2);
         assert_eq!(p.rob_limit(&cfg, ThreadId::T0), 192);
         assert_eq!(p.rob_limit(&cfg, ThreadId::T1), 192);
         assert!(!p.enforce_total_capacity());
@@ -276,7 +258,7 @@ mod tests {
     #[should_panic(expected = "exceeds capacity")]
     fn oversubscribed_split_rejected() {
         let cfg = CoreConfig::default();
-        let _ = PartitionPolicy::rob_split(&cfg, 128, 128);
+        let _ = PartitionPolicy::ls_split(&cfg, 2, ThreadId::T0, 128, 128);
     }
 
     #[test]
@@ -296,7 +278,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_thread_equal_partition_rejected() {
-        let _ = PartitionPolicy::equal_n(&CoreConfig::default(), 0);
+        let _ = PartitionPolicy::equal(&CoreConfig::default(), 0);
     }
 
     #[test]
@@ -314,8 +296,8 @@ mod tests {
             p.encode_key(&mut enc);
             enc.digest()
         };
-        let smt2 = PartitionPolicy::equal_n(&cfg, 2);
-        let smt4 = PartitionPolicy::equal_n(&cfg, 4);
+        let smt2 = PartitionPolicy::equal(&cfg, 2);
+        let smt4 = PartitionPolicy::equal(&cfg, 4);
         assert_ne!(digest(&smt2), digest(&smt4));
     }
 }

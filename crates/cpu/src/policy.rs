@@ -4,12 +4,13 @@
 //! The paper's argument is that Stretch, dynamic ROB sharing, fetch
 //! throttling and idealised software scheduling are *interchangeable
 //! policies* over the same core. This module makes that literal: a policy
-//!
-//! * configures the core ([`ColocationPolicy::setup`] → [`CoreSetup`]), and
-//! * identifies itself for the experiment result store
-//!   ([`sim_model::CanonicalKey`], a supertrait), so two different policies
-//!   can never alias onto one cached cell even when their core setups happen
-//!   to coincide.
+//! is the [`CoreSetup`] it programs for a thread layout
+//! ([`ColocationPolicy::setup_for`]), the values system software writes into
+//! the ROB/LSQ limit registers, the fetch arbiter and the sharing controls
+//! (§IV-B). Nothing else about a policy reaches a run, so the experiment
+//! engine keys a cached cell by that setup: two policies that program the
+//! same core share one cell. A [`CoreSetup`] is itself a policy, the one
+//! that programs exactly it.
 //!
 //! The [`crate::Scenario`] builder runs a policy open loop (one setup for the
 //! whole run). The closed loop that picks a Stretch mode from measured tail
@@ -24,7 +25,7 @@
 
 use crate::runner::CoreSetup;
 use serde::{Deserialize, Serialize};
-use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
+use sim_model::{CoreConfig, ThreadId};
 
 /// The thread layout of one colocated core: how many hardware threads it has
 /// and which of them runs the latency-sensitive service. The remaining
@@ -70,19 +71,12 @@ impl ColocationTopology {
     }
 }
 
-impl CanonicalKey for ColocationTopology {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.usize(self.threads).field(&self.ls_thread);
-    }
-}
-
 /// A resource-allocation policy for a colocated SMT core.
 ///
 /// See the [module docs](self) for the design rationale. Implementations are
-/// cheap config-carrying values: [`clone_policy`](ColocationPolicy::clone_policy)
-/// exists so `Box<dyn ColocationPolicy>` is cloneable (the experiment engine
-/// shares one policy value across its worker pool).
-pub trait ColocationPolicy: CanonicalKey + Send + Sync {
+/// cheap config-carrying values whose only effect on a run is the
+/// [`CoreSetup`] they return.
+pub trait ColocationPolicy: Send + Sync {
     /// Human-readable policy name (used in logs and result labels).
     fn name(&self) -> String;
 
@@ -100,14 +94,18 @@ pub trait ColocationPolicy: CanonicalKey + Send + Sync {
     fn setup(&self, cfg: &CoreConfig) -> CoreSetup {
         self.setup_for(cfg, &ColocationTopology::pair())
     }
-
-    /// Clones the policy behind a box (object-safe `Clone`).
-    fn clone_policy(&self) -> Box<dyn ColocationPolicy>;
 }
 
-impl Clone for Box<dyn ColocationPolicy> {
-    fn clone(&self) -> Box<dyn ColocationPolicy> {
-        self.clone_policy()
+/// A core setup is the policy that programs exactly it, whatever the
+/// topology. It must already match the core's width: a static partition over
+/// another thread count is rejected when the core is built.
+impl ColocationPolicy for CoreSetup {
+    fn name(&self) -> String {
+        "explicit core setup".to_string()
+    }
+
+    fn setup_for(&self, _cfg: &CoreConfig, _topology: &ColocationTopology) -> CoreSetup {
+        self.clone()
     }
 }
 
@@ -116,23 +114,13 @@ impl Clone for Box<dyn ColocationPolicy> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EqualPartition;
 
-impl CanonicalKey for EqualPartition {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.str("policy/equal-partition");
-    }
-}
-
 impl ColocationPolicy for EqualPartition {
     fn name(&self) -> String {
         "equal partitioning".to_string()
     }
 
     fn setup_for(&self, cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup {
-        CoreSetup::baseline_n(cfg, topology.threads())
-    }
-
-    fn clone_policy(&self) -> Box<dyn ColocationPolicy> {
-        Box::new(*self)
+        CoreSetup::baseline(cfg, topology.threads())
     }
 }
 
@@ -158,12 +146,6 @@ impl PrivateCore {
     }
 }
 
-impl CanonicalKey for PrivateCore {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.str("policy/private-core").field(&self.rob_entries);
-    }
-}
-
 impl ColocationPolicy for PrivateCore {
     fn name(&self) -> String {
         match self.rob_entries {
@@ -174,7 +156,7 @@ impl ColocationPolicy for PrivateCore {
 
     fn setup_for(&self, cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup {
         let threads = topology.threads();
-        let mut setup = CoreSetup::private_full_n(cfg, threads);
+        let mut setup = CoreSetup::private_full(cfg, threads);
         if let Some(rob) = self.rob_entries {
             let lsq = cfg.lsq_entries_for_rob(rob);
             setup.partition = crate::partition::PartitionPolicy::Static {
@@ -184,22 +166,6 @@ impl ColocationPolicy for PrivateCore {
         }
         setup
     }
-
-    fn clone_policy(&self) -> Box<dyn ColocationPolicy> {
-        Box::new(*self)
-    }
-}
-
-impl CanonicalKey for crate::resource_study::StudiedResource {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        use crate::resource_study::StudiedResource::*;
-        enc.str("policy/studied-resource").tag(match self {
-            Rob => 0,
-            L1I => 1,
-            L1D => 2,
-            BtbBp => 3,
-        });
-    }
 }
 
 impl ColocationPolicy for crate::resource_study::StudiedResource {
@@ -208,11 +174,7 @@ impl ColocationPolicy for crate::resource_study::StudiedResource {
     }
 
     fn setup_for(&self, cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup {
-        crate::resource_study::StudiedResource::setup_n(*self, cfg, topology.threads())
-    }
-
-    fn clone_policy(&self) -> Box<dyn ColocationPolicy> {
-        Box::new(*self)
+        crate::resource_study::StudiedResource::setup(*self, cfg, topology.threads())
     }
 }
 
@@ -225,7 +187,7 @@ mod tests {
     #[test]
     fn equal_partition_matches_the_baseline_setup() {
         let cfg = CoreConfig::default();
-        assert_eq!(EqualPartition.setup(&cfg), CoreSetup::baseline(&cfg));
+        assert_eq!(EqualPartition.setup(&cfg), CoreSetup::baseline(&cfg, 2));
         assert_eq!(EqualPartition.name(), "equal partitioning");
     }
 
@@ -233,42 +195,31 @@ mod tests {
     fn private_core_full_and_capped_windows() {
         let cfg = CoreConfig::default();
         let full = PrivateCore::full().setup(&cfg);
-        assert_eq!(full, CoreSetup::private_full(&cfg));
+        assert_eq!(full, CoreSetup::private_full(&cfg, 2));
         let capped = PrivateCore::with_rob(64).setup(&cfg);
         assert_eq!(capped.partition.rob_limit(&cfg, ThreadId::T0), 64);
         assert_eq!(capped.partition.rob_limit(&cfg, ThreadId::T1), 64);
     }
 
     #[test]
-    fn distinct_policies_have_distinct_canonical_keys() {
-        let digest = |p: &dyn ColocationPolicy| {
-            let mut enc = KeyEncoder::new();
-            p.encode_key(&mut enc);
-            enc.digest()
-        };
-        let policies: Vec<Box<dyn ColocationPolicy>> = vec![
-            Box::new(EqualPartition),
-            Box::new(PrivateCore::full()),
-            Box::new(PrivateCore::with_rob(96)),
-            Box::new(StudiedResource::Rob),
-            Box::new(StudiedResource::L1D),
-        ];
-        let digests: Vec<String> = policies.iter().map(|p| digest(p.as_ref())).collect();
-        for (i, a) in digests.iter().enumerate() {
-            for b in &digests[i + 1..] {
-                assert_ne!(a, b, "policy keys must be pairwise distinct");
-            }
-        }
-        // Boxed clones keep the identity.
-        let cloned = policies[0].clone();
-        assert_eq!(digest(cloned.as_ref()), digests[0]);
-    }
-
-    #[test]
     fn studied_resource_policy_delegates_to_the_resource_setup() {
         let cfg = CoreConfig::default();
         for r in StudiedResource::ALL {
-            assert_eq!(ColocationPolicy::setup(&r, &cfg), r.setup(&cfg));
+            assert_eq!(ColocationPolicy::setup(&r, &cfg), r.setup(&cfg, 2));
+        }
+    }
+
+    #[test]
+    fn a_core_setup_used_as_a_policy_returns_itself() {
+        let cfg = CoreConfig::default();
+        let smt4 = ColocationTopology::new(4, ThreadId::from_index(2));
+        for setup in [
+            StudiedResource::L1D.setup_for(&cfg, &smt4),
+            PrivateCore::with_rob(48).setup_for(&cfg, &smt4),
+        ] {
+            assert_eq!(setup.setup_for(&cfg, &smt4), setup);
+            // The topology does not reshape it: the setup stays four wide.
+            assert_eq!(setup.setup(&cfg), setup);
         }
     }
 

@@ -36,24 +36,19 @@ impl StudiedResource {
     pub const ALL: [StudiedResource; 4] =
         [StudiedResource::Rob, StudiedResource::L1I, StudiedResource::L1D, StudiedResource::BtbBp];
 
-    /// Builds the core setup in which only this resource is shared between
-    /// the threads (everything else private / full size).
-    pub fn setup(self, cfg: &CoreConfig) -> CoreSetup {
-        self.setup_n(cfg, 2)
-    }
-
-    /// As [`StudiedResource::setup`], for a `threads`-wide core: only this
-    /// resource is shared among all T threads.
-    pub fn setup_n(self, cfg: &CoreConfig, threads: usize) -> CoreSetup {
+    /// Builds the core setup of a `threads`-wide core in which only this
+    /// resource is shared among the threads (everything else private / full
+    /// size).
+    pub fn setup(self, cfg: &CoreConfig, threads: usize) -> CoreSetup {
         let mut setup = CoreSetup {
-            partition: PartitionPolicy::private_full_n(cfg, threads),
+            partition: PartitionPolicy::private_full(cfg, threads),
             fetch_policy: FetchPolicy::ICount,
             l1i_sharing: Sharing::PrivatePerThread,
             l1d_sharing: Sharing::PrivatePerThread,
             bp_sharing: Sharing::PrivatePerThread,
         };
         match self {
-            StudiedResource::Rob => setup.partition = PartitionPolicy::equal_n(cfg, threads),
+            StudiedResource::Rob => setup.partition = PartitionPolicy::equal(cfg, threads),
             StudiedResource::L1I => setup.l1i_sharing = Sharing::Shared,
             StudiedResource::L1D => setup.l1d_sharing = Sharing::Shared,
             StudiedResource::BtbBp => setup.bp_sharing = Sharing::Shared,
@@ -83,22 +78,22 @@ mod tests {
     fn only_the_studied_resource_is_shared() {
         let cfg = CoreConfig::default();
 
-        let rob = StudiedResource::Rob.setup(&cfg);
+        let rob = StudiedResource::Rob.setup(&cfg, 2);
         assert_eq!(rob.partition.rob_limit(&cfg, ThreadId::T0), 96);
         assert_eq!(rob.l1i_sharing, Sharing::PrivatePerThread);
         assert_eq!(rob.l1d_sharing, Sharing::PrivatePerThread);
         assert_eq!(rob.bp_sharing, Sharing::PrivatePerThread);
 
-        let l1i = StudiedResource::L1I.setup(&cfg);
+        let l1i = StudiedResource::L1I.setup(&cfg, 2);
         assert_eq!(l1i.partition.rob_limit(&cfg, ThreadId::T0), 192);
         assert_eq!(l1i.l1i_sharing, Sharing::Shared);
         assert_eq!(l1i.l1d_sharing, Sharing::PrivatePerThread);
 
-        let l1d = StudiedResource::L1D.setup(&cfg);
+        let l1d = StudiedResource::L1D.setup(&cfg, 2);
         assert_eq!(l1d.l1d_sharing, Sharing::Shared);
         assert_eq!(l1d.l1i_sharing, Sharing::PrivatePerThread);
 
-        let bp = StudiedResource::BtbBp.setup(&cfg);
+        let bp = StudiedResource::BtbBp.setup(&cfg, 2);
         assert_eq!(bp.bp_sharing, Sharing::Shared);
         assert_eq!(bp.l1d_sharing, Sharing::PrivatePerThread);
     }

@@ -128,16 +128,11 @@ pub struct CoreSetup {
 }
 
 impl CoreSetup {
-    /// The §V-A baseline: everything shared, equal ROB partitioning, ICOUNT.
-    pub fn baseline(cfg: &CoreConfig) -> CoreSetup {
-        CoreSetup::baseline_n(cfg, 2)
-    }
-
-    /// The baseline setup for a `threads`-wide core: everything shared,
-    /// equal T-way ROB partitioning, ICOUNT.
-    pub fn baseline_n(cfg: &CoreConfig, threads: usize) -> CoreSetup {
+    /// The §V-A baseline for a `threads`-wide core: everything shared, equal
+    /// T-way ROB partitioning, ICOUNT.
+    pub fn baseline(cfg: &CoreConfig, threads: usize) -> CoreSetup {
         CoreSetup {
-            partition: PartitionPolicy::equal_n(cfg, threads),
+            partition: PartitionPolicy::equal(cfg, threads),
             fetch_policy: FetchPolicy::ICount,
             l1i_sharing: Sharing::Shared,
             l1d_sharing: Sharing::Shared,
@@ -145,16 +140,12 @@ impl CoreSetup {
         }
     }
 
-    /// A fully private core (used for stand-alone "full core" reference runs):
-    /// each thread sees private caches, predictor and a full-size window.
-    pub fn private_full(cfg: &CoreConfig) -> CoreSetup {
-        CoreSetup::private_full_n(cfg, 2)
-    }
-
-    /// A fully private `threads`-wide core.
-    pub fn private_full_n(cfg: &CoreConfig, threads: usize) -> CoreSetup {
+    /// A fully private `threads`-wide core (used for stand-alone "full core"
+    /// reference runs): each thread sees private caches, predictor and a
+    /// full-size window.
+    pub fn private_full(cfg: &CoreConfig, threads: usize) -> CoreSetup {
         CoreSetup {
-            partition: PartitionPolicy::private_full_n(cfg, threads),
+            partition: PartitionPolicy::private_full(cfg, threads),
             fetch_policy: FetchPolicy::ICount,
             l1i_sharing: Sharing::PrivatePerThread,
             l1d_sharing: Sharing::PrivatePerThread,

@@ -206,16 +206,10 @@ impl Scenario {
         self
     }
 
-    /// Sets the colocation policy.
+    /// Sets the colocation policy. A caller holding a `&dyn` policy passes
+    /// the [`crate::CoreSetup`] it programs, itself a policy.
     pub fn policy(mut self, policy: impl ColocationPolicy + 'static) -> Scenario {
         self.policy = Box::new(policy);
-        self
-    }
-
-    /// Sets an already-boxed policy (for callers holding `dyn` policies,
-    /// e.g. the experiment engine).
-    pub fn boxed_policy(mut self, policy: Box<dyn ColocationPolicy>) -> Scenario {
-        self.policy = policy;
         self
     }
 
@@ -368,6 +362,15 @@ mod tests {
         // An ALU loop is not ROB sensitive; both should be close.
         let ratio = large.uipc / small.uipc;
         assert!(ratio < 1.5, "ALU loop should be ROB-insensitive (ratio {ratio:.2})");
+    }
+
+    #[test]
+    #[should_panic(expected = "gives thread T0 no ROB entries")]
+    fn a_zero_rob_window_is_rejected_rather_than_measured_as_zero() {
+        let _ = Scenario::standalone(AluSource)
+            .policy(PrivateCore::with_rob(0))
+            .length(SimLength::quick())
+            .run_thread0();
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! A Stretch core provisions, at design time, one or more asymmetric ROB
 //! partitionings in addition to the baseline equal split. At runtime system
 //! software selects among them: a [`StretchMode`] names the engaged
-//! configuration, and engaging it on a live core is
-//! `SmtCore::set_partition(mode.partition_policy(..), true)`, which loads
-//! the ROB/LSQ limit registers and charges the mode-change pipeline flush.
+//! configuration, and engaging it on a live SMT-`threads` core is
+//! `SmtCore::set_partition(mode.partition_policy(cfg, threads, ls_thread),
+//! true)`, which loads the ROB/LSQ limit registers and charges the
+//! mode-change pipeline flush.
 //! The paper's notation `N-M` assigns `N` ROB entries to the
 //! latency-sensitive thread and `M` to the batch thread; the LSQ is
 //! partitioned proportionally.
@@ -115,24 +116,19 @@ pub enum StretchMode {
 }
 
 impl StretchMode {
-    /// Maps the mode onto the core's ROB/LSQ limit registers. `ls_thread`
-    /// names the hardware thread running the latency-sensitive workload;
-    /// Stretch explicitly supports either mapping (§IV-D).
-    pub fn partition_policy(&self, cfg: &CoreConfig, ls_thread: ThreadId) -> PartitionPolicy {
-        self.partition_policy_n(cfg, 2, ls_thread)
-    }
-
-    /// As [`StretchMode::partition_policy`], for an SMT-`threads` core: the
-    /// skew's batch share is spread evenly over the `threads - 1` batch
-    /// co-runners.
-    pub fn partition_policy_n(
+    /// Maps the mode onto the ROB/LSQ limit registers of an SMT-`threads`
+    /// core (the classic pair is `threads == 2`). `ls_thread` names the
+    /// hardware thread running the latency-sensitive workload; Stretch
+    /// explicitly supports either mapping (§IV-D). The skew's batch share is
+    /// spread evenly over the `threads - 1` batch co-runners.
+    pub fn partition_policy(
         &self,
         cfg: &CoreConfig,
         threads: usize,
         ls_thread: ThreadId,
     ) -> PartitionPolicy {
         match self {
-            StretchMode::Baseline => PartitionPolicy::equal_n(cfg, threads),
+            StretchMode::Baseline => PartitionPolicy::equal(cfg, threads),
             StretchMode::BatchBoost(skew) | StretchMode::QosBoost(skew) => {
                 PartitionPolicy::ls_split(
                     cfg,
@@ -279,10 +275,10 @@ mod tests {
     fn partition_policy_respects_ls_thread_mapping() {
         let cfg = CoreConfig::default();
         let mode = StretchMode::BatchBoost(RobSkew::new(56, 136));
-        let p0 = mode.partition_policy(&cfg, ThreadId::T0);
+        let p0 = mode.partition_policy(&cfg, 2, ThreadId::T0);
         assert_eq!(p0.rob_limit(&cfg, ThreadId::T0), 56);
         assert_eq!(p0.rob_limit(&cfg, ThreadId::T1), 136);
-        let p1 = mode.partition_policy(&cfg, ThreadId::T1);
+        let p1 = mode.partition_policy(&cfg, 2, ThreadId::T1);
         assert_eq!(p1.rob_limit(&cfg, ThreadId::T0), 136);
         assert_eq!(p1.rob_limit(&cfg, ThreadId::T1), 56);
     }
@@ -290,7 +286,7 @@ mod tests {
     #[test]
     fn baseline_mode_is_equal_partitioning() {
         let cfg = CoreConfig::default();
-        let p = StretchMode::Baseline.partition_policy(&cfg, ThreadId::T0);
+        let p = StretchMode::Baseline.partition_policy(&cfg, 2, ThreadId::T0);
         assert_eq!(p.rob_limit(&cfg, ThreadId::T0), 96);
         assert_eq!(p.rob_limit(&cfg, ThreadId::T1), 96);
     }

@@ -16,16 +16,17 @@
 //!
 //! To the rest of the repository, a pinned Stretch mode is just another
 //! [`cpu_sim::ColocationPolicy`] — the same interface every baseline
-//! implements — and runs through the same [`cpu_sim::Scenario`] entry point:
+//! implements, and like each of them nothing more than the core setup it
+//! programs — and runs through the same [`cpu_sim::Scenario`] entry point:
 //!
 //! * [`policy`] — [`PinnedStretch`] (one mode for a whole run; what the
 //!   evaluation figures sweep).
 //! * [`config`] — ROB skews ([`RobSkew`]), the provisioned configuration set
 //!   ([`StretchConfig`]) and the runtime mode ([`StretchMode`]:
-//!   Baseline / B-mode / Q-mode), plus the mapping onto the core's
-//!   partition limit registers. Engaging a mode on a live core is
-//!   `SmtCore::set_partition(mode.partition_policy(..), true)`, which
-//!   charges the mode-change pipeline flush.
+//!   Baseline / B-mode / Q-mode), plus the mapping onto the partition
+//!   limit registers of an SMT-T core. Engaging a mode on a live core is
+//!   `SmtCore::set_partition(mode.partition_policy(cfg, threads, ls_thread),
+//!   true)`, which charges the mode-change pipeline flush.
 //! * [`monitor`] — the software monitor ([`SoftwareMonitor`]): sliding-window
 //!   QoS tracking, hysteresis, B-/Q-mode engagement and the co-runner
 //!   throttling fallback. It is the one closed loop: the cluster layer's
@@ -58,6 +59,6 @@ pub mod policy;
 pub mod table;
 
 pub use config::{RobSkew, StretchConfig, StretchMode};
-pub use monitor::{MonitorAction, MonitorConfig, QosPolicy, SoftwareMonitor};
+pub use monitor::{MonitorAction, MonitorConfig, SoftwareMonitor};
 pub use policy::PinnedStretch;
 pub use table::{ModePerformance, PerformanceTable};

@@ -22,37 +22,34 @@ use crate::config::{StretchConfig, StretchMode};
 use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
 
-/// Which QoS signal the monitor consumes, and its thresholds.
+/// Monitor tuning knobs: the tail-latency thresholds each observation is
+/// compared against (the paper's primary QoS signal: "we use tail latency as
+/// a representative and easily-available QoS metric") and the hysteresis
+/// counts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum QosPolicy {
-    /// Drive decisions from measured tail latency versus the QoS target
-    /// (the paper's primary choice: "we use tail latency as a representative
-    /// and easily-available QoS metric").
-    TailLatency {
-        /// Engage B-mode when tail latency is below this fraction of the
-        /// target (e.g. 0.6 → engage when the tail is under 60% of target).
-        engage_below: f64,
-        /// Disengage B-mode when tail latency exceeds this fraction of the
-        /// target.
-        disengage_above: f64,
-    },
+pub struct MonitorConfig {
+    /// Engage B-mode when tail latency is below this fraction of the target
+    /// (e.g. 0.6 → engage when the tail is under 60% of target).
+    pub engage_below: f64,
+    /// Disengage B-mode when tail latency exceeds this fraction of the
+    /// target.
+    pub disengage_above: f64,
+    /// Consecutive slack observations required before engaging B-mode
+    /// (hysteresis against noise).
+    pub engage_after: usize,
+    /// Consecutive QoS violations (metric above the target itself) tolerated
+    /// before the monitor escalates to throttling the co-runner.
+    pub violations_before_throttle: usize,
 }
 
-impl QosPolicy {
-    /// The default tail-latency policy: engage below 60% of target, disengage
-    /// above 90%.
-    pub fn default_tail_latency() -> QosPolicy {
-        QosPolicy::TailLatency { engage_below: 0.6, disengage_above: 0.9 }
-    }
-
+impl MonitorConfig {
     /// Validates threshold ordering.
     ///
     /// # Errors
     ///
-    /// Returns an error if the engage threshold is not below the disengage
-    /// threshold.
+    /// Returns an error unless `0 < engage_below < disengage_above <= 1.5`.
     pub fn validate(&self) -> Result<(), String> {
-        let QosPolicy::TailLatency { engage_below, disengage_above } = *self;
+        let MonitorConfig { engage_below, disengage_above, .. } = *self;
         if !(engage_below > 0.0 && engage_below < disengage_above && disengage_above <= 1.5) {
             return Err(format!(
                 "tail-latency thresholds must satisfy 0 < engage ({engage_below}) < disengage ({disengage_above}) <= 1.5"
@@ -62,36 +59,26 @@ impl QosPolicy {
     }
 }
 
-impl CanonicalKey for QosPolicy {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        let QosPolicy::TailLatency { engage_below, disengage_above } = *self;
-        enc.tag(0).f64(engage_below).f64(disengage_above);
-    }
-}
-
-/// Monitor tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MonitorConfig {
-    /// QoS signal and thresholds.
-    pub policy: QosPolicy,
-    /// Consecutive slack observations required before engaging B-mode
-    /// (hysteresis against noise).
-    pub engage_after: usize,
-    /// Consecutive QoS violations (metric above the target itself) tolerated
-    /// before the monitor escalates to throttling the co-runner.
-    pub violations_before_throttle: usize,
-}
-
 impl CanonicalKey for MonitorConfig {
     fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.field(&self.policy).usize(self.engage_after).usize(self.violations_before_throttle);
+        // Tag 0 names the tail-latency signal, the only one the monitor
+        // reads; it keeps the byte layout every stored fleet key was
+        // written with.
+        enc.tag(0)
+            .f64(self.engage_below)
+            .f64(self.disengage_above)
+            .usize(self.engage_after)
+            .usize(self.violations_before_throttle);
     }
 }
 
 impl Default for MonitorConfig {
+    /// Engage below 60% of the target, disengage above 90%, after three
+    /// slack observations; throttle after three violations.
     fn default() -> MonitorConfig {
         MonitorConfig {
-            policy: QosPolicy::default_tail_latency(),
+            engage_below: 0.6,
+            disengage_above: 0.9,
             engage_after: 3,
             violations_before_throttle: 3,
         }
@@ -127,9 +114,9 @@ impl SoftwareMonitor {
     ///
     /// # Panics
     ///
-    /// Panics if the policy thresholds are inconsistent.
+    /// Panics if the thresholds are inconsistent.
     pub fn new(stretch: StretchConfig, cfg: MonitorConfig) -> SoftwareMonitor {
-        cfg.policy.validate().expect("invalid QoS policy");
+        cfg.validate().expect("invalid monitor thresholds");
         SoftwareMonitor {
             stretch,
             cfg,
@@ -159,7 +146,7 @@ impl SoftwareMonitor {
     /// Feeds one tail-latency observation (both in milliseconds) and returns
     /// the requested action.
     pub fn observe_tail_latency(&mut self, tail_ms: f64, target_ms: f64) -> MonitorAction {
-        let QosPolicy::TailLatency { engage_below, disengage_above } = self.cfg.policy;
+        let MonitorConfig { engage_below, disengage_above, .. } = self.cfg;
         let ratio = if target_ms > 0.0 { tail_ms / target_ms } else { f64::INFINITY };
         self.decide(ratio < engage_below, ratio > disengage_above, ratio > 1.0)
     }
@@ -332,12 +319,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid QoS policy")]
+    #[should_panic(expected = "invalid monitor thresholds")]
     fn bad_thresholds_rejected() {
         let _ = SoftwareMonitor::new(
             StretchConfig::recommended(),
             MonitorConfig {
-                policy: QosPolicy::TailLatency { engage_below: 0.9, disengage_above: 0.5 },
+                engage_below: 0.9,
+                disengage_above: 0.5,
                 engage_after: 1,
                 violations_before_throttle: 1,
             },

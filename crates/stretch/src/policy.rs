@@ -5,10 +5,16 @@
 //! over the colocation matrix). The §IV-C control loop that picks the mode
 //! at runtime is [`crate::SoftwareMonitor`]; the cluster layer's fleet
 //! simulation (`cluster_sim::Fleet`) runs one per server.
+//!
+//! A pinned mode is the baseline core with the mode's values in the limit
+//! registers, nothing more: the Baseline mode programs the same core as
+//! `cpu_sim::EqualPartition`, and a B-mode and a Q-mode with the same skew
+//! program the same core, so the experiment engine serves each such pair
+//! from one cell.
 
 use crate::config::StretchMode;
 use cpu_sim::{ColocationPolicy, ColocationTopology, CoreSetup};
-use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
+use sim_model::{CoreConfig, ThreadId};
 
 /// Stretch pinned to one mode for the whole run (open loop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,25 +33,15 @@ impl PinnedStretch {
     }
 }
 
-impl CanonicalKey for PinnedStretch {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.str("policy/stretch-pinned").field(&self.mode).field(&self.ls_thread);
-    }
-}
-
 impl ColocationPolicy for PinnedStretch {
     fn name(&self) -> String {
         format!("Stretch {}", self.mode)
     }
 
     fn setup_for(&self, cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup {
-        let mut setup = CoreSetup::baseline_n(cfg, topology.threads());
-        setup.partition = self.mode.partition_policy_n(cfg, topology.threads(), self.ls_thread);
+        let mut setup = CoreSetup::baseline(cfg, topology.threads());
+        setup.partition = self.mode.partition_policy(cfg, topology.threads(), self.ls_thread);
         setup
-    }
-
-    fn clone_policy(&self) -> Box<dyn ColocationPolicy> {
-        Box::new(*self)
     }
 }
 
@@ -62,25 +58,16 @@ mod tests {
         assert_eq!(setup.partition.rob_limit(&cfg, ThreadId::T0), 56);
         assert_eq!(setup.partition.rob_limit(&cfg, ThreadId::T1), 136);
         // Everything else stays at the baseline sharing.
-        assert_eq!(setup.fetch_policy, CoreSetup::baseline(&cfg).fetch_policy);
+        assert_eq!(setup.fetch_policy, CoreSetup::baseline(&cfg, 2).fetch_policy);
     }
 
     #[test]
-    fn pinned_modes_are_distinct_cache_cells() {
-        let digest = |mode| {
-            let mut enc = KeyEncoder::new();
-            PinnedStretch::new(mode).encode_key(&mut enc);
-            enc.digest()
-        };
-        let baseline = digest(StretchMode::Baseline);
-        let b = digest(StretchMode::BatchBoost(RobSkew::recommended_b_mode()));
-        let q = digest(StretchMode::QosBoost(RobSkew::recommended_q_mode()));
-        assert_ne!(baseline, b);
-        assert_ne!(b, q);
-        // Same entries, different mode tag: must still be distinct.
-        assert_ne!(
-            digest(StretchMode::BatchBoost(RobSkew::new(56, 136))),
-            digest(StretchMode::QosBoost(RobSkew::new(56, 136)))
-        );
+    fn a_pinned_mode_is_the_baseline_core_with_its_limit_registers_loaded() {
+        let cfg = CoreConfig::default();
+        let pinned = |mode| PinnedStretch::new(mode).setup(&cfg);
+        assert_eq!(pinned(StretchMode::Baseline), cpu_sim::EqualPartition.setup(&cfg));
+        let skew = RobSkew::new(56, 136);
+        assert_eq!(pinned(StretchMode::BatchBoost(skew)), pinned(StretchMode::QosBoost(skew)));
+        assert_ne!(pinned(StretchMode::BatchBoost(skew)), pinned(StretchMode::Baseline));
     }
 }

@@ -62,7 +62,7 @@ fn main() {
             profile_by_name("zeusmp").expect("zeusmp exists"),
         )
         .config(cfg)
-        .boxed_policy(policy.clone_policy())
+        .policy(policy.setup(&cfg))
         .length(SimLength::quick())
         .seed(21)
         .run()

@@ -35,6 +35,18 @@ fn main() {
         })
         .collect();
 
+    let threads: Vec<ThreadSpec> = population
+        .iter()
+        .zip(&standalone)
+        .map(|((name, is_ls), &uipc)| {
+            let spec = if *is_ls {
+                ThreadSpec::latency_sensitive(*name)
+            } else {
+                ThreadSpec::batch(*name)
+            };
+            spec.with_standalone_uipc(uipc)
+        })
+        .collect();
     let allocations: [(&str, &dyn AllocationPolicy); 3] =
         [("greedy", &Greedy), ("round-robin", &RoundRobin), ("symbiosis-aware", &SymbiosisAware)];
 
@@ -48,21 +60,13 @@ fn main() {
     for (label, allocation) in allocations {
         let mut scenario = ServerScenario::new(spec)
             .config(cfg)
-            .boxed_allocation(allocation.clone_policy())
+            .allocation(allocation.assign(&threads, &spec))
             .colocation(PinnedStretch::new(StretchMode::BatchBoost(RobSkew::recommended_b_mode())))
             .length(length)
             .seed(7);
-        for ((name, is_ls), &uipc) in population.iter().zip(&standalone) {
-            let thread_spec = if *is_ls {
-                ThreadSpec::latency_sensitive(*name)
-            } else {
-                ThreadSpec::batch(*name)
-            }
-            .with_standalone_uipc(uipc);
-            scenario = scenario.thread(ServerThread::new(
-                thread_spec,
-                Box::new(profile_by_name(name).expect("known workload")),
-            ));
+        for thread in &threads {
+            let source = Box::new(profile_by_name(&thread.name).expect("known workload"));
+            scenario = scenario.thread(ServerThread::new(thread.clone(), source));
         }
         let result = scenario.run();
         let placement: Vec<String> = result

@@ -111,13 +111,13 @@ fn control_register_drives_mode_changes_on_a_live_core() {
     // loads the mode's limit registers and flushes the pipelines.
     let mode = stretch.low_load_mode();
     assert!(mode.is_batch_boost());
-    core.set_partition(mode.partition_policy(core.config(), ThreadId::T0), true);
+    core.set_partition(mode.partition_policy(core.config(), 2, ThreadId::T0), true);
     for _ in 0..5_000 {
         core.step();
     }
     let mode = stretch.high_load_mode();
     assert!(mode.is_qos_boost());
-    core.set_partition(mode.partition_policy(core.config(), ThreadId::T0), true);
+    core.set_partition(mode.partition_policy(core.config(), 2, ThreadId::T0), true);
     for _ in 0..5_000 {
         core.step();
     }
@@ -174,7 +174,8 @@ fn standalone_beats_any_colocation_for_the_same_workload() {
 fn every_policy_runs_through_the_same_scenario_entry_point() {
     // The tentpole guarantee: Stretch, the baselines and the hybrid
     // demonstration policy are interchangeable values behind one trait; the
-    // same scenario accepts each of them and produces a two-thread result.
+    // same scenario accepts each of them, handed over as the core setup it
+    // programs, and produces a two-thread result.
     let policies: Vec<Box<dyn ColocationPolicy>> = vec![
         Box::new(EqualPartition),
         Box::new(DynamicSharing),
@@ -183,13 +184,14 @@ fn every_policy_runs_through_the_same_scenario_entry_point() {
         Box::new(PinnedStretch::new(StretchMode::BatchBoost(RobSkew::recommended_b_mode()))),
         Box::new(HybridThrottleSkew::recommended()),
     ];
+    let cfg = CoreConfig::default();
     for policy in policies {
         let label = policy.name();
         let r = Scenario::colocate(
             profile_by_name("web-search").expect("web-search exists"),
             profile_by_name("zeusmp").expect("zeusmp exists"),
         )
-        .boxed_policy(policy)
+        .policy(policy.setup(&cfg))
         .length(quick())
         .seed(13)
         .run();

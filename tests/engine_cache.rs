@@ -82,26 +82,29 @@ fn engine_results_survive_restart_and_invalidate_on_key_changes() {
 }
 
 #[test]
-fn store_digests_distinguish_policies_not_just_setups() {
-    // Regression for the policy-keyed cache scheme: the persistent store
-    // must keep separate entries for different policies even when they
-    // derive the *same* core setup (EqualPartition vs Stretch pinned to its
-    // Baseline mode), and a policy-parameter change must invalidate.
-    let dir = temp_dir("policy-keys");
+fn store_digests_follow_the_core_setup() {
+    // A cell is keyed by the core setup its policy programs, since nothing
+    // else about a policy reaches the run: EqualPartition and Stretch pinned
+    // to its Baseline mode program the same core, so the persistent store
+    // holds one entry for both, while a policy-parameter change that moves
+    // the setup (the fetch ratio) must invalidate.
+    let dir = temp_dir("setup-keys");
+    let baseline = PinnedStretch::new(StretchMode::Baseline);
 
     let cold = Engine::new(ExperimentConfig::quick()).with_store(&dir).expect("store opens");
-    let _ = cold.pair(&EqualPartition, "web-search", "zeusmp");
-    let _ = cold.pair(&PinnedStretch::new(StretchMode::Baseline), "web-search", "zeusmp");
-    assert_eq!(cold.sim_runs(), 2, "identical setups must still be distinct store entries");
+    let equal = cold.pair(&EqualPartition, "web-search", "zeusmp");
+    let pinned = cold.pair(&baseline, "web-search", "zeusmp");
+    assert_eq!(cold.sim_runs(), 1, "identical setups are one store entry");
+    assert_eq!(equal, pinned);
 
-    // A fresh engine finds BOTH entries warm — they were stored under
-    // distinct digests, not overwriting each other.
+    // A fresh engine finds the one entry warm for both policies.
     let warm = Engine::new(ExperimentConfig::quick()).with_store(&dir).expect("store opens");
+    assert_eq!(warm.pair(&baseline, "web-search", "zeusmp"), equal);
     let _ = warm.pair(&EqualPartition, "web-search", "zeusmp");
-    let _ = warm.pair(&PinnedStretch::new(StretchMode::Baseline), "web-search", "zeusmp");
-    assert_eq!(warm.sim_runs(), 0, "both policy cells must be served from disk");
+    assert_eq!(warm.sim_runs(), 0, "both policies must be served from disk");
+    assert_eq!(warm.stats().store_hits, 1);
 
-    // Changing a policy parameter (the fetch ratio) is a different identity.
+    // Changing a policy parameter (the fetch ratio) changes the setup.
     let _ = warm.pair(&FetchThrottling::new(ThreadId::T0, 4), "web-search", "zeusmp");
     assert_eq!(warm.sim_runs(), 1);
     let _ = warm.pair(&FetchThrottling::new(ThreadId::T0, 8), "web-search", "zeusmp");

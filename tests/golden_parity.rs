@@ -103,6 +103,38 @@ fn stretch_modes_match_the_old_run_pair() {
     );
 }
 
+/// The seven pinned pairs again, as cached `Engine::pair` cells. The engine
+/// keys a cell by the core setup its policy programs, and `StudiedResource::Rob`
+/// programs the same core as `IdealScheduling::new()` (equal shares, ICOUNT,
+/// private L1s and predictor): it is served from that cell, with its bits.
+#[test]
+fn engine_pairs_match_the_pinned_fixtures() {
+    use stretch_bench::{CacheStats, Engine, ExperimentConfig};
+    use stretch_repro::cpu::StudiedResource;
+
+    let engine = Engine::new(ExperimentConfig::quick());
+    let b_mode = PinnedStretch::new(StretchMode::BatchBoost(RobSkew::recommended_b_mode()));
+    let q_mode = PinnedStretch::new(StretchMode::QosBoost(RobSkew::recommended_q_mode()));
+    let throttled = FetchThrottling::new(ThreadId::T0, 4);
+    let combined = IdealScheduling::with_stretch(ThreadId::T0, 56, 136);
+    let cells: [(&str, &dyn ColocationPolicy, (f64, f64)); 7] = [
+        ("equal partitioning", &EqualPartition, BASELINE),
+        ("dynamic sharing", &DynamicSharing, DYNAMIC),
+        ("fetch throttling 1:4", &throttled, FETCH_THROTTLING_1_4),
+        ("ideal scheduling", &IdealScheduling::new(), IDEAL_SCHEDULING),
+        ("ideal scheduling + Stretch 56-136", &combined, IDEAL_PLUS_STRETCH),
+        ("B-mode 56-136", &b_mode, B_MODE_56_136),
+        ("Q-mode 136-56", &q_mode, Q_MODE_136_56),
+    ];
+    for (label, policy, want) in cells {
+        let got = engine.pair(policy, LS, BATCH);
+        assert_pair(label, (got.ls_uipc, got.batch_uipc), want);
+    }
+    let rob_only = engine.pair(&StudiedResource::Rob, LS, BATCH);
+    assert_pair("ROB-only sharing", (rob_only.ls_uipc, rob_only.batch_uipc), IDEAL_SCHEDULING);
+    assert_eq!(engine.stats(), CacheStats { memo_hits: 1, store_hits: 0, misses: 7 });
+}
+
 #[test]
 fn standalone_scenarios_match_the_old_run_standalone() {
     let standalone = |name: &str| {

@@ -275,7 +275,7 @@ proptest! {
         prop_assert!(skew.validate(&cfg).is_ok());
         for mode in [StretchMode::BatchBoost(skew), StretchMode::QosBoost(skew)] {
             for ls_thread in ThreadId::ALL {
-                let policy = mode.partition_policy(&cfg, ls_thread);
+                let policy = mode.partition_policy(&cfg, 2, ls_thread);
                 let t0 = policy.rob_limit(&cfg, ThreadId::T0);
                 let t1 = policy.rob_limit(&cfg, ThreadId::T1);
                 prop_assert_eq!(t0 + t1, cfg.rob_capacity);

@@ -93,7 +93,7 @@ fn draw(rng: &mut SimRng, max_cycles: u64) -> Case {
         _ => Box::new(PrivateCore::with_rob(pick(rng, &[64, 192]))),
     };
     let flush_to = match rng.below(3) {
-        0 => PartitionPolicy::equal_n(&cfg, width),
+        0 => PartitionPolicy::equal(&cfg, width),
         1 if width >= 2 => PartitionPolicy::ls_split(&cfg, width, ThreadId::T0, 136, 56),
         _ => PartitionPolicy::Dynamic,
     };
