@@ -15,10 +15,6 @@ use sim_model::CoreConfig;
 pub struct DynamicSharing;
 
 impl ColocationPolicy for DynamicSharing {
-    fn name(&self) -> String {
-        "dynamic ROB sharing".to_string()
-    }
-
     fn setup_for(&self, _cfg: &CoreConfig, _topology: &ColocationTopology) -> CoreSetup {
         // A fully dynamic window is width-agnostic by construction.
         CoreSetup {

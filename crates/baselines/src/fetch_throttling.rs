@@ -1,14 +1,14 @@
 //! Fetch-throttling baseline (Figure 12).
 //!
 //! Front-end resource management: allocate fetch bandwidth between the
-//! threads at a 1:M ratio (the latency-sensitive thread gets the `1`). The
-//! paper evaluates M ∈ {2, 4, 8, 16} on top of a *dynamically shared* ROB —
-//! the point being that admission control alone cannot keep a miss-bound
-//! thread from clogging the window.
+//! threads at a 1:M ratio (the topology's latency-sensitive thread gets the
+//! `1`). The paper evaluates M ∈ {2, 4, 8, 16} on top of a *dynamically
+//! shared* ROB — the point being that admission control alone cannot keep a
+//! miss-bound thread from clogging the window.
 
 use cpu_sim::{ColocationPolicy, ColocationTopology, CoreSetup, FetchPolicy, PartitionPolicy};
 use mem_sim::Sharing;
-use sim_model::{CoreConfig, ThreadId};
+use sim_model::CoreConfig;
 
 /// The fetch-throttling ratios (`M` in 1:M) evaluated in Figure 12.
 pub const FETCH_THROTTLING_RATIOS: [u32; 4] = [2, 4, 8, 16];
@@ -19,8 +19,6 @@ pub const FETCH_THROTTLING_RATIOS: [u32; 4] = [2, 4, 8, 16];
 /// co-runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchThrottling {
-    /// The hardware thread running the latency-sensitive (throttled) workload.
-    pub ls_thread: ThreadId,
     /// The `M` in the 1:M fetch ratio.
     pub ratio: u32,
 }
@@ -32,23 +30,19 @@ impl FetchThrottling {
     ///
     /// Panics if `ratio == 0` (the underlying fetch policy requires 1:M with
     /// M ≥ 1).
-    pub fn new(ls_thread: ThreadId, ratio: u32) -> FetchThrottling {
+    pub fn new(ratio: u32) -> FetchThrottling {
         assert!(ratio >= 1, "fetch throttling needs a ratio of at least 1, got {ratio}");
-        FetchThrottling { ls_thread, ratio }
+        FetchThrottling { ratio }
     }
 }
 
 impl ColocationPolicy for FetchThrottling {
-    fn name(&self) -> String {
-        format!("fetch throttling 1:{}", self.ratio)
-    }
-
-    fn setup_for(&self, _cfg: &CoreConfig, _topology: &ColocationTopology) -> CoreSetup {
+    fn setup_for(&self, _cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup {
         // The dynamically shared window and the 1:M fetch group are both
         // width-agnostic: every non-throttled thread joins the batch group.
         CoreSetup {
             partition: PartitionPolicy::Dynamic,
-            fetch_policy: FetchPolicy::throttled(self.ls_thread, self.ratio),
+            fetch_policy: FetchPolicy::throttled(topology.ls_thread(), self.ratio),
             l1i_sharing: Sharing::Shared,
             l1d_sharing: Sharing::Shared,
             bp_sharing: Sharing::Shared,
@@ -59,6 +53,7 @@ impl ColocationPolicy for FetchThrottling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_model::ThreadId;
 
     #[test]
     fn ratios_match_the_figure() {
@@ -68,14 +63,17 @@ mod tests {
     #[test]
     fn setup_uses_dynamic_rob_and_throttled_fetch() {
         let cfg = CoreConfig::default();
-        let setup = FetchThrottling::new(ThreadId::T0, 4).setup(&cfg);
-        assert_eq!(setup.partition, PartitionPolicy::Dynamic);
-        match setup.fetch_policy {
-            FetchPolicy::Throttled { throttled, ratio } => {
-                assert_eq!(throttled, ThreadId::T0);
-                assert_eq!(ratio, 4);
+        for ls_thread in [ThreadId::T0, ThreadId::T1] {
+            let topology = ColocationTopology::new(2, ls_thread);
+            let setup = FetchThrottling::new(4).setup_for(&cfg, &topology);
+            assert_eq!(setup.partition, PartitionPolicy::Dynamic);
+            match setup.fetch_policy {
+                FetchPolicy::Throttled { throttled, ratio } => {
+                    assert_eq!(throttled, ls_thread);
+                    assert_eq!(ratio, 4);
+                }
+                other => panic!("expected a throttled policy, got {other:?}"),
             }
-            other => panic!("expected a throttled policy, got {other:?}"),
         }
     }
 
@@ -89,7 +87,7 @@ mod tests {
                 profile_by_name("web-search").unwrap(),
                 profile_by_name("zeusmp").unwrap(),
             )
-            .policy(FetchThrottling::new(ThreadId::T0, ratio))
+            .policy(FetchThrottling::new(ratio))
             .length(SimLength::quick())
             .seed(5)
             .run()
@@ -107,6 +105,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_ratio_rejected() {
-        let _ = FetchThrottling::new(ThreadId::T0, 0);
+        let _ = FetchThrottling::new(0);
     }
 }

@@ -6,21 +6,21 @@
 //! clogging a dynamically shared ROB. This policy combines the two knobs the
 //! way a POWER-style core could: Stretch's static ROB/LSQ skew bounds how
 //! much window the batch thread can clog, while a mild 1:M fetch ratio keeps
-//! the latency-sensitive thread's front-end slots protected. It is not a
+//! the front-end slots of the topology's latency-sensitive thread
+//! protected. It is not a
 //! paper configuration — it exists to exercise the [`ColocationPolicy`]
 //! surface end to end (the core setup it programs, scenario runs and an
 //! extra row of Figure 12) with a scheme the paper does not evaluate.
 
 use cpu_sim::{ColocationPolicy, ColocationTopology, CoreSetup, FetchPolicy, PartitionPolicy};
 use mem_sim::Sharing;
-use sim_model::{CoreConfig, ThreadId};
+use sim_model::CoreConfig;
 
-/// Fetch throttling layered on an asymmetric ROB split.
+/// Fetch throttling layered on an asymmetric ROB split. The topology's
+/// latency-sensitive thread gets the `1` of the fetch ratio and the small
+/// ROB share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HybridThrottleSkew {
-    /// The hardware thread running the latency-sensitive workload (gets the
-    /// `1` of the fetch ratio and the small ROB share).
-    pub ls_thread: ThreadId,
     /// The `M` in the 1:M fetch ratio.
     pub ratio: u32,
     /// ROB entries for the latency-sensitive thread.
@@ -35,33 +35,30 @@ impl HybridThrottleSkew {
     /// # Panics
     ///
     /// Panics if `ratio == 0`.
-    pub fn new(ls_thread: ThreadId, ratio: u32, ls_rob: usize, batch_rob: usize) -> Self {
+    pub fn new(ratio: u32, ls_rob: usize, batch_rob: usize) -> Self {
         assert!(ratio >= 1, "fetch throttling needs a ratio of at least 1, got {ratio}");
-        HybridThrottleSkew { ls_thread, ratio, ls_rob, batch_rob }
+        HybridThrottleSkew { ratio, ls_rob, batch_rob }
     }
 
     /// The reproduction's default operating point: a mild 1:2 fetch ratio on
     /// top of the paper's headline B-mode 56-136 skew.
     pub fn recommended() -> Self {
-        HybridThrottleSkew::new(ThreadId::T0, 2, 56, 136)
+        HybridThrottleSkew::new(2, 56, 136)
     }
 }
 
 impl ColocationPolicy for HybridThrottleSkew {
-    fn name(&self) -> String {
-        format!("hybrid 1:{} + {}-{}", self.ratio, self.ls_rob, self.batch_rob)
-    }
-
     fn setup_for(&self, cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup {
+        let ls_thread = topology.ls_thread();
         CoreSetup {
             partition: PartitionPolicy::ls_split(
                 cfg,
                 topology.threads(),
-                self.ls_thread,
+                ls_thread,
                 self.ls_rob,
                 self.batch_rob,
             ),
-            fetch_policy: FetchPolicy::throttled(self.ls_thread, self.ratio),
+            fetch_policy: FetchPolicy::throttled(ls_thread, self.ratio),
             l1i_sharing: Sharing::Shared,
             l1d_sharing: Sharing::Shared,
             bp_sharing: Sharing::Shared,
@@ -72,6 +69,7 @@ impl ColocationPolicy for HybridThrottleSkew {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_model::ThreadId;
 
     #[test]
     fn hybrid_setup_combines_both_mechanisms() {
@@ -91,9 +89,11 @@ mod tests {
     #[test]
     fn ls_thread_mapping_swaps_the_skew() {
         let cfg = CoreConfig::default();
-        let setup = HybridThrottleSkew::new(ThreadId::T1, 4, 56, 136).setup(&cfg);
+        let topology = ColocationTopology::new(2, ThreadId::T1);
+        let setup = HybridThrottleSkew::new(4, 56, 136).setup_for(&cfg, &topology);
         assert_eq!(setup.partition.rob_limit(&cfg, ThreadId::T1), 56);
         assert_eq!(setup.partition.rob_limit(&cfg, ThreadId::T0), 136);
+        assert_eq!(setup.fetch_policy, FetchPolicy::throttled(ThreadId::T1, 4));
     }
 
     #[test]
@@ -125,6 +125,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_ratio_rejected() {
-        let _ = HybridThrottleSkew::new(ThreadId::T0, 0, 56, 136);
+        let _ = HybridThrottleSkew::new(0, 56, 136);
     }
 }

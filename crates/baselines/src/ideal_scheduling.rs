@@ -6,21 +6,22 @@
 //! core in which *all* dynamically shared structures (L1-I, L1-D, branch
 //! predictor) are contention-free — i.e. private per thread — while the ROB
 //! and LSQ stay equally partitioned. Stretch is complementary: the combined
-//! policy (private L1s/BP plus an asymmetric B-mode ROB split) is the
-//! "Stretch + Ideal Software Scheduling" bar of Figure 13.
+//! policy (private L1s/BP plus an asymmetric B-mode ROB split, its small
+//! share on the topology's latency-sensitive thread) is the "Stretch + Ideal
+//! Software Scheduling" bar of Figure 13.
 
 use cpu_sim::{ColocationPolicy, ColocationTopology, CoreSetup, FetchPolicy, PartitionPolicy};
 use mem_sim::Sharing;
-use sim_model::{CoreConfig, ThreadId};
+use sim_model::CoreConfig;
 
 /// Ideal software scheduling: private L1-I, L1-D and branch predictor for
 /// each thread. The ROB/LSQ stay equally partitioned unless a Stretch skew is
 /// layered on top ([`IdealScheduling::with_stretch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdealScheduling {
-    /// Optional Stretch ROB skew `(ls_thread, ls_entries, batch_entries)`
-    /// layered on top of the contention-free caches.
-    skew: Option<(ThreadId, usize, usize)>,
+    /// Optional Stretch ROB skew `(ls_entries, batch_entries)` layered on top
+    /// of the contention-free caches.
+    skew: Option<(usize, usize)>,
 }
 
 impl IdealScheduling {
@@ -29,11 +30,11 @@ impl IdealScheduling {
         IdealScheduling { skew: None }
     }
 
-    /// Ideal software scheduling combined with Stretch's B-mode ROB skew
-    /// (`ls_rob`-`batch_rob` entries, latency-sensitive thread given by
-    /// `ls_thread`).
-    pub fn with_stretch(ls_thread: ThreadId, ls_rob: usize, batch_rob: usize) -> IdealScheduling {
-        IdealScheduling { skew: Some((ls_thread, ls_rob, batch_rob)) }
+    /// Ideal software scheduling combined with Stretch's B-mode ROB skew:
+    /// `ls_rob` entries for the topology's latency-sensitive thread,
+    /// `batch_rob` for the batch side.
+    pub fn with_stretch(ls_rob: usize, batch_rob: usize) -> IdealScheduling {
+        IdealScheduling { skew: Some((ls_rob, batch_rob)) }
     }
 }
 
@@ -44,13 +45,6 @@ impl Default for IdealScheduling {
 }
 
 impl ColocationPolicy for IdealScheduling {
-    fn name(&self) -> String {
-        match self.skew {
-            None => "ideal software scheduling".to_string(),
-            Some((_, ls, batch)) => format!("ideal scheduling + Stretch {ls}-{batch}"),
-        }
-    }
-
     /// Builds the contention-free core, applying the Stretch skew if one was
     /// provisioned. On an SMT-T core the batch share is spread over the
     /// `T - 1` co-runners.
@@ -61,9 +55,13 @@ impl ColocationPolicy for IdealScheduling {
     fn setup_for(&self, cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup {
         let partition = match self.skew {
             None => PartitionPolicy::equal(cfg, topology.threads()),
-            Some((ls_thread, ls_rob, batch_rob)) => {
-                PartitionPolicy::ls_split(cfg, topology.threads(), ls_thread, ls_rob, batch_rob)
-            }
+            Some((ls_rob, batch_rob)) => PartitionPolicy::ls_split(
+                cfg,
+                topology.threads(),
+                topology.ls_thread(),
+                ls_rob,
+                batch_rob,
+            ),
         };
         CoreSetup {
             partition,
@@ -78,6 +76,7 @@ impl ColocationPolicy for IdealScheduling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_model::ThreadId;
 
     #[test]
     fn ideal_scheduling_privatises_everything_but_the_window() {
@@ -92,11 +91,12 @@ mod tests {
     #[test]
     fn combined_setup_applies_the_skew() {
         let cfg = CoreConfig::default();
-        let s = IdealScheduling::with_stretch(ThreadId::T0, 56, 136).setup(&cfg);
+        let s = IdealScheduling::with_stretch(56, 136).setup(&cfg);
         assert_eq!(s.partition.rob_limit(&cfg, ThreadId::T0), 56);
         assert_eq!(s.partition.rob_limit(&cfg, ThreadId::T1), 136);
         assert_eq!(s.l1d_sharing, Sharing::PrivatePerThread);
-        let swapped = IdealScheduling::with_stretch(ThreadId::T1, 56, 136).setup(&cfg);
+        let swapped = IdealScheduling::with_stretch(56, 136)
+            .setup_for(&cfg, &ColocationTopology::new(2, ThreadId::T1));
         assert_eq!(swapped.partition.rob_limit(&cfg, ThreadId::T1), 56);
     }
 

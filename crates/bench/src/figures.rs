@@ -20,7 +20,7 @@ use cpu_sim::{
     AllocationPolicy, ColocationPolicy, EqualPartition, Greedy, RoundRobin, ServerSpec,
     StudiedResource, SymbiosisAware,
 };
-use sim_model::{parallel_map, CoreConfig, ThreadId};
+use sim_model::{parallel_map, CoreConfig};
 use sim_qos::ServiceSpec;
 use sim_stats::{det_sum, DistributionSummary};
 use stretch::{PinnedStretch, RobSkew, StretchMode};
@@ -699,7 +699,7 @@ pub fn figure12(engine: &Engine) -> String {
 
     let mut configs: Vec<(String, Vec<PairOutcome>)> = Vec::new();
     for ratio in FETCH_THROTTLING_RATIOS {
-        let matrix = engine.matrix(&FetchThrottling::new(ThreadId::T0, ratio));
+        let matrix = engine.matrix(&FetchThrottling::new(ratio));
         configs.push((format!("FT 1:{ratio}"), matrix));
     }
     configs.push((
@@ -758,11 +758,8 @@ pub fn figure13(engine: &Engine) -> String {
     let baseline = engine.matrix(&EqualPartition);
     let ideal = engine.matrix(&IdealScheduling::new());
     let stretch_only = engine.matrix(&PinnedStretch::new(StretchMode::BatchBoost(skew)));
-    let combined = engine.matrix(&IdealScheduling::with_stretch(
-        ThreadId::T0,
-        skew.ls_entries,
-        skew.batch_entries,
-    ));
+    let combined =
+        engine.matrix(&IdealScheduling::with_stretch(skew.ls_entries, skew.batch_entries));
 
     let mut table = TableWriter::new(
         "Figure 13: average batch speedup over the baseline core",

@@ -91,11 +91,6 @@ impl TableWriter {
         out
     }
 
-    /// Renders and prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-
     /// Renders the table as a JSON document (`title`, `header`, `rows`),
     /// so figure output can be consumed by plotting scripts as well as read
     /// from the terminal.

@@ -68,12 +68,15 @@ impl CaseStudy {
     ///
     /// # Panics
     ///
-    /// Panics if the parameters are out of range (threshold or speedup not
-    /// positive, non-positive interval).
+    /// Panics if the parameters are out of range: threshold or speedup not
+    /// positive, or an interval that fails
+    /// [`validate_interval`](crate::diurnal::validate_interval) (outside
+    /// (0, 24] or not dividing the day), which would credit other than 24
+    /// hours to the day.
     pub fn run(&self) -> CaseStudyReport {
         assert!(self.engage_below > 0.0 && self.engage_below <= 1.0, "threshold out of range");
         assert!(self.b_mode_batch_speedup > 0.0, "speedup must be positive");
-        assert!(self.interval_hours > 0.0, "interval must be positive");
+        crate::diurnal::validate_interval(self.interval_hours).unwrap_or_else(|e| panic!("{e}"));
         // `sample` guarantees at least one point, so the division is safe.
         let samples = self.pattern.sample(self.interval_hours);
         let mut engaged = 0usize;
@@ -311,6 +314,30 @@ mod tests {
         let report = study.run();
         assert_eq!(report.gain(), 0.0);
         assert_eq!(report.hours_engaged, 0.0);
+    }
+
+    #[test]
+    fn an_always_engaged_day_credits_exactly_24_hours() {
+        let flat = |interval_hours| CaseStudy {
+            pattern: DiurnalPattern::Custom {
+                base: 0.2,
+                amplitude: 0.0,
+                peak_hour: 12.0,
+                width: 6.0,
+            },
+            engage_below: 0.85,
+            b_mode_batch_speedup: 1.13,
+            interval_hours,
+        };
+        assert_eq!(flat(8.0).run().hours_engaged, 24.0);
+        // Crediting each of round(24 / h) samples with h hours would report
+        // 25, 21 and 48 engaged hours for these intervals.
+        for interval_hours in [5.0, 7.0, 48.0] {
+            let study = flat(interval_hours);
+            let panic = std::panic::catch_unwind(|| study.run()).expect_err("interval accepted");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(message.starts_with("control interval"), "{message}");
+        }
     }
 
     #[test]

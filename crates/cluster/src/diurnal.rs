@@ -51,6 +51,27 @@ pub fn day_steps(interval_hours: f64) -> usize {
     (24.0 / interval_hours).round().max(1.0) as usize
 }
 
+/// Checks that `interval_hours` can be the control interval of a simulated
+/// day: it lies in (0, 24] and divides the day evenly, so the
+/// [`day_steps`] intervals of a day add up to exactly 24 hours. The fleet
+/// and the analytical case study both account a day this way.
+///
+/// # Errors
+///
+/// Returns a description of the first rule the interval breaks.
+pub fn validate_interval(interval_hours: f64) -> Result<(), String> {
+    if !(interval_hours > 0.0 && interval_hours <= 24.0) {
+        return Err(format!("control interval {interval_hours} h must be in (0, 24]"));
+    }
+    let day_fraction = 24.0 / interval_hours;
+    if (day_fraction - day_fraction.round()).abs() > 1e-9 {
+        return Err(format!(
+            "control interval {interval_hours} h must divide the 24-hour day evenly"
+        ));
+    }
+    Ok(())
+}
+
 impl DiurnalPattern {
     /// Load (fraction of peak) at a given hour of day.
     ///
@@ -145,6 +166,16 @@ mod tests {
     fn sampling_interval_controls_resolution() {
         assert_eq!(DiurnalPattern::WebSearch.sample(1.0).len(), 24);
         assert_eq!(DiurnalPattern::WebSearch.sample(0.5).len(), 48);
+    }
+
+    #[test]
+    fn an_interval_must_tile_the_day() {
+        for ok in [0.25, 1.0, 8.0, 24.0] {
+            assert!(validate_interval(ok).is_ok(), "{ok} h");
+        }
+        for bad in [0.0, -1.0, 0.9, 5.0, 7.0, 48.0, f64::NAN] {
+            assert!(validate_interval(bad).is_err(), "{bad} h");
+        }
     }
 
     #[test]

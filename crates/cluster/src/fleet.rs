@@ -245,18 +245,9 @@ impl FleetConfig {
         self.service.validate()?;
         self.arrivals.validate()?;
         self.monitor.validate()?;
-        if !(self.interval_hours > 0.0 && self.interval_hours <= 24.0) {
-            return Err(format!("control interval {} h must be in (0, 24]", self.interval_hours));
-        }
         // The day accounting (hours_engaged, hour-of-day wrap) assumes the
         // control interval tiles the 24-hour day exactly.
-        let day_fraction = 24.0 / self.interval_hours;
-        if (day_fraction - day_fraction.round()).abs() > 1e-9 {
-            return Err(format!(
-                "control interval {} h must divide the 24-hour day evenly",
-                self.interval_hours
-            ));
-        }
+        crate::diurnal::validate_interval(self.interval_hours)?;
         if self.requests_per_server < 20 {
             return Err(format!(
                 "{} requests per server-interval cannot resolve a tail percentile (need >= 20)",

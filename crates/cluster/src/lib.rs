@@ -49,7 +49,7 @@ pub mod fleet;
 pub mod topology;
 
 pub use case_study::{CaseStudy, CaseStudyReport};
-pub use diurnal::{day_steps, DiurnalPattern, LoadSample};
+pub use diurnal::{day_steps, validate_interval, DiurnalPattern, LoadSample};
 pub use fleet::{
     calibrated_monitor_with_peak, measured_peak_rps, rack_seed, server_seed, Fleet, FleetConfig,
     FleetIntervalReport, FleetReport, FleetScale, LoadBalancer, ServerSummary,

@@ -58,14 +58,6 @@ impl FleetTopology {
         FleetTopology::Racked(RackTopology { racks, rack_balancer })
     }
 
-    /// Number of shards a fleet of `servers` machines simulates as.
-    pub fn shards(&self) -> usize {
-        match self {
-            FleetTopology::Flat => 1,
-            FleetTopology::Racked(rt) => rt.racks,
-        }
-    }
-
     /// Validates the topology against the fleet's server count.
     ///
     /// # Errors
@@ -208,12 +200,6 @@ mod tests {
         assert!(t.validate(6).is_err(), "6 servers over 4 racks is uneven");
         assert!(t.validate(2).is_err(), "more racks than servers");
         assert!(FleetTopology::racked(0, LoadBalancer::RoundRobin).validate(8).is_err());
-    }
-
-    #[test]
-    fn shard_counts() {
-        assert_eq!(FleetTopology::Flat.shards(), 1);
-        assert_eq!(FleetTopology::racked(5, LoadBalancer::LeastLoaded).shards(), 5);
     }
 
     #[test]

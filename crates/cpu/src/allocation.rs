@@ -164,9 +164,6 @@ impl CanonicalKey for Placement {
 /// Mirrors the shape of [`ColocationPolicy`] one level up: a pure placement
 /// function, plus a [`CanonicalKey`] identity.
 pub trait AllocationPolicy: CanonicalKey + Send + Sync {
-    /// Human-readable policy name (used in logs and result labels).
-    fn name(&self) -> String;
-
     /// Places `threads` onto the cores of `server`.
     ///
     /// # Panics
@@ -177,10 +174,6 @@ pub trait AllocationPolicy: CanonicalKey + Send + Sync {
 
 /// A placement is the allocation policy that returns exactly it.
 impl AllocationPolicy for Placement {
-    fn name(&self) -> String {
-        "explicit placement".to_string()
-    }
-
     /// # Panics
     ///
     /// Panics, as [`Placement::new`] does, if the placement does not place
@@ -232,10 +225,6 @@ impl CanonicalKey for Greedy {
 }
 
 impl AllocationPolicy for Greedy {
-    fn name(&self) -> String {
-        "greedy isolation".to_string()
-    }
-
     fn assign(&self, threads: &[ThreadSpec], server: &ServerSpec) -> Placement {
         assert!(threads.len() <= server.capacity(), "threads exceed server capacity");
         let width = server.threads_per_core;
@@ -276,10 +265,6 @@ impl CanonicalKey for RoundRobin {
 }
 
 impl AllocationPolicy for RoundRobin {
-    fn name(&self) -> String {
-        "round-robin".to_string()
-    }
-
     fn assign(&self, threads: &[ThreadSpec], server: &ServerSpec) -> Placement {
         assert!(threads.len() <= server.capacity(), "threads exceed server capacity");
         let width = server.threads_per_core;
@@ -313,10 +298,6 @@ impl CanonicalKey for SymbiosisAware {
 }
 
 impl AllocationPolicy for SymbiosisAware {
-    fn name(&self) -> String {
-        "symbiosis-aware".to_string()
-    }
-
     fn assign(&self, threads: &[ThreadSpec], server: &ServerSpec) -> Placement {
         assert!(threads.len() <= server.capacity(), "threads exceed server capacity");
         let width = server.threads_per_core;
@@ -427,20 +408,13 @@ impl ServerScenario {
         self
     }
 
-    /// The allocation this scenario would use, without running anything.
-    pub fn placement(&self) -> Placement {
-        let specs: Vec<ThreadSpec> = self.threads.iter().map(|t| t.spec.clone()).collect();
-        self.allocation.assign(&specs, &self.server)
-    }
-
     /// Places the threads and simulates every occupied core.
     ///
     /// Within a core, latency-sensitive threads occupy the lowest slots (so a
-    /// core's LS service sits at T0, matching what a pinned colocation policy
-    /// protects); batch threads follow in placement order; unused hardware
-    /// threads stay idle. Every occupied core runs the one setup the
-    /// colocation policy programs for a `threads_per_core`-wide core with its
-    /// LS thread at T0.
+    /// core's LS service sits at T0, the topology's LS thread); batch threads
+    /// follow in placement order; unused hardware threads stay idle. Every
+    /// occupied core runs the one setup the colocation policy programs for a
+    /// `threads_per_core`-wide core with its LS thread at T0.
     ///
     /// # Panics
     ///
@@ -665,15 +639,6 @@ mod tests {
         fn next_op(&mut self) -> MicroOp {
             self.pc = 0x1000 + (self.pc + 4 - 0x1000) % 512;
             MicroOp::alu(self.pc, OpKind::IntAlu, [None, None], Some(1))
-        }
-        fn name(&self) -> &str {
-            "alu-loop"
-        }
-        fn class(&self) -> WorkloadClass {
-            WorkloadClass::Batch
-        }
-        fn reset(&mut self) {
-            self.pc = 0x1000;
         }
     }
 

@@ -78,22 +78,12 @@ pub struct BranchPredictor {
 }
 
 impl BranchPredictor {
-    /// Builds the predictor with the given table sharing mode, for the
-    /// classic dual-threaded core.
-    pub fn new(cfg: BranchPredictorConfig, sharing: Sharing) -> BranchPredictor {
-        BranchPredictor::with_threads(cfg, sharing, 2)
-    }
-
     /// Builds the predictor for a core with `threads` hardware threads.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn with_threads(
-        cfg: BranchPredictorConfig,
-        sharing: Sharing,
-        threads: usize,
-    ) -> BranchPredictor {
+    pub fn new(cfg: BranchPredictorConfig, sharing: Sharing, threads: usize) -> BranchPredictor {
         assert!(threads >= 1, "a branch predictor needs at least one thread");
         let copies = match sharing {
             Sharing::Shared => 1,
@@ -217,11 +207,6 @@ impl BranchPredictor {
         self.stats[thread.index()]
     }
 
-    /// Resets statistics (not predictor state).
-    pub fn reset_stats(&mut self) {
-        self.stats.fill(BranchStats::default());
-    }
-
     /// Sharing mode of the predictor tables.
     pub fn sharing(&self) -> Sharing {
         self.sharing
@@ -233,7 +218,7 @@ mod tests {
     use super::*;
 
     fn predictor(sharing: Sharing) -> BranchPredictor {
-        BranchPredictor::new(BranchPredictorConfig::default(), sharing)
+        BranchPredictor::new(BranchPredictorConfig::default(), sharing, 2)
     }
 
     /// Runs `n` occurrences of a branch at `pc` that is always taken to
@@ -343,7 +328,5 @@ mod tests {
         run_always_taken(&mut p, ThreadId::T0, 0x1000, 0x2000, 10);
         let s = p.stats(ThreadId::T0);
         assert_eq!(s.predictions, 10);
-        p.reset_stats();
-        assert_eq!(p.stats(ThreadId::T0).predictions, 0);
     }
 }

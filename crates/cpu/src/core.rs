@@ -37,9 +37,7 @@ use crate::branch::{BranchPredictor, BranchStats, Prediction};
 use crate::fetch::{FetchPolicy, FetchScheduler};
 use crate::partition::PartitionPolicy;
 use mem_sim::{HierarchyConfig, HierarchyStats, LoadResult, MemoryHierarchy, Sharing};
-use sim_model::{
-    BoxedTrace, CoreConfig, Cycle, MicroOp, OpKind, ThreadId, TraceGenerator, NUM_LOGICAL_REGS,
-};
+use sim_model::{BoxedTrace, CoreConfig, Cycle, MicroOp, OpKind, ThreadId, NUM_LOGICAL_REGS};
 use sim_stats::Histogram;
 use std::collections::VecDeque;
 
@@ -403,12 +401,11 @@ impl SmtCoreBuilder {
         let partition =
             self.partition.unwrap_or_else(|| PartitionPolicy::equal(&self.cfg, self.smt_width));
         check_partition(&partition, self.traces.iter().map(Option::is_some));
-        let mut hier_cfg = HierarchyConfig::from_core(&self.cfg);
-        hier_cfg.threads = self.smt_width;
+        let mut hier_cfg = HierarchyConfig::from_core(&self.cfg, self.smt_width);
         hier_cfg.l1i_sharing = self.l1i_sharing;
         hier_cfg.l1d_sharing = self.l1d_sharing;
         let mem = MemoryHierarchy::new(hier_cfg);
-        let bp = BranchPredictor::with_threads(self.cfg.branch, self.bp_sharing, self.smt_width);
+        let bp = BranchPredictor::new(self.cfg.branch, self.bp_sharing, self.smt_width);
         let mut threads: Vec<ThreadState> =
             (0..self.smt_width).map(|_| ThreadState::new()).collect();
         for (state, trace) in threads.iter_mut().zip(self.traces) {
@@ -533,21 +530,6 @@ impl SmtCore {
     /// Whether a thread has a workload attached.
     pub fn thread_active(&self, thread: ThreadId) -> bool {
         self.threads[thread.index()].active()
-    }
-
-    /// Resets all statistics (commit counts, MLP census, cache/branch stats)
-    /// without disturbing microarchitectural state. Used at the end of the
-    /// warm-up window.
-    pub fn reset_stats(&mut self) {
-        for t in &mut self.threads {
-            t.stats = ThreadStats::default();
-            t.mlp = Histogram::new(10);
-        }
-        self.bp.reset_stats();
-        self.mem.reset_stats();
-        self.total_cycles_run = 0;
-        self.warped_cycles = 0;
-        self.retry_warped_cycles = 0;
     }
 
     /// Reprograms the ROB/LSQ limit registers (a Stretch mode change or a
@@ -1127,7 +1109,7 @@ impl SmtCore {
 mod tests {
     use super::*;
     use sim_model::uop::BranchInfo;
-    use sim_model::WorkloadClass;
+    use sim_model::TraceGenerator;
 
     /// A trivial workload: a tight loop of independent ALU ops.
     struct AluLoop {
@@ -1146,15 +1128,6 @@ mod tests {
             self.pc = 0x1000 + (self.pc + 4 - 0x1000) % 256;
             self.reg = (self.reg + 1) % 32;
             MicroOp::alu(self.pc, OpKind::IntAlu, [None, None], Some(self.reg))
-        }
-        fn name(&self) -> &str {
-            "alu-loop"
-        }
-        fn class(&self) -> WorkloadClass {
-            WorkloadClass::Batch
-        }
-        fn reset(&mut self) {
-            self.pc = 0x1000;
         }
     }
 
@@ -1183,13 +1156,6 @@ mod tests {
             // dst reg 1, src reg 1: each load depends on the previous load.
             MicroOp::load(self.pc, self.addr, [Some(1), None], Some(1))
         }
-        fn name(&self) -> &str {
-            "pointer-chase"
-        }
-        fn class(&self) -> WorkloadClass {
-            WorkloadClass::LatencySensitive
-        }
-        fn reset(&mut self) {}
     }
 
     /// Independent random loads over a large working set: high MLP potential.
@@ -1212,13 +1178,6 @@ mod tests {
             let addr = 0x200_0000 + self.rng.below(1 << 26) * 64;
             MicroOp::load(self.pc, addr, [None, None], Some(self.reg))
         }
-        fn name(&self) -> &str {
-            "streaming-loads"
-        }
-        fn class(&self) -> WorkloadClass {
-            WorkloadClass::Batch
-        }
-        fn reset(&mut self) {}
     }
 
     fn single_thread_core(trace: BoxedTrace) -> SmtCore {
@@ -1380,13 +1339,6 @@ mod tests {
                     MicroOp::alu(self.pc, OpKind::IntAlu, [None, None], Some(1))
                 }
             }
-            fn name(&self) -> &str {
-                "random-branches"
-            }
-            fn class(&self) -> WorkloadClass {
-                WorkloadClass::Batch
-            }
-            fn reset(&mut self) {}
         }
         let mut core = single_thread_core(Box::new(RandomBranches {
             pc: 0x4000,
@@ -1509,13 +1461,6 @@ mod tests {
                 self.0 += 64;
                 MicroOp::load(0x2000, self.0, [Some(1), None], Some(1))
             }
-            fn name(&self) -> &str {
-                "strided-chase"
-            }
-            fn class(&self) -> WorkloadClass {
-                WorkloadClass::Batch
-            }
-            fn reset(&mut self) {}
         }
         let mut core = pair_core(
             CoreConfig::default(),
@@ -1537,8 +1482,6 @@ mod tests {
         assert!(skipped > 0, "the run never skipped");
         assert!(core.memory_stats().prefetch_fills > 0, "the run must land prefetches");
         assert_eq!(core.warped_cycles(), skipped);
-        core.reset_stats();
-        assert_eq!(core.warped_cycles(), 0);
     }
 
     #[test]
@@ -1560,16 +1503,5 @@ mod tests {
         }
         assert!(warped.retry_warped_cycles() > 0, "no cycle was skipped over a retry");
         assert_eq!(format!("{:?}", warped.mem), format!("{:?}", plain.mem));
-    }
-
-    #[test]
-    fn reset_stats_preserves_progress() {
-        let mut core = single_thread_core(AluLoop::boxed());
-        core.run_instructions(ThreadId::T0, 1_000, 100_000);
-        core.reset_stats();
-        assert_eq!(core.committed(ThreadId::T0), 0);
-        assert_eq!(core.cycles(), 0);
-        core.run_instructions(ThreadId::T0, 1_000, 100_000);
-        assert!(core.committed(ThreadId::T0) >= 1_000);
     }
 }

@@ -19,16 +19,18 @@
 //! * [`policy`] — the [`ColocationPolicy`] trait every resource-allocation
 //!   scheme (Stretch and every baseline) implements: the [`CoreSetup`] it
 //!   programs for a [`ColocationTopology`] (SMT width + which thread is the
-//!   latency-sensitive one). That setup is all a policy is to a run and to
-//!   the result store, and a [`CoreSetup`] is itself a policy. The module
-//!   also holds the static [`EqualPartition`] / [`PrivateCore`] policies.
+//!   latency-sensitive one, the only place that thread is named). That setup
+//!   is all a policy is to a run and to the result store, and a
+//!   [`CoreSetup`] is itself a policy. The module also holds the static
+//!   [`EqualPartition`] / [`PrivateCore`] policies.
 //! * [`allocation`] — the [`AllocationPolicy`] layer *above* colocation:
 //!   which threads land on which core of an M-core server, with
 //!   [`Greedy`] / [`RoundRobin`] / [`SymbiosisAware`] reference allocators
 //!   (each with a result-store identity; a [`Placement`] is itself an
 //!   allocator) and the [`ServerScenario`] runner composing both layers.
 //! * [`scenario`] — the [`Scenario`] builder, the single entry point for
-//!   stand-alone and colocated runs under any policy.
+//!   stand-alone and colocated runs of [`sim_model::TraceSource`] workloads
+//!   under any policy.
 //! * [`runner`] — the measurement loop ([`run_core`]) and the UIPC figure of
 //!   merit the scenario layer is built on.
 //! * [`resource_study`] — the "share exactly one resource" configurations of
@@ -36,9 +38,12 @@
 //!
 //! # Example
 //!
+//! A workload reaches a run as a [`sim_model::TraceSource`]: a name plus a
+//! recipe for its micro-op stream at a seed the scenario derives.
+//!
 //! ```
 //! use cpu_sim::{Scenario, SimLength};
-//! use sim_model::{CoreConfig, MicroOp, OpKind, TraceGenerator, WorkloadClass};
+//! use sim_model::{BoxedTrace, MicroOp, OpKind, TraceGenerator, TraceSource};
 //!
 //! struct Spin(u64);
 //! impl TraceGenerator for Spin {
@@ -46,14 +51,16 @@
 //!         self.0 += 4;
 //!         MicroOp::alu(0x1000 + self.0 % 256, OpKind::IntAlu, [None, None], Some(1))
 //!     }
-//!     fn name(&self) -> &str { "spin" }
-//!     fn class(&self) -> WorkloadClass { WorkloadClass::Batch }
-//!     fn reset(&mut self) { self.0 = 0; }
 //! }
 //!
-//! let result = Scenario::standalone_trace(Box::new(Spin(0)))
-//!     .length(SimLength::quick())
-//!     .run_thread0();
+//! struct SpinLoop;
+//! impl TraceSource for SpinLoop {
+//!     fn source_name(&self) -> &str { "spin" }
+//!     fn spawn_trace(&self, _seed: u64) -> BoxedTrace { Box::new(Spin(0)) }
+//! }
+//!
+//! let result = Scenario::standalone(SpinLoop).length(SimLength::quick()).run_thread0();
+//! assert_eq!(result.name, "spin");
 //! assert!(result.uipc > 0.5);
 //! ```
 

@@ -4,8 +4,9 @@
 //! The paper's argument is that Stretch, dynamic ROB sharing, fetch
 //! throttling and idealised software scheduling are *interchangeable
 //! policies* over the same core. This module makes that literal: a policy
-//! is the [`CoreSetup`] it programs for a thread layout
-//! ([`ColocationPolicy::setup_for`]), the values system software writes into
+//! is the [`CoreSetup`] it programs ([`ColocationPolicy::setup_for`]) for a
+//! [`ColocationTopology`], the core's SMT width and the one thread system
+//! software marks latency-sensitive. The setup holds the values written into
 //! the ROB/LSQ limit registers, the fetch arbiter and the sharing controls
 //! (§IV-B). Nothing else about a policy reaches a run, so the experiment
 //! engine keys a cached cell by that setup: two policies that program the
@@ -29,7 +30,8 @@ use sim_model::{CoreConfig, ThreadId};
 
 /// The thread layout of one colocated core: how many hardware threads it has
 /// and which of them runs the latency-sensitive service. The remaining
-/// `threads - 1` slots are batch threads.
+/// `threads - 1` slots are batch threads. It is the one LS-thread
+/// designation: every policy that singles out the service reads it here.
 ///
 /// The classic paper configuration is [`ColocationTopology::pair`]: two
 /// threads with the LS service on T0.
@@ -77,15 +79,9 @@ impl ColocationTopology {
 /// cheap config-carrying values whose only effect on a run is the
 /// [`CoreSetup`] they return.
 pub trait ColocationPolicy: Send + Sync {
-    /// Human-readable policy name (used in logs and result labels).
-    fn name(&self) -> String;
-
-    /// The core configuration this policy wants for the given thread layout
-    /// (one LS thread plus `topology.threads() - 1` batch threads).
-    ///
-    /// Policies that carry their own LS-thread designation (e.g. a pinned
-    /// Stretch instance) honour that designation; the topology then supplies
-    /// only the SMT width.
+    /// The core configuration this policy wants for the given thread layout:
+    /// `topology.threads()` hardware threads, the latency-sensitive one at
+    /// `topology.ls_thread()`, the rest batch.
     fn setup_for(&self, cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup;
 
     /// The core configuration this policy wants on the classic pair —
@@ -100,10 +96,6 @@ pub trait ColocationPolicy: Send + Sync {
 /// topology. It must already match the core's width: a static partition over
 /// another thread count is rejected when the core is built.
 impl ColocationPolicy for CoreSetup {
-    fn name(&self) -> String {
-        "explicit core setup".to_string()
-    }
-
     fn setup_for(&self, _cfg: &CoreConfig, _topology: &ColocationTopology) -> CoreSetup {
         self.clone()
     }
@@ -115,10 +107,6 @@ impl ColocationPolicy for CoreSetup {
 pub struct EqualPartition;
 
 impl ColocationPolicy for EqualPartition {
-    fn name(&self) -> String {
-        "equal partitioning".to_string()
-    }
-
     fn setup_for(&self, cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup {
         CoreSetup::baseline(cfg, topology.threads())
     }
@@ -147,13 +135,6 @@ impl PrivateCore {
 }
 
 impl ColocationPolicy for PrivateCore {
-    fn name(&self) -> String {
-        match self.rob_entries {
-            None => "private full core".to_string(),
-            Some(rob) => format!("private core, {rob}-entry ROB"),
-        }
-    }
-
     fn setup_for(&self, cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup {
         let threads = topology.threads();
         let mut setup = CoreSetup::private_full(cfg, threads);
@@ -169,10 +150,6 @@ impl ColocationPolicy for PrivateCore {
 }
 
 impl ColocationPolicy for crate::resource_study::StudiedResource {
-    fn name(&self) -> String {
-        format!("share only the {self}")
-    }
-
     fn setup_for(&self, cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup {
         crate::resource_study::StudiedResource::setup(*self, cfg, topology.threads())
     }
@@ -188,7 +165,6 @@ mod tests {
     fn equal_partition_matches_the_baseline_setup() {
         let cfg = CoreConfig::default();
         assert_eq!(EqualPartition.setup(&cfg), CoreSetup::baseline(&cfg, 2));
-        assert_eq!(EqualPartition.name(), "equal partitioning");
     }
 
     #[test]

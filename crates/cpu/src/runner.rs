@@ -11,10 +11,19 @@ use crate::partition::PartitionPolicy;
 use mem_sim::Sharing;
 use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
-use sim_stats::{Histogram, SamplingPlan};
+use sim_stats::Histogram;
 
 /// How long to simulate: per-thread warm-up and measurement instruction
 /// counts plus a cycle safety cap.
+///
+/// This is the §V-C sampling methodology folded into one contiguous window.
+/// The paper takes SimFlex-style samples: 320 of them over 4 s of execution,
+/// each a functional warm-up, a 100K-instruction detailed warm-up of the core
+/// structures and a 50K-instruction measurement. The synthetic generators
+/// are ergodic, so one contiguous measurement is equivalent in expectation
+/// to scattered samples, and the reproduction uses scaled-down lengths
+/// ([`SimLength::quick`], [`SimLength::standard`]). It has no functional
+/// warm-up yet: the detailed warm-up starts from cold structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimLength {
     /// Instructions committed per thread before measurement starts.
@@ -26,28 +35,27 @@ pub struct SimLength {
 }
 
 impl SimLength {
-    /// Derives a run length from a [`SamplingPlan`], folding all samples into
-    /// one contiguous window (the generators are ergodic, so contiguous
-    /// measurement is equivalent in expectation to scattered samples).
-    pub fn from_plan(plan: &SamplingPlan) -> SimLength {
-        let warmup = plan.warmup_instructions;
-        let measured = plan.measured_instructions * plan.samples as u64;
+    /// A small length for tests and quick figure runs: 3K warm-up and 8K
+    /// measured instructions per thread.
+    pub fn quick() -> SimLength {
         SimLength {
-            warmup_instructions: warmup,
-            measured_instructions: measured,
-            // Generous cap: even at 0.02 IPC the measurement fits.
-            max_cycles: (warmup + measured).saturating_mul(60).max(1_000_000),
+            warmup_instructions: 3_000,
+            measured_instructions: 8_000,
+            max_cycles: 1_000_000,
         }
     }
 
-    /// A small length for tests.
-    pub fn quick() -> SimLength {
-        SimLength::from_plan(&SamplingPlan::quick())
-    }
-
-    /// The standard length used by the figure-generation binaries.
+    /// The standard length used by the figure-generation binaries: 10K
+    /// warm-up and 40K measured instructions per thread, large enough for
+    /// stable relative comparisons and small enough to run the full 4 × 29
+    /// colocation matrix in minutes. The cycle cap lets even a 0.02-IPC
+    /// thread finish its measurement.
     pub fn standard() -> SimLength {
-        SimLength::from_plan(&SamplingPlan::standard())
+        SimLength {
+            warmup_instructions: 10_000,
+            measured_instructions: 40_000,
+            max_cycles: 3_000_000,
+        }
     }
 }
 
@@ -283,19 +291,26 @@ mod tests {
     }
 
     #[test]
-    fn sim_length_from_plan() {
-        let plan = SamplingPlan { samples: 2, warmup_instructions: 100, measured_instructions: 50 };
-        let l = SimLength::from_plan(&plan);
-        assert_eq!(l.warmup_instructions, 100);
-        assert_eq!(l.measured_instructions, 100);
-        assert!(l.max_cycles >= 1_000_000);
+    fn sim_lengths_are_pinned() {
+        // Both lengths are in every cached cell's key: changing one is a
+        // re-pin of every figure.
+        let quick = SimLength::quick();
+        let standard = SimLength::standard();
+        assert_eq!(
+            (quick.warmup_instructions, quick.measured_instructions, quick.max_cycles),
+            (3_000, 8_000, 1_000_000)
+        );
+        assert_eq!(
+            (standard.warmup_instructions, standard.measured_instructions, standard.max_cycles),
+            (10_000, 40_000, 3_000_000)
+        );
     }
 
     #[test]
     fn identical_workloads_get_similar_throughput() {
         use crate::{EqualPartition, Scenario};
         use sim_model::uop::OpKind;
-        use sim_model::{MicroOp, TraceGenerator, WorkloadClass};
+        use sim_model::{BoxedTrace, MicroOp, TraceGenerator, TraceSource};
 
         struct AluLoop(u64);
         impl TraceGenerator for AluLoop {
@@ -303,18 +318,19 @@ mod tests {
                 self.0 = 0x1000 + (self.0 + 4 - 0x1000) % 512;
                 MicroOp::alu(self.0, OpKind::IntAlu, [None, None], Some(1))
             }
-            fn name(&self) -> &str {
+        }
+        /// Both threads run the same stream whatever their seeds.
+        struct AluSource;
+        impl TraceSource for AluSource {
+            fn source_name(&self) -> &str {
                 "alu-loop"
             }
-            fn class(&self) -> WorkloadClass {
-                WorkloadClass::Batch
-            }
-            fn reset(&mut self) {
-                self.0 = 0x1000;
+            fn spawn_trace(&self, _seed: u64) -> BoxedTrace {
+                Box::new(AluLoop(0x1000))
             }
         }
 
-        let r = Scenario::colocate_traces(Box::new(AluLoop(0x1000)), Box::new(AluLoop(0x1000)))
+        let r = Scenario::colocate(AluSource, AluSource)
             .policy(EqualPartition)
             .length(SimLength::quick())
             .run();

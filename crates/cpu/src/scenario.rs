@@ -22,16 +22,16 @@
 //! assert!(result.uipc(sim_model::ThreadId::T0).expect("thread 0 ran") > 0.0);
 //! ```
 //!
-//! Workloads are given either as [`TraceSource`]s (the normal case: the
-//! scenario derives each thread's seed with [`pair_seed`], so the same
+//! Workloads are given as [`TraceSource`]s: the scenario names each thread
+//! by its source and derives its seed with [`colocation_seed`], so the same
 //! pairing sees the same instruction streams under every policy — the paired
-//! comparisons every figure relies on) or as pre-spawned traces
-//! ([`Scenario::colocate_traces`]) when the caller wants full control.
+//! comparisons every figure relies on. A caller that wants one fixed stream
+//! passes a source that ignores the seed.
 
 use crate::core::SmtCoreBuilder;
 use crate::policy::{ColocationPolicy, ColocationTopology, EqualPartition, PrivateCore};
 use crate::runner::{run_core, ColocationResult, SimLength, ThreadRunResult};
-use sim_model::{BoxedTrace, CoreConfig, ThreadId, TraceSource};
+use sim_model::{CoreConfig, ThreadId, TraceSource};
 
 /// The seed-stream label used for stand-alone runs (no co-runner name to mix
 /// into [`pair_seed`]).
@@ -70,28 +70,8 @@ pub fn pair_seed(base: u64, ls: &str, batch_name: &str) -> u64 {
     colocation_seed(base, &[ls, batch_name])
 }
 
-/// One thread's workload: a spawnable source (seeded by the scenario) or a
-/// pre-spawned trace (used as-is).
-enum Workload {
-    Source(Box<dyn TraceSource + Send + Sync>),
-    Trace(BoxedTrace),
-}
-
-impl Workload {
-    fn name(&self) -> String {
-        match self {
-            Workload::Source(s) => s.source_name().to_string(),
-            Workload::Trace(t) => t.name().to_string(),
-        }
-    }
-
-    fn into_trace(self, seed: u64) -> BoxedTrace {
-        match self {
-            Workload::Source(s) => s.spawn_trace(seed),
-            Workload::Trace(t) => t,
-        }
-    }
-}
+/// One hardware thread's workload (`None` for an idle thread).
+type Slot = Option<Box<dyn TraceSource + Send + Sync>>;
 
 /// A declarative simulation run. See the [module docs](self).
 pub struct Scenario {
@@ -99,11 +79,11 @@ pub struct Scenario {
     policy: Box<dyn ColocationPolicy>,
     length: SimLength,
     seed: u64,
-    threads: Vec<Option<Workload>>,
+    threads: Vec<Slot>,
 }
 
 impl Scenario {
-    fn new(threads: Vec<Option<Workload>>, policy: Box<dyn ColocationPolicy>) -> Scenario {
+    fn new(threads: Vec<Slot>, policy: Box<dyn ColocationPolicy>) -> Scenario {
         Scenario {
             cfg: CoreConfig::default(),
             policy,
@@ -159,20 +139,10 @@ impl Scenario {
         batches: Vec<Box<dyn TraceSource + Send + Sync>>,
     ) -> Scenario {
         assert!(!batches.is_empty(), "a colocation needs at least one batch workload");
-        let mut threads: Vec<Option<Workload>> = Vec::with_capacity(1 + batches.len());
-        threads.push(Some(Workload::Source(Box::new(ls))));
-        threads.extend(batches.into_iter().map(|b| Some(Workload::Source(b))));
+        let mut threads: Vec<Slot> = Vec::with_capacity(1 + batches.len());
+        threads.push(Some(Box::new(ls)));
+        threads.extend(batches.into_iter().map(Some));
         Scenario::new(threads, Box::new(EqualPartition))
-    }
-
-    /// A colocation over pre-spawned traces. The scenario's
-    /// [`seed`](Scenario::seed) is *not* applied to the traces (they carry
-    /// their own); use this when the caller manages seeding itself.
-    pub fn colocate_traces(ls: BoxedTrace, batch: BoxedTrace) -> Scenario {
-        Scenario::new(
-            vec![Some(Workload::Trace(ls)), Some(Workload::Trace(batch))],
-            Box::new(EqualPartition),
-        )
     }
 
     /// A stand-alone run on a fully private core (the paper's "stand-alone
@@ -180,24 +150,15 @@ impl Scenario {
     /// [`PrivateCore::full`]; cap the window with
     /// `.policy(PrivateCore::with_rob(n))` for the Figure 6 sweep.
     pub fn standalone(workload: impl TraceSource + Send + Sync + 'static) -> Scenario {
-        Scenario::new(
-            vec![Some(Workload::Source(Box::new(workload))), None],
-            Box::new(PrivateCore::full()),
-        )
-    }
-
-    /// A stand-alone run over a pre-spawned trace (seed not applied).
-    pub fn standalone_trace(trace: BoxedTrace) -> Scenario {
-        Scenario::new(vec![Some(Workload::Trace(trace)), None], Box::new(PrivateCore::full()))
+        Scenario::new(vec![Some(Box::new(workload)), None], Box::new(PrivateCore::full()))
     }
 
     /// A scenario over explicit per-slot workload sources (`None` marks an
     /// idle hardware thread). Used by the server-level allocation layer to
     /// realise one core of a [`crate::allocation::Placement`]; defaults to
     /// the [`EqualPartition`] policy.
-    pub(crate) fn from_slots(slots: Vec<Option<Box<dyn TraceSource + Send + Sync>>>) -> Scenario {
-        let threads = slots.into_iter().map(|s| s.map(Workload::Source)).collect();
-        Scenario::new(threads, Box::new(EqualPartition))
+    pub(crate) fn from_slots(slots: Vec<Slot>) -> Scenario {
+        Scenario::new(slots, Box::new(EqualPartition))
     }
 
     /// Sets the core configuration (default: Table II).
@@ -219,8 +180,8 @@ impl Scenario {
         self
     }
 
-    /// Sets the base seed. Each sourced thread derives its own stream from it
-    /// via [`pair_seed`] over the workload names, so the same pairing sees
+    /// Sets the base seed. Each thread derives its own stream from it via
+    /// [`colocation_seed`] over the workload names, so the same pairing sees
     /// identical instruction streams under every policy.
     pub fn seed(mut self, seed: u64) -> Scenario {
         self.seed = seed;
@@ -236,7 +197,7 @@ impl Scenario {
         let Scenario { cfg, policy, length, seed, threads } = self;
         let width = threads.len();
         let names: Vec<Option<String>> =
-            threads.iter().map(|w| w.as_ref().map(Workload::name)).collect();
+            threads.iter().map(|w| w.as_ref().map(|s| s.source_name().to_string())).collect();
         // Seed derivation matches the historical harness exactly: colocations
         // mix all slot-ordered names (each thread's stream then gets its index
         // XORed in, so no two threads share a stream); stand-alone runs mix
@@ -257,7 +218,7 @@ impl Scenario {
             // no two threads share a stream; a lone workload is a stand-alone
             // run and must see the same reference stream on every thread.
             let thread_seed = if colocated { base ^ idx as u64 } else { base };
-            builder = builder.thread(ThreadId::from_index(idx), w.into_trace(thread_seed));
+            builder = builder.thread(ThreadId::from_index(idx), w.spawn_trace(thread_seed));
         }
         let mut core = builder.build();
         run_core(&mut core, names, length)
@@ -279,7 +240,7 @@ mod tests {
     use super::*;
     use crate::policy::{EqualPartition, PrivateCore};
     use sim_model::uop::OpKind;
-    use sim_model::{MicroOp, TraceGenerator, WorkloadClass};
+    use sim_model::{BoxedTrace, MicroOp, TraceGenerator};
 
     struct AluLoop {
         pc: u64,
@@ -289,15 +250,6 @@ mod tests {
         fn next_op(&mut self) -> MicroOp {
             self.pc = 0x1000 + (self.pc + 4 - 0x1000) % 512;
             MicroOp::alu(self.pc, OpKind::IntAlu, [None, None], Some(1))
-        }
-        fn name(&self) -> &str {
-            "alu-loop"
-        }
-        fn class(&self) -> WorkloadClass {
-            WorkloadClass::Batch
-        }
-        fn reset(&mut self) {
-            self.pc = 0x1000;
         }
     }
 
@@ -331,22 +283,6 @@ mod tests {
         assert!(r.thread(ThreadId::T1).is_some());
         assert!(r.uipc(ThreadId::T0).expect("thread 0 ran") > 0.5);
         assert!(r.uipc(ThreadId::T1).expect("thread 1 ran") > 0.5);
-    }
-
-    #[test]
-    fn trace_and_source_scenarios_agree_for_seed_blind_workloads() {
-        // AluSource ignores its seed, so the sourced and pre-spawned paths
-        // must produce identical runs.
-        let sourced = Scenario::colocate(AluSource, AluSource).length(SimLength::quick()).run();
-        let traced = Scenario::colocate_traces(
-            Box::new(AluLoop { pc: 0x1000 }),
-            Box::new(AluLoop { pc: 0x1000 }),
-        )
-        .length(SimLength::quick())
-        .run();
-        let bits = |r: &ColocationResult, t| r.uipc(t).expect("thread ran").to_bits();
-        assert_eq!(bits(&sourced, ThreadId::T0), bits(&traced, ThreadId::T0));
-        assert_eq!(bits(&sourced, ThreadId::T1), bits(&traced, ThreadId::T1));
     }
 
     #[test]

@@ -203,12 +203,6 @@ impl SetAssocCache {
         self.stats
     }
 
-    /// Clears statistics (e.g. at the end of a warm-up window) but keeps
-    /// cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Number of sets.
     pub fn sets(&self) -> usize {
         self.sets
@@ -231,18 +225,13 @@ pub struct ThreadedCache {
 }
 
 impl ThreadedCache {
-    /// Builds the structure for the classic dual-threaded core.
-    pub fn new(cfg: &CacheConfig, sharing: Sharing) -> ThreadedCache {
-        ThreadedCache::with_threads(cfg, sharing, 2)
-    }
-
     /// Builds the structure for an SMT-`threads` core: one shared copy, or
     /// one full-size private copy per hardware thread.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn with_threads(cfg: &CacheConfig, sharing: Sharing, threads: usize) -> ThreadedCache {
+    pub fn new(cfg: &CacheConfig, sharing: Sharing, threads: usize) -> ThreadedCache {
         assert!(threads >= 1, "a cache needs at least one thread");
         let copies = match sharing {
             Sharing::Shared => 1,
@@ -302,13 +291,6 @@ impl ThreadedCache {
             out.misses += c.stats().misses;
         }
         out
-    }
-
-    /// Clears statistics.
-    pub fn reset_stats(&mut self) {
-        for c in &mut self.caches {
-            c.reset_stats();
-        }
     }
 
     /// Sharing mode.
@@ -392,14 +374,14 @@ mod tests {
     fn shared_mode_causes_cross_thread_interference() {
         let cfg =
             CacheConfig { capacity_bytes: 128, line_bytes: 64, ways: 1, banks: 1, hit_latency: 1 };
-        let mut shared = ThreadedCache::new(&cfg, Sharing::Shared);
+        let mut shared = ThreadedCache::new(&cfg, Sharing::Shared, 2);
         // T0 loads block 0 (set 0); T1 loads block 2 (also set 0, 2 sets x 1 way),
         // evicting T0's line.
         shared.access(ThreadId::T0, 0);
         shared.access(ThreadId::T1, 2 * 64);
         assert!(!shared.access(ThreadId::T0, 0), "shared cache: T1 evicted T0's block");
 
-        let mut private = ThreadedCache::new(&cfg, Sharing::PrivatePerThread);
+        let mut private = ThreadedCache::new(&cfg, Sharing::PrivatePerThread, 2);
         private.access(ThreadId::T0, 0);
         private.access(ThreadId::T1, 2 * 64);
         assert!(private.access(ThreadId::T0, 0), "private cache: no interference");
@@ -408,11 +390,9 @@ mod tests {
     #[test]
     fn threaded_cache_stats_aggregate() {
         let cfg = small_cfg();
-        let mut c = ThreadedCache::new(&cfg, Sharing::PrivatePerThread);
+        let mut c = ThreadedCache::new(&cfg, Sharing::PrivatePerThread, 2);
         c.access(ThreadId::T0, 0x0);
         c.access(ThreadId::T1, 0x0);
         assert_eq!(c.stats().misses, 2);
-        c.reset_stats();
-        assert_eq!(c.stats().misses, 0);
     }
 }

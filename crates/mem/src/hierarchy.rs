@@ -67,11 +67,12 @@ pub struct HierarchyConfig {
 }
 
 impl HierarchyConfig {
-    /// Derives the hierarchy configuration from a [`CoreConfig`] (Table II
-    /// defaults) with both L1s dynamically shared, as in the baseline core.
-    pub fn from_core(core: &CoreConfig) -> HierarchyConfig {
+    /// Derives the hierarchy configuration of an SMT-`threads` core from a
+    /// [`CoreConfig`] (Table II defaults), with both L1s dynamically shared
+    /// as in the baseline core.
+    pub fn from_core(core: &CoreConfig, threads: usize) -> HierarchyConfig {
         HierarchyConfig {
-            threads: 2,
+            threads,
             l1i: core.l1i,
             l1d: core.l1d,
             l1i_sharing: Sharing::Shared,
@@ -180,11 +181,11 @@ impl MemoryHierarchy {
         let sets = share_capacity / (share_ways * 64);
         assert!(sets > 0, "LLC partition has no sets: {cfg:?}");
         MemoryHierarchy {
-            l1i: ThreadedCache::with_threads(&cfg.l1i, cfg.l1i_sharing, cfg.threads),
-            l1d: ThreadedCache::with_threads(&cfg.l1d, cfg.l1d_sharing, cfg.threads),
+            l1i: ThreadedCache::new(&cfg.l1i, cfg.l1i_sharing, cfg.threads),
+            l1d: ThreadedCache::new(&cfg.l1d, cfg.l1d_sharing, cfg.threads),
             llc: (0..cfg.threads).map(|_| SetAssocCache::with_geometry(sets, share_ways)).collect(),
-            mshrs: MshrFile::with_threads(cfg.mshrs_per_thread, cfg.threads),
-            prefetcher: StridePrefetcher::with_threads(cfg.prefetcher_pc_slots, cfg.threads),
+            mshrs: MshrFile::new(cfg.mshrs_per_thread, cfg.threads),
+            prefetcher: StridePrefetcher::new(cfg.prefetcher_pc_slots, cfg.threads),
             pending_prefetch: vec![Vec::new(); cfg.threads],
             next_event: Cycle::MAX,
             stats: HierarchyStats::default(),
@@ -438,16 +439,6 @@ impl MemoryHierarchy {
     pub fn stats(&self) -> HierarchyStats {
         self.stats
     }
-
-    /// Resets statistics (e.g. after warm-up) while keeping cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = HierarchyStats::default();
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
-        for c in &mut self.llc {
-            c.reset_stats();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -456,7 +447,7 @@ mod tests {
 
     fn small_hierarchy(l1d_sharing: Sharing) -> MemoryHierarchy {
         let core = CoreConfig::default();
-        let mut cfg = HierarchyConfig::from_core(&core);
+        let mut cfg = HierarchyConfig::from_core(&core, 2);
         cfg.l1d_sharing = l1d_sharing;
         // Shrink the caches so tests exercise misses quickly.
         cfg.l1d =
@@ -689,21 +680,5 @@ mod tests {
         occupy_mshrs(&mut mem, ThreadId::T0, 2);
         assert!(!mem.rejected_load_is_steady(ThreadId::T0, 0x6_0000, 0x200));
         assert!(matches!(mem.load(ThreadId::T0, 0x6_0000, 0x200, 9), LoadResult::Miss { .. }));
-    }
-
-    #[test]
-    fn stats_reset_keeps_contents() {
-        let mut mem = small_hierarchy(Sharing::Shared);
-        let LoadResult::Miss { completion } = mem.load(ThreadId::T0, 0x3_0000, 0x10, 0) else {
-            panic!("cold miss expected");
-        };
-        mem.tick(completion);
-        mem.reset_stats();
-        assert_eq!(mem.stats().loads, 0);
-        // Content retained: the block still hits.
-        assert!(matches!(
-            mem.load(ThreadId::T0, 0x3_0000, 0x10, completion + 1),
-            LoadResult::Hit { .. }
-        ));
     }
 }

@@ -27,7 +27,7 @@
 //! use sim_model::{CoreConfig, ThreadId};
 //!
 //! let cfg = CoreConfig::default();
-//! let mut mem = MemoryHierarchy::new(HierarchyConfig::from_core(&cfg));
+//! let mut mem = MemoryHierarchy::new(HierarchyConfig::from_core(&cfg, 2));
 //! match mem.load(ThreadId::T0, 0x1000, 0x400, 0) {
 //!     LoadResult::Hit { .. } | LoadResult::Miss { .. } | LoadResult::NoMshr => {}
 //! }

@@ -42,19 +42,13 @@ pub enum MshrOutcome {
 }
 
 impl MshrFile {
-    /// Creates a file with `per_thread_capacity` registers for each of the
-    /// classic pair's two hardware threads.
-    pub fn new(per_thread_capacity: usize) -> MshrFile {
-        MshrFile::with_threads(per_thread_capacity, 2)
-    }
-
     /// Creates a file with `per_thread_capacity` registers for each of
     /// `threads` hardware threads.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn with_threads(per_thread_capacity: usize, threads: usize) -> MshrFile {
+    pub fn new(per_thread_capacity: usize, threads: usize) -> MshrFile {
         assert!(threads >= 1, "an MSHR file needs at least one thread");
         MshrFile { per_thread_capacity, entries: vec![Vec::new(); threads], peak: vec![0; threads] }
     }
@@ -131,7 +125,7 @@ mod tests {
 
     #[test]
     fn allocation_until_full() {
-        let mut m = MshrFile::new(2);
+        let mut m = MshrFile::new(2, 2);
         assert!(matches!(m.request(ThreadId::T0, 1, 100), MshrOutcome::Allocated(100)));
         assert!(matches!(m.request(ThreadId::T0, 2, 120), MshrOutcome::Allocated(120)));
         assert!(matches!(m.request(ThreadId::T0, 3, 130), MshrOutcome::Full));
@@ -141,7 +135,7 @@ mod tests {
 
     #[test]
     fn coalescing_same_block() {
-        let mut m = MshrFile::new(1);
+        let mut m = MshrFile::new(1, 2);
         assert!(matches!(m.request(ThreadId::T0, 7, 50), MshrOutcome::Allocated(50)));
         assert!(matches!(m.request(ThreadId::T0, 7, 90), MshrOutcome::Coalesced(50)));
         assert_eq!(m.outstanding(ThreadId::T0), 1);
@@ -149,7 +143,7 @@ mod tests {
 
     #[test]
     fn drain_releases_entries_at_completion() {
-        let mut m = MshrFile::new(4);
+        let mut m = MshrFile::new(4, 2);
         m.request(ThreadId::T0, 1, 10);
         m.request(ThreadId::T0, 2, 20);
         let mut done = Vec::new();
@@ -164,7 +158,7 @@ mod tests {
 
     #[test]
     fn peak_tracks_maximum_occupancy() {
-        let mut m = MshrFile::new(3);
+        let mut m = MshrFile::new(3, 2);
         m.request(ThreadId::T0, 1, 10);
         m.request(ThreadId::T0, 2, 10);
         m.drain_completed_into(ThreadId::T0, 10, &mut Vec::new());
@@ -175,7 +169,7 @@ mod tests {
 
     #[test]
     fn lookup_and_clear() {
-        let mut m = MshrFile::new(2);
+        let mut m = MshrFile::new(2, 2);
         m.request(ThreadId::T1, 9, 33);
         assert_eq!(m.lookup(ThreadId::T1, 9), Some(33));
         assert_eq!(m.lookup(ThreadId::T0, 9), None);

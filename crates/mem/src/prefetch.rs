@@ -35,19 +35,13 @@ pub struct StridePrefetcher {
 }
 
 impl StridePrefetcher {
-    /// Creates a prefetcher with `slots` PC-tracking entries per thread, for
-    /// the classic dual-threaded core.
-    pub fn new(slots: usize) -> StridePrefetcher {
-        StridePrefetcher::with_threads(slots, 2)
-    }
-
     /// Creates a prefetcher with `slots` PC-tracking entries for each of
     /// `threads` hardware threads.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn with_threads(slots: usize, threads: usize) -> StridePrefetcher {
+    pub fn new(slots: usize, threads: usize) -> StridePrefetcher {
         assert!(threads >= 1, "a prefetcher needs at least one thread");
         StridePrefetcher { slots, tables: vec![Vec::new(); threads], clock: 0, issued: 0 }
     }
@@ -149,7 +143,7 @@ mod tests {
 
     #[test]
     fn steady_stride_predicts_next_address() {
-        let mut p = StridePrefetcher::new(8);
+        let mut p = StridePrefetcher::new(8, 2);
         let pc = 0x400;
         assert_eq!(p.observe(ThreadId::T0, pc, 0x1000), None); // allocate
         assert_eq!(p.observe(ThreadId::T0, pc, 0x1040), None); // learn stride
@@ -160,7 +154,7 @@ mod tests {
 
     #[test]
     fn irregular_pattern_predicts_nothing() {
-        let mut p = StridePrefetcher::new(8);
+        let mut p = StridePrefetcher::new(8, 2);
         let pc = 0x400;
         let addrs = [0x1000u64, 0x9000, 0x2000, 0x7000, 0x3000];
         let mut predictions = 0;
@@ -174,7 +168,7 @@ mod tests {
 
     #[test]
     fn zero_stride_never_prefetches() {
-        let mut p = StridePrefetcher::new(4);
+        let mut p = StridePrefetcher::new(4, 2);
         for _ in 0..5 {
             assert_eq!(p.observe(ThreadId::T0, 0x10, 0x5000), None);
         }
@@ -182,7 +176,7 @@ mod tests {
 
     #[test]
     fn table_capacity_is_bounded() {
-        let mut p = StridePrefetcher::new(2);
+        let mut p = StridePrefetcher::new(2, 2);
         for i in 0..10u64 {
             p.observe(ThreadId::T0, 0x100 + i * 4, 0x1000 + i * 64);
         }
@@ -191,7 +185,7 @@ mod tests {
 
     #[test]
     fn threads_have_independent_tables() {
-        let mut p = StridePrefetcher::new(4);
+        let mut p = StridePrefetcher::new(4, 2);
         p.observe(ThreadId::T0, 0x400, 0x1000);
         p.observe(ThreadId::T0, 0x400, 0x1040);
         // T1 with the same PC has no history; no prediction on its second access.
@@ -203,7 +197,7 @@ mod tests {
 
     #[test]
     fn disabled_prefetcher_with_zero_slots() {
-        let mut p = StridePrefetcher::new(0);
+        let mut p = StridePrefetcher::new(0, 2);
         for i in 0..4 {
             assert_eq!(p.observe(ThreadId::T0, 0x1, 0x1000 + i * 64), None);
         }

@@ -17,8 +17,9 @@
 //!   [`parallel_map`]) the fleet simulator and the experiment engine fan
 //!   work out through.
 //! * [`ids`] — strongly-typed identifiers ([`ThreadId`], [`WorkloadClass`]).
-//! * [`trace`] — the [`TraceGenerator`] trait implemented by workload models,
-//!   and the [`TraceSource`] recipe trait the scenario layer spawns from.
+//! * [`trace`] — the [`TraceGenerator`] stream workload models implement
+//!   (one method, `next_op`), and the [`TraceSource`] recipe through which
+//!   every workload reaches a run: a name plus a stream per seed.
 //!
 //! # Example
 //!

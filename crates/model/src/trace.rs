@@ -1,7 +1,6 @@
 //! The interface between workload models and the core simulator.
 
 use crate::uop::MicroOp;
-use crate::WorkloadClass;
 
 /// A source of dynamic micro-ops for one hardware thread.
 ///
@@ -15,21 +14,13 @@ use crate::WorkloadClass;
 pub trait TraceGenerator {
     /// Produces the next micro-op in program order.
     fn next_op(&mut self) -> MicroOp;
-
-    /// Short human-readable workload name (e.g. `"web-search"`, `"zeusmp"`).
-    fn name(&self) -> &str;
-
-    /// Workload class (latency-sensitive or batch).
-    fn class(&self) -> WorkloadClass;
-
-    /// Restarts the stream from the beginning (same seed, same sequence).
-    fn reset(&mut self);
 }
 
 /// A boxed trace generator, convenient for heterogeneous collections.
 pub type BoxedTrace = Box<dyn TraceGenerator + Send>;
 
-/// A reusable recipe for spawning [`TraceGenerator`]s.
+/// A reusable recipe for spawning [`TraceGenerator`]s: the only way a
+/// workload reaches a run.
 ///
 /// Where [`TraceGenerator`] is one live instruction stream, a `TraceSource`
 /// can mint arbitrarily many streams from different seeds — it is the
@@ -37,31 +28,14 @@ pub type BoxedTrace = Box<dyn TraceGenerator + Send>;
 /// particular replay of web-search". The `workloads` crate implements it for
 /// `WorkloadProfile`; the `cpu-sim` `Scenario` builder consumes it so that
 /// seed derivation (paired experiments must see identical streams) lives in
-/// one place instead of at every call site.
+/// one place instead of at every call site. A caller that wants one fixed
+/// stream passes a source that ignores the seed.
 pub trait TraceSource {
     /// Stable workload name, used for seed derivation and result labelling.
     fn source_name(&self) -> &str;
 
     /// Spawns a fresh deterministic trace for `seed`.
     fn spawn_trace(&self, seed: u64) -> BoxedTrace;
-}
-
-impl TraceGenerator for BoxedTrace {
-    fn next_op(&mut self) -> MicroOp {
-        (**self).next_op()
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn class(&self) -> WorkloadClass {
-        (**self).class()
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
-    }
 }
 
 #[cfg(test)]
@@ -80,29 +54,12 @@ mod tests {
             self.pc += 4;
             MicroOp::alu(self.pc, OpKind::IntAlu, [None, None], Some(1))
         }
-
-        fn name(&self) -> &str {
-            "counter"
-        }
-
-        fn class(&self) -> WorkloadClass {
-            WorkloadClass::Batch
-        }
-
-        fn reset(&mut self) {
-            self.pc = 0;
-        }
     }
 
     #[test]
     fn boxed_trace_delegates() {
         let mut t: BoxedTrace = Box::new(Counter { pc: 0 });
-        let a = t.next_op();
-        let b = t.next_op();
-        assert!(b.pc > a.pc);
-        assert_eq!(t.name(), "counter");
-        assert_eq!(t.class(), WorkloadClass::Batch);
-        t.reset();
         assert_eq!(t.next_op().pc, 4);
+        assert_eq!(t.next_op().pc, 8);
     }
 }

@@ -1,7 +1,7 @@
 //! Fixed-bin histograms.
 //!
 //! Used for the MLP census of Figure 7 (fraction of time with ≥ N in-flight
-//! memory requests) and for latency histograms in the queueing simulator.
+//! memory requests); tail latencies use [`crate::LatencyHistogram`].
 
 use serde::{Deserialize, Serialize};
 
@@ -53,15 +53,6 @@ impl Histogram {
         self.counts[value.min(self.counts.len() - 1)]
     }
 
-    /// Fraction of observations exactly equal to `value`.
-    pub fn fraction(&self, value: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.count(value) as f64 / self.total as f64
-        }
-    }
-
     /// Fraction of observations greater than or equal to `value`
     /// (the cumulative "≥ N in-flight requests" metric of Figure 7).
     pub fn fraction_at_least(&self, value: usize) -> f64 {
@@ -71,29 +62,6 @@ impl Histogram {
         let start = value.min(self.counts.len() - 1);
         let sum: u64 = self.counts[start..].iter().sum();
         sum as f64 / self.total as f64
-    }
-
-    /// Merges another histogram into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms have different bin counts.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.counts.len(), other.counts.len(), "histogram bin counts differ");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-
-    /// Mean of the recorded observations (catch-all bin counted at its lower
-    /// bound), or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let weighted: f64 = self.counts.iter().enumerate().map(|(v, &c)| v as f64 * c as f64).sum();
-        Some(weighted / self.total as f64)
     }
 }
 
@@ -110,7 +78,6 @@ mod tests {
         h.record(3);
         assert_eq!(h.total(), 4);
         assert_eq!(h.count(1), 2);
-        assert!((h.fraction(1) - 0.5).abs() < 1e-12);
         assert!((h.fraction_at_least(1) - 0.75).abs() < 1e-12);
         assert!((h.fraction_at_least(0) - 1.0).abs() < 1e-12);
     }
@@ -131,34 +98,12 @@ mod tests {
         h.record_weighted(0, 30);
         assert_eq!(h.total(), 40);
         assert!((h.fraction_at_least(2) - 0.25).abs() < 1e-12);
-        assert!((h.mean().unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(2);
-        let mut b = Histogram::new(2);
-        a.record(0);
-        b.record(2);
-        b.record(2);
-        a.merge(&b);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.count(2), 2);
     }
 
     #[test]
     fn empty_histogram_is_safe() {
         let h = Histogram::new(4);
-        assert_eq!(h.fraction(2), 0.0);
         assert_eq!(h.fraction_at_least(0), 0.0);
-        assert!(h.mean().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "bin counts differ")]
-    fn merge_rejects_mismatched_bins() {
-        let mut a = Histogram::new(2);
-        let b = Histogram::new(3);
-        a.merge(&b);
+        assert_eq!(h.fraction_at_least(2), 0.0);
     }
 }

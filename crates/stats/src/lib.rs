@@ -6,11 +6,9 @@
 //!
 //! * [`percentile`](mod@percentile) — exact percentiles over sample sets (tail
 //!   latency), selected in linear time, several from one copy.
-//! * [`histogram`] — fixed-bin histograms (MLP census, latency histograms).
+//! * [`histogram`] — fixed-bin histograms (the MLP census).
 //! * [`distribution`] — five-number / violin-style summaries used to report
 //!   the slowdown and speedup distributions of Figures 3, 9, 10, 11.
-//! * [`ratio`] — speedup/slowdown helpers and geometric means.
-//! * [`sampling`] — the warm-up + measurement window methodology of §V-C.
 //! * [`reduce`] — the canonical deterministic reducers ([`det_sum`],
 //!   [`det_merge`]) every float accumulation on a parallel merge path must
 //!   go through (enforced by the `reduction-order` simlint rule).
@@ -35,15 +33,11 @@
 pub mod distribution;
 pub mod histogram;
 pub mod percentile;
-pub mod ratio;
 pub mod reduce;
-pub mod sampling;
 pub mod tail;
 
 pub use distribution::DistributionSummary;
 pub use histogram::Histogram;
 pub use percentile::{percentile, Percentiles};
-pub use ratio::{geometric_mean, slowdown, speedup};
 pub use reduce::{det_mean, det_merge, det_sum};
-pub use sampling::SamplingPlan;
 pub use tail::LatencyHistogram;

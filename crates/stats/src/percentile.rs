@@ -115,8 +115,9 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// A reusable percentile tracker that accumulates samples and answers common
-/// tail-latency queries (average, p95, p99, max).
+/// A reusable sample tracker: it accumulates samples (NaN dropped) and
+/// answers the mean and maximum; tails come from [`percentile`] or
+/// [`percentiles_in`] over [`Percentiles::samples`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Percentiles {
     samples: Vec<f64>,
@@ -159,21 +160,6 @@ impl Percentiles {
         } else {
             Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
         }
-    }
-
-    /// The `p`-th percentile, or `None` if empty.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        percentile(&self.samples, p)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&self) -> Option<f64> {
-        self.percentile(95.0)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> Option<f64> {
-        self.percentile(99.0)
     }
 
     /// Maximum sample.
@@ -245,7 +231,7 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.mean(), Some(2.5));
         assert_eq!(t.max(), Some(4.0));
-        assert_eq!(t.percentile(50.0), Some(2.5));
+        assert_eq!(percentile(t.samples(), 50.0), Some(2.5));
         t.clear();
         assert!(t.is_empty());
     }
@@ -257,8 +243,8 @@ mod tests {
         t.extend(std::iter::repeat_n(1.0, 980));
         t.extend(std::iter::repeat_n(100.0, 20));
         let mean = t.mean().unwrap();
-        let p95 = t.p95().unwrap();
-        let p99 = t.p99().unwrap();
+        let p95 = percentile(t.samples(), 95.0).unwrap();
+        let p99 = percentile(t.samples(), 99.0).unwrap();
         assert!(mean < p99, "mean {mean} should be below p99 {p99}");
         assert!(p95 <= p99);
     }

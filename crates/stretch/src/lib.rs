@@ -20,7 +20,8 @@
 //! programs — and runs through the same [`cpu_sim::Scenario`] entry point:
 //!
 //! * [`policy`] — [`PinnedStretch`] (one mode for a whole run; what the
-//!   evaluation figures sweep).
+//!   evaluation figures sweep). Its skew gives the small share to the thread
+//!   the [`cpu_sim::ColocationTopology`] marks latency-sensitive.
 //! * [`config`] — ROB skews ([`RobSkew`]), the provisioned configuration set
 //!   ([`StretchConfig`]) and the runtime mode ([`StretchMode`]:
 //!   Baseline / B-mode / Q-mode), plus the mapping onto the partition

@@ -7,40 +7,34 @@
 //! simulation (`cluster_sim::Fleet`) runs one per server.
 //!
 //! A pinned mode is the baseline core with the mode's values in the limit
-//! registers, nothing more: the Baseline mode programs the same core as
+//! registers, nothing more; the skew's small share goes to the topology's
+//! latency-sensitive thread. The Baseline mode programs the same core as
 //! `cpu_sim::EqualPartition`, and a B-mode and a Q-mode with the same skew
 //! program the same core, so the experiment engine serves each such pair
 //! from one cell.
 
 use crate::config::StretchMode;
 use cpu_sim::{ColocationPolicy, ColocationTopology, CoreSetup};
-use sim_model::{CoreConfig, ThreadId};
+use sim_model::CoreConfig;
 
 /// Stretch pinned to one mode for the whole run (open loop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PinnedStretch {
     /// The engaged mode.
     pub mode: StretchMode,
-    /// The hardware thread running the latency-sensitive workload.
-    pub ls_thread: ThreadId,
 }
 
 impl PinnedStretch {
-    /// Pins `mode` with the latency-sensitive workload on thread 0 (the
-    /// convention of every scenario and figure).
+    /// Pins `mode`.
     pub fn new(mode: StretchMode) -> PinnedStretch {
-        PinnedStretch { mode, ls_thread: ThreadId::T0 }
+        PinnedStretch { mode }
     }
 }
 
 impl ColocationPolicy for PinnedStretch {
-    fn name(&self) -> String {
-        format!("Stretch {}", self.mode)
-    }
-
     fn setup_for(&self, cfg: &CoreConfig, topology: &ColocationTopology) -> CoreSetup {
         let mut setup = CoreSetup::baseline(cfg, topology.threads());
-        setup.partition = self.mode.partition_policy(cfg, topology.threads(), self.ls_thread);
+        setup.partition = self.mode.partition_policy(cfg, topology.threads(), topology.ls_thread());
         setup
     }
 }
@@ -49,6 +43,7 @@ impl ColocationPolicy for PinnedStretch {
 mod tests {
     use super::*;
     use crate::config::RobSkew;
+    use sim_model::ThreadId;
 
     #[test]
     fn pinned_stretch_programs_the_skew() {
@@ -59,6 +54,10 @@ mod tests {
         assert_eq!(setup.partition.rob_limit(&cfg, ThreadId::T1), 136);
         // Everything else stays at the baseline sharing.
         assert_eq!(setup.fetch_policy, CoreSetup::baseline(&cfg, 2).fetch_policy);
+        // The skew follows the topology's latency-sensitive thread.
+        let swapped = p.setup_for(&cfg, &ColocationTopology::new(2, ThreadId::T1));
+        assert_eq!(swapped.partition.rob_limit(&cfg, ThreadId::T1), 56);
+        assert_eq!(swapped.partition.rob_limit(&cfg, ThreadId::T0), 136);
     }
 
     #[test]

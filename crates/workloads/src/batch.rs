@@ -14,7 +14,7 @@
 //! ≈31 % worst case; 15 of 29 losing more than 15 % when sharing the ROB).
 
 use crate::profile::WorkloadProfile;
-use sim_model::{BoxedTrace, WorkloadClass};
+use sim_model::WorkloadClass;
 
 /// Builds one batch profile.
 #[allow(clippy::too_many_arguments)]
@@ -133,21 +133,6 @@ pub fn profile_by_name(name: &str) -> Option<WorkloadProfile> {
     all_profiles().into_iter().find(|p| p.name == name)
 }
 
-/// Builds a trace for a batch benchmark by name.
-pub fn by_name(name: &str, seed: u64) -> Option<BoxedTrace> {
-    profile_by_name(name).map(|p| p.spawn(seed))
-}
-
-/// Convenience constructor for the paper's running example, `zeusmp`.
-pub fn zeusmp(seed: u64) -> BoxedTrace {
-    profile_by_name("zeusmp").expect("zeusmp is in the suite").spawn(seed)
-}
-
-/// Convenience constructor for the L1-D outlier, `lbm`.
-pub fn lbm(seed: u64) -> BoxedTrace {
-    profile_by_name("lbm").expect("lbm is in the suite").spawn(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,7 +178,6 @@ mod tests {
     fn lookup_by_name() {
         assert!(profile_by_name("zeusmp").is_some());
         assert!(profile_by_name("notabenchmark").is_none());
-        assert!(by_name("lbm", 7).is_some());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::profile::WorkloadProfile;
 use sim_model::uop::BranchInfo;
-use sim_model::{MicroOp, OpKind, Reg, SimRng, TraceGenerator, WorkloadClass};
+use sim_model::{MicroOp, OpKind, Reg, SimRng, TraceGenerator};
 
 /// Register reserved for the pointer-chase chain.
 const CHASE_REG: Reg = 1;
@@ -38,7 +38,6 @@ fn fnv1a(data: &[u8]) -> u64 {
 #[derive(Debug, Clone)]
 pub struct SyntheticWorkload {
     profile: WorkloadProfile,
-    seed: u64,
     rng: SimRng,
     code_base: u64,
     data_base: u64,
@@ -48,7 +47,6 @@ pub struct SyntheticWorkload {
     dst_counter: u8,
     recent_dsts: [Reg; RECENT_RING],
     recent_head: usize,
-    emitted: u64,
 }
 
 impl SyntheticWorkload {
@@ -69,11 +67,10 @@ impl SyntheticWorkload {
         let data_base = 0x200_0000_0000u64 + (name_hash % 512) * 0x4_0000_0000;
         let hot_base = data_base;
         let rng = SimRng::new(seed ^ name_hash);
-        let mut w = SyntheticWorkload {
+        SyntheticWorkload {
             pc: code_base,
             stride_cursor: data_base + profile.hot_region_bytes,
             profile,
-            seed,
             rng,
             code_base,
             data_base,
@@ -81,15 +78,7 @@ impl SyntheticWorkload {
             dst_counter: 0,
             recent_dsts: [FIRST_DST; RECENT_RING],
             recent_head: 0,
-            emitted: 0,
-        };
-        w.pc = w.code_base;
-        w
-    }
-
-    /// The profile this generator realises.
-    pub fn profile(&self) -> &WorkloadProfile {
-        &self.profile
+        }
     }
 
     fn alloc_dst(&mut self) -> Reg {
@@ -214,7 +203,6 @@ impl SyntheticWorkload {
 
 impl TraceGenerator for SyntheticWorkload {
     fn next_op(&mut self) -> MicroOp {
-        self.emitted += 1;
         let pc = self.advance_pc();
         let p = &self.profile;
         let r = self.rng.uniform_f64();
@@ -230,18 +218,6 @@ impl TraceGenerator for SyntheticWorkload {
         } else {
             self.make_compute(pc)
         }
-    }
-
-    fn name(&self) -> &str {
-        &self.profile.name
-    }
-
-    fn class(&self) -> WorkloadClass {
-        self.profile.class
-    }
-
-    fn reset(&mut self) {
-        *self = SyntheticWorkload::new(self.profile.clone(), self.seed);
     }
 }
 
@@ -285,15 +261,6 @@ mod tests {
         let mut b = SyntheticWorkload::new(profile("det"), 2);
         let identical = (0..200).filter(|_| a.next_op() == b.next_op()).count();
         assert!(identical < 200);
-    }
-
-    #[test]
-    fn reset_restarts_the_stream() {
-        let mut a = SyntheticWorkload::new(profile("det"), 7);
-        let first: Vec<MicroOp> = (0..50).map(|_| a.next_op()).collect();
-        a.reset();
-        let again: Vec<MicroOp> = (0..50).map(|_| a.next_op()).collect();
-        assert_eq!(first, again);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! demands on shared core resources (Figure 3).
 
 use crate::profile::WorkloadProfile;
-use sim_model::{BoxedTrace, WorkloadClass};
+use sim_model::WorkloadClass;
 
 /// Names of the four latency-sensitive services, in the order the paper
 /// lists them.
@@ -87,31 +87,6 @@ pub fn profile_by_name(name: &str) -> Option<WorkloadProfile> {
     all_profiles().into_iter().find(|p| p.name == name)
 }
 
-/// Builds a trace for a latency-sensitive workload by name.
-pub fn by_name(name: &str, seed: u64) -> Option<BoxedTrace> {
-    profile_by_name(name).map(|p| p.spawn(seed))
-}
-
-/// Convenience constructor: Data Serving trace.
-pub fn data_serving(seed: u64) -> BoxedTrace {
-    data_serving_profile().spawn(seed)
-}
-
-/// Convenience constructor: Web Serving trace.
-pub fn web_serving(seed: u64) -> BoxedTrace {
-    web_serving_profile().spawn(seed)
-}
-
-/// Convenience constructor: Web Search trace.
-pub fn web_search(seed: u64) -> BoxedTrace {
-    web_search_profile().spawn(seed)
-}
-
-/// Convenience constructor: Media Streaming trace.
-pub fn media_streaming(seed: u64) -> BoxedTrace {
-    media_streaming_profile().spawn(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +121,5 @@ mod tests {
     fn lookup_by_name_works() {
         assert!(profile_by_name("web-search").is_some());
         assert!(profile_by_name("no-such-service").is_none());
-        assert!(by_name("media-streaming", 3).is_some());
     }
 }

@@ -18,14 +18,18 @@
 //! * [`SyntheticWorkload`] — the deterministic trace generator realising a
 //!   profile (implements [`sim_model::TraceGenerator`]).
 //!
+//! A profile reaches a run as a [`sim_model::TraceSource`]: the scenario
+//! layer names it and spawns its stream from a derived seed.
+//!
 //! # Example
 //!
 //! ```
-//! use workloads::{batch, latency_sensitive};
-//! use sim_model::TraceGenerator;
+//! use sim_model::TraceSource;
+//! use workloads::{batch, profile_by_name};
 //!
-//! let mut ws = latency_sensitive::web_search(42);
-//! let op = ws.next_op();
+//! let ws = profile_by_name("web-search").expect("built-in profile");
+//! assert_eq!(ws.source_name(), "web-search");
+//! let op = ws.spawn_trace(42).next_op();
 //! assert!(op.is_well_formed());
 //! assert_eq!(batch::all_profiles().len(), 29);
 //! ```
@@ -43,24 +47,17 @@ pub use profile::WorkloadProfile;
 
 use sim_model::{BoxedTrace, TraceSource};
 
-impl WorkloadProfile {
-    /// Builds a boxed trace generator for this profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails validation.
-    pub fn spawn(&self, seed: u64) -> BoxedTrace {
-        Box::new(SyntheticWorkload::new(self.clone(), seed))
-    }
-}
-
+/// A profile is the source of its synthetic streams.
 impl TraceSource for WorkloadProfile {
     fn source_name(&self) -> &str {
         &self.name
     }
 
+    /// # Panics
+    ///
+    /// Panics if the profile fails validation.
     fn spawn_trace(&self, seed: u64) -> BoxedTrace {
-        self.spawn(seed)
+        Box::new(SyntheticWorkload::new(self.clone(), seed))
     }
 }
 
@@ -97,7 +94,11 @@ mod tests {
     fn spawn_produces_a_named_generator() {
         use sim_model::TraceGenerator;
         let p = profile_by_name("web-search").unwrap();
-        let t = p.spawn(1);
-        assert_eq!(t.name(), "web-search");
+        assert_eq!(p.source_name(), "web-search");
+        let mut spawned = p.spawn_trace(1);
+        let mut direct = SyntheticWorkload::new(p, 1);
+        for _ in 0..100 {
+            assert_eq!(spawned.next_op(), direct.next_op());
+        }
     }
 }

@@ -4,9 +4,9 @@
 //! simulated fleet day, and the cluster accounting on top.
 
 use stretch_repro::cpu::SmtCoreBuilder;
-use stretch_repro::model::{CoreConfig, ThreadId};
+use stretch_repro::model::{BoxedTrace, CoreConfig, ThreadId, TraceSource};
 use stretch_repro::prelude::*;
-use stretch_repro::workloads::{batch, latency_sensitive, profile_by_name};
+use stretch_repro::workloads::profile_by_name;
 
 fn quick() -> SimLength {
     SimLength::quick()
@@ -96,9 +96,10 @@ fn q_mode_shifts_performance_back_to_the_latency_sensitive_thread() {
 fn control_register_drives_mode_changes_on_a_live_core() {
     let cfg = CoreConfig::default();
     let stretch = StretchConfig::recommended();
+    let spawn = |name: &str| profile_by_name(name).expect("built-in workload").spawn_trace(7);
     let mut core = SmtCoreBuilder::new(cfg)
-        .thread(ThreadId::T0, latency_sensitive::web_search(7))
-        .thread(ThreadId::T1, batch::zeusmp(7))
+        .thread(ThreadId::T0, spawn("web-search"))
+        .thread(ThreadId::T1, spawn("zeusmp"))
         .build();
 
     // Warm up in baseline mode.
@@ -151,18 +152,31 @@ fn monitor_keeps_qos_while_harvesting_throughput_over_a_day() {
     }
 }
 
+/// A built-in workload that spawns its seed-77 stream whatever seed the
+/// scenario derives.
+struct Seeded(&'static str);
+
+impl TraceSource for Seeded {
+    fn source_name(&self) -> &str {
+        self.0
+    }
+
+    fn spawn_trace(&self, _seed: u64) -> BoxedTrace {
+        profile_by_name(self.0).expect("built-in workload").spawn_trace(77)
+    }
+}
+
 #[test]
 fn standalone_beats_any_colocation_for_the_same_workload() {
-    // Pre-spawned traces pin both runs to the *same* zeusmp instruction
+    // Seed-blind sources pin both runs to the *same* zeusmp instruction
     // stream, so the comparison isolates the colocation effect.
-    let alone = Scenario::standalone_trace(batch::zeusmp(77)).length(quick()).run_thread0().uipc;
-    let colocated =
-        Scenario::colocate_traces(latency_sensitive::data_serving(77), batch::zeusmp(77))
-            .policy(EqualPartition)
-            .length(quick())
-            .run()
-            .expect_thread(ThreadId::T1)
-            .uipc;
+    let alone = Scenario::standalone(Seeded("zeusmp")).length(quick()).run_thread0().uipc;
+    let colocated = Scenario::colocate(Seeded("data-serving"), Seeded("zeusmp"))
+        .policy(EqualPartition)
+        .length(quick())
+        .run()
+        .expect_thread(ThreadId::T1)
+        .uipc;
     assert!(
         alone >= colocated,
         "a full private core must be at least as fast as a colocated half \
@@ -179,26 +193,27 @@ fn every_policy_runs_through_the_same_scenario_entry_point() {
     let policies: Vec<Box<dyn ColocationPolicy>> = vec![
         Box::new(EqualPartition),
         Box::new(DynamicSharing),
-        Box::new(FetchThrottling::new(ThreadId::T0, 4)),
+        Box::new(FetchThrottling::new(4)),
         Box::new(IdealScheduling::new()),
         Box::new(PinnedStretch::new(StretchMode::BatchBoost(RobSkew::recommended_b_mode()))),
         Box::new(HybridThrottleSkew::recommended()),
     ];
     let cfg = CoreConfig::default();
     for policy in policies {
-        let label = policy.name();
+        let setup = policy.setup(&cfg);
+        let label = format!("{setup:?}");
         let r = Scenario::colocate(
             profile_by_name("web-search").expect("web-search exists"),
             profile_by_name("zeusmp").expect("zeusmp exists"),
         )
-        .policy(policy.setup(&cfg))
+        .policy(setup)
         .length(quick())
         .seed(13)
         .run();
         assert!(
             r.uipc(ThreadId::T0).expect("LS thread active") > 0.0
                 && r.uipc(ThreadId::T1).expect("batch thread active") > 0.0,
-            "policy '{label}' must produce progress on both threads"
+            "the policy programming {label} must produce progress on both threads"
         );
     }
 }

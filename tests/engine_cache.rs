@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use stretch_bench::figures;
 use stretch_bench::store::JsonCodec;
 use stretch_bench::{AuditStats, Engine, ExperimentConfig, ResultStore, SmtOutcome};
+use stretch_repro::cpu::{colocation_seed, pair_seed, run_core};
 use stretch_repro::model::TraceSource;
 use stretch_repro::prelude::*;
 use stretch_repro::workloads::profile_by_name;
@@ -105,9 +106,9 @@ fn store_digests_follow_the_core_setup() {
     assert_eq!(warm.stats().store_hits, 1);
 
     // Changing a policy parameter (the fetch ratio) changes the setup.
-    let _ = warm.pair(&FetchThrottling::new(ThreadId::T0, 4), "web-search", "zeusmp");
+    let _ = warm.pair(&FetchThrottling::new(4), "web-search", "zeusmp");
     assert_eq!(warm.sim_runs(), 1);
-    let _ = warm.pair(&FetchThrottling::new(ThreadId::T0, 8), "web-search", "zeusmp");
+    let _ = warm.pair(&FetchThrottling::new(8), "web-search", "zeusmp");
     assert_eq!(warm.sim_runs(), 2, "a policy-parameter change must recompute");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -211,6 +212,34 @@ fn standalone_reference_is_computed_once_per_process() {
     assert_eq!(engine.sim_runs(), reference_runs, "second reference request re-simulates nothing");
 }
 
+/// The hand-built route of the traced benchmark replay and the warp oracle:
+/// the policy's setup for a `width`-wide core with the service on T0,
+/// applied to a core builder, each workload spawned at its derived seed,
+/// then the measurement loop. A lone workload is seeded against the
+/// stand-alone label.
+fn hand_built_run(
+    cfg: &ExperimentConfig,
+    policy: &dyn ColocationPolicy,
+    width: usize,
+    names: &[&str],
+) -> ColocationResult {
+    let colocated = names.len() > 1;
+    let base = if colocated {
+        colocation_seed(cfg.seed, names)
+    } else {
+        pair_seed(cfg.seed, names[0], "standalone")
+    };
+    let setup = policy.setup_for(&cfg.core, &ColocationTopology::new(width, ThreadId::T0));
+    let mut builder = setup.apply(SmtCoreBuilder::new(cfg.core)).smt_width(width);
+    for (i, name) in names.iter().enumerate() {
+        let seed = if colocated { base ^ i as u64 } else { base };
+        let trace = profile_by_name(name).expect("known workload").spawn_trace(seed);
+        builder = builder.thread(ThreadId::from_index(i), trace);
+    }
+    let labels = names.iter().map(|n| Some(n.to_string())).collect();
+    run_core(&mut builder.build(), labels, cfg.length)
+}
+
 #[test]
 fn engine_cells_match_the_plain_scenario_api() {
     // A non-default seed and core: a cell that dropped `.seed(..)` or
@@ -232,10 +261,13 @@ fn engine_cells_match_the_plain_scenario_api() {
         .length(cfg.length)
         .seed(cfg.seed)
         .run();
+    let hand = hand_built_run(&cfg, &EqualPartition, 4, &["web-search", "zeusmp", "gcc", "mcf"]);
     assert_eq!(cell.uipcs.len(), 4);
     for (slot, uipc) in cell.uipcs.iter().enumerate() {
-        let expected = plain.expect_thread(ThreadId::from_index(slot)).uipc;
+        let t = ThreadId::from_index(slot);
+        let expected = plain.expect_thread(t).uipc;
         assert_eq!(uipc.to_bits(), expected.to_bits(), "smt slot {slot}");
+        assert_eq!(uipc.to_bits(), hand.expect_thread(t).uipc.to_bits(), "hand-built slot {slot}");
     }
 
     let spec = ServerSpec::new(2, 2);
@@ -273,8 +305,11 @@ fn engine_cells_match_the_plain_scenario_api() {
         .length(cfg.length)
         .seed(cfg.seed)
         .run_thread0();
-    assert_eq!(cell.uipc.to_bits(), plain.uipc.to_bits());
-    assert_eq!(cell.committed, plain.committed);
-    assert_eq!(cell.cycles, plain.cycles);
-    assert_eq!(cell.mlp, plain.mlp);
+    let hand = hand_built_run(&cfg, &PrivateCore::with_rob(64), 2, &["web-search"]);
+    for run in [&plain, hand.expect_thread(ThreadId::T0)] {
+        assert_eq!(cell.uipc.to_bits(), run.uipc.to_bits());
+        assert_eq!(cell.committed, run.committed);
+        assert_eq!(cell.cycles, run.cycles);
+        assert_eq!(cell.mlp, run.mlp);
+    }
 }

@@ -72,11 +72,7 @@ fn dynamic_sharing_matches_the_old_run_pair() {
 
 #[test]
 fn fetch_throttling_matches_the_old_run_pair() {
-    assert_pair(
-        "fetch throttling 1:4",
-        pair(FetchThrottling::new(ThreadId::T0, 4)),
-        FETCH_THROTTLING_1_4,
-    );
+    assert_pair("fetch throttling 1:4", pair(FetchThrottling::new(4)), FETCH_THROTTLING_1_4);
 }
 
 #[test]
@@ -84,7 +80,7 @@ fn ideal_scheduling_matches_the_old_run_pair() {
     assert_pair("ideal scheduling", pair(IdealScheduling::new()), IDEAL_SCHEDULING);
     assert_pair(
         "ideal scheduling + Stretch 56-136",
-        pair(IdealScheduling::with_stretch(ThreadId::T0, 56, 136)),
+        pair(IdealScheduling::with_stretch(56, 136)),
         IDEAL_PLUS_STRETCH,
     );
 }
@@ -115,8 +111,8 @@ fn engine_pairs_match_the_pinned_fixtures() {
     let engine = Engine::new(ExperimentConfig::quick());
     let b_mode = PinnedStretch::new(StretchMode::BatchBoost(RobSkew::recommended_b_mode()));
     let q_mode = PinnedStretch::new(StretchMode::QosBoost(RobSkew::recommended_q_mode()));
-    let throttled = FetchThrottling::new(ThreadId::T0, 4);
-    let combined = IdealScheduling::with_stretch(ThreadId::T0, 56, 136);
+    let throttled = FetchThrottling::new(4);
+    let combined = IdealScheduling::with_stretch(56, 136);
     let cells: [(&str, &dyn ColocationPolicy, (f64, f64)); 7] = [
         ("equal partitioning", &EqualPartition, BASELINE),
         ("dynamic sharing", &DynamicSharing, DYNAMIC),

@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 use stretch_repro::mem::{HierarchyConfig, LoadResult, MemoryHierarchy, Sharing};
-use stretch_repro::model::{
-    CacheConfig, CoreConfig, SimRng, ThreadId, TraceGenerator, WorkloadClass,
-};
+use stretch_repro::model::{CacheConfig, CoreConfig, SimRng, ThreadId, TraceSource, WorkloadClass};
 use stretch_repro::qos::{
     ArrivalClock, ArrivalDraws, ArrivalGenerator, ArrivalProcess, LatencySummary, ServerQueues,
     ServerSim, ServiceSpec, SimParams,
@@ -123,38 +121,6 @@ proptest! {
             original,
             permuted
         );
-    }
-
-    #[test]
-    fn merged_histograms_summarise_like_concatenated_samples(
-        a in prop::collection::vec(0usize..16, 0..150),
-        b in prop::collection::vec(0usize..16, 0..150),
-    ) {
-        let max_value = 12;
-        let mut ha = Histogram::new(max_value);
-        for &v in &a {
-            ha.record(v);
-        }
-        let mut hb = Histogram::new(max_value);
-        for &v in &b {
-            hb.record(v);
-        }
-        let mut concat = Histogram::new(max_value);
-        for &v in a.iter().chain(&b) {
-            concat.record(v);
-        }
-        ha.merge(&hb);
-        // Merging two histograms must be indistinguishable from having
-        // recorded the concatenated sample stream into one histogram.
-        prop_assert_eq!(&ha, &concat);
-        prop_assert_eq!(ha.total(), (a.len() + b.len()) as u64);
-        for n in 0..=max_value {
-            prop_assert!((ha.fraction_at_least(n) - concat.fraction_at_least(n)).abs() < 1e-12);
-        }
-        match (ha.mean(), concat.mean()) {
-            (Some(x), Some(y)) => prop_assert_eq!(x.to_bits(), y.to_bits()),
-            (none_a, none_b) => prop_assert_eq!(none_a.is_none(), none_b.is_none()),
-        }
     }
 
     #[test]
@@ -409,21 +375,20 @@ proptest! {
         seed in any::<u64>(),
     ) {
         prop_assume!(profile.validate().is_ok());
-        let mut a = profile.spawn(seed);
-        let mut b = profile.spawn(seed);
+        let mut a = profile.spawn_trace(seed);
+        let mut b = profile.spawn_trace(seed);
         for _ in 0..200 {
             let op_a = a.next_op();
             let op_b = b.next_op();
             prop_assert!(op_a.is_well_formed(), "{op_a:?}");
             prop_assert_eq!(op_a, op_b);
         }
-        prop_assert_eq!(a.class(), WorkloadClass::Batch);
     }
 
     #[test]
     fn generated_addresses_respect_the_profile_footprints(profile in arb_profile(), seed in any::<u64>()) {
         prop_assume!(profile.validate().is_ok());
-        let mut gen = profile.spawn(seed);
+        let mut gen = profile.spawn_trace(seed);
         let mut last_pc_block: Option<u64> = None;
         for _ in 0..300 {
             let op = gen.next_op();

@@ -8,11 +8,11 @@
 //! statistics and MLP census, and the memory hierarchy's counters.
 //!
 //! Cases are drawn at random over real workloads, SMT widths 1–4 (with and
-//! without idle thread slots), the colocation policies — equal partitioning,
-//! the B- and Q-mode Stretch skews, throttled fetch, a dynamically shared
-//! window with total-capacity limits and private cores — MSHRs per thread
-//! (1, 2 or 5) and prefetcher slots (0, 4 or 32), seeds, lengths and the
-//! flush cycle. Few MSHRs make loads wait for one, so the warp's steady
+//! without idle thread slots), the core setups of the colocation policies —
+//! equal partitioning, the B- and Q-mode Stretch skews, fetch throttling of
+//! a randomly drawn thread, a dynamically shared window with total-capacity
+//! limits and private cores — MSHRs per thread (1, 2 or 5) and prefetcher
+//! slots (0, 4 or 32), seeds, lengths and the flush cycle. Few MSHRs make loads wait for one, so the warp's steady
 //! retry path (a thread parked on a load that finds every MSHR busy) runs
 //! in every configuration of the prefetcher. The debug-sized variant runs in
 //! the normal suite; the ignored one runs many more and longer cases in
@@ -33,7 +33,8 @@ struct Case {
     width: usize,
     /// Table II core with the drawn MSHR and prefetcher sizes.
     cfg: CoreConfig,
-    policy: Box<dyn ColocationPolicy>,
+    /// What the drawn policy programs for this width.
+    setup: CoreSetup,
     seed: u64,
     cycles: u64,
     flush_at: u64,
@@ -44,11 +45,11 @@ impl std::fmt::Debug for Case {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{:?} on SMT-{} under '{}' with {} MSHRs and {} prefetcher slots per thread, \
+            "{:?} on SMT-{} under {:?} with {} MSHRs and {} prefetcher slots per thread, \
              seed {}, {} cycles, flush to {:?} at {}",
             self.names,
             self.width,
-            self.policy.name(),
+            self.setup,
             self.cfg.mshrs_per_thread,
             self.cfg.prefetcher_pc_slots,
             self.seed,
@@ -84,11 +85,17 @@ fn draw(rng: &mut SimRng, max_cycles: u64) -> Case {
     };
     let throttled = ThreadId::from_index(rng.below(width as u64) as usize);
     let ratio = pick(rng, &FETCH_THROTTLING_RATIOS);
+    // Only fetch throttling takes its LS thread from the draw; every other
+    // policy sees the service on T0.
+    let mut ls_thread = ThreadId::T0;
     let policy: Box<dyn ColocationPolicy> = match rng.below(6) {
         0 => Box::new(EqualPartition),
         1 if width >= 2 => skew(StretchMode::BatchBoost, RobSkew::recommended_b_mode()),
         2 if width >= 2 => skew(StretchMode::QosBoost, RobSkew::recommended_q_mode()),
-        3 => Box::new(FetchThrottling::new(throttled, ratio)),
+        3 => {
+            ls_thread = throttled;
+            Box::new(FetchThrottling::new(ratio))
+        }
         4 => Box::new(DynamicSharing),
         _ => Box::new(PrivateCore::with_rob(pick(rng, &[64, 192]))),
     };
@@ -103,11 +110,12 @@ fn draw(rng: &mut SimRng, max_cycles: u64) -> Case {
         prefetcher_pc_slots: pick(rng, &[0, 4, 32]),
         ..cfg
     };
+    let setup = policy.setup_for(&cfg, &ColocationTopology::new(width, ls_thread));
     Case {
         names,
         width,
         cfg,
-        policy,
+        setup,
         seed: rng.next_u64(),
         cycles,
         flush_at: rng.below(cycles),
@@ -116,9 +124,7 @@ fn draw(rng: &mut SimRng, max_cycles: u64) -> Case {
 }
 
 fn build(case: &Case) -> SmtCore {
-    let topology = ColocationTopology::new(case.width, ThreadId::T0);
-    let setup = case.policy.setup_for(&case.cfg, &topology);
-    let mut builder = setup.apply(SmtCoreBuilder::new(case.cfg)).smt_width(case.width);
+    let mut builder = case.setup.apply(SmtCoreBuilder::new(case.cfg)).smt_width(case.width);
     for (i, name) in case.names.iter().enumerate() {
         let profile = profile_by_name(name).expect("built-in workload");
         builder =
