@@ -69,14 +69,16 @@ impl CaseStudy {
     /// # Panics
     ///
     /// Panics if the parameters are out of range: threshold or speedup not
-    /// positive, or an interval that fails
+    /// positive, an interval that fails
     /// [`validate_interval`](crate::diurnal::validate_interval) (outside
     /// (0, 24] or not dividing the day), which would credit other than 24
-    /// hours to the day.
+    /// hours to the day, or a pattern that fails
+    /// [`DiurnalPattern::validate`].
     pub fn run(&self) -> CaseStudyReport {
         assert!(self.engage_below > 0.0 && self.engage_below <= 1.0, "threshold out of range");
         assert!(self.b_mode_batch_speedup > 0.0, "speedup must be positive");
         crate::diurnal::validate_interval(self.interval_hours).unwrap_or_else(|e| panic!("{e}"));
+        self.pattern.validate().unwrap_or_else(|e| panic!("{e}"));
         // `sample` guarantees at least one point, so the division is safe.
         let samples = self.pattern.sample(self.interval_hours);
         let mut engaged = 0usize;
@@ -386,6 +388,43 @@ mod tests {
                 1,
             );
             assert_eq!(result.map(|fleet| fleet.peak_rps()), Err(message.to_string()));
+        }
+    }
+
+    #[test]
+    fn an_invalid_custom_pattern_is_rejected_by_both_routes() {
+        // A NaN base read as full load at every hour (`NaN.min(1.0)` is
+        // 1.0), so the fleet ran a full-load day; a base of -0.5 read as
+        // loads of -0.5 to -0.3, which the analytical route credited with
+        // 24 engaged hours while the fleet ran every interval at its
+        // 1e-3 rps rate floor.
+        for (base, message) in [
+            (
+                f64::NAN,
+                "diurnal pattern parameters must be finite (base NaN, amplitude 0.2, peak hour \
+                 12, width 6)",
+            ),
+            (-0.5, "diurnal base -0.5 and amplitude 0.2 must not be negative"),
+        ] {
+            let study = CaseStudy {
+                pattern: DiurnalPattern::Custom {
+                    base,
+                    amplitude: 0.2,
+                    peak_hour: 12.0,
+                    width: 6.0,
+                },
+                ..CaseStudy::web_search()
+            };
+            let panic = std::panic::catch_unwind(|| study.run()).expect_err("pattern accepted");
+            assert_eq!(panic.downcast_ref::<String>().map(String::as_str), Some(message));
+            let fleet = study.try_fleet_with(
+                LoadBalancer::RoundRobin,
+                FleetScale::quick(1),
+                FleetTopology::Flat,
+                TailAccumulation::Exact,
+                1,
+            );
+            assert_eq!(fleet.map(|fleet| fleet.peak_rps()), Err(message.to_string()));
         }
     }
 

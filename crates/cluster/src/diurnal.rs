@@ -73,6 +73,45 @@ pub fn validate_interval(interval_hours: f64) -> Result<(), String> {
 }
 
 impl DiurnalPattern {
+    /// Checks that a [`DiurnalPattern::Custom`] curve is a load curve:
+    /// finite parameters, a non-negative base and amplitude whose sum is at
+    /// most full load (1.0), a positive width and a peak hour in [0, 24].
+    /// The built-in patterns always pass. [`DiurnalPattern::load_at`] would
+    /// otherwise hide a bad value: a NaN base reads as full load at every
+    /// hour, a negative one as a negative load.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first rule the pattern breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        let DiurnalPattern::Custom { base, amplitude, peak_hour, width } = *self else {
+            return Ok(());
+        };
+        if ![base, amplitude, peak_hour, width].iter().all(|x| x.is_finite()) {
+            return Err(format!(
+                "diurnal pattern parameters must be finite (base {base}, amplitude {amplitude}, \
+                 peak hour {peak_hour}, width {width})"
+            ));
+        }
+        if base < 0.0 || amplitude < 0.0 {
+            return Err(format!(
+                "diurnal base {base} and amplitude {amplitude} must not be negative"
+            ));
+        }
+        if base + amplitude > 1.0 {
+            return Err(format!(
+                "diurnal base {base} plus amplitude {amplitude} exceeds full load (1.0)"
+            ));
+        }
+        if width <= 0.0 {
+            return Err(format!("diurnal width {width} h must be positive"));
+        }
+        if !(0.0..=24.0).contains(&peak_hour) {
+            return Err(format!("diurnal peak hour {peak_hour} must be in [0, 24]"));
+        }
+        Ok(())
+    }
+
     /// Load (fraction of peak) at a given hour of day.
     ///
     /// # Panics
@@ -183,6 +222,40 @@ mod tests {
         let p = DiurnalPattern::Custom { base: 0.2, amplitude: 0.8, peak_hour: 12.0, width: 4.0 };
         assert!(p.load_at(12.0) > 0.95);
         assert!(p.load_at(0.0) < 0.25);
+    }
+
+    #[test]
+    fn a_custom_pattern_must_be_a_load_curve() {
+        let custom = |base, amplitude, peak_hour, width| DiurnalPattern::Custom {
+            base,
+            amplitude,
+            peak_hour,
+            width,
+        };
+        for ok in [
+            DiurnalPattern::WebSearch,
+            DiurnalPattern::YouTube,
+            custom(0.2, 0.8, 12.0, 4.0),
+            custom(1.0, 0.0, 0.0, 6.0),
+            custom(0.0, 0.0, 24.0, 0.5),
+        ] {
+            assert_eq!(ok.validate(), Ok(()), "{ok:?}");
+        }
+        for bad in [
+            custom(f64::NAN, 0.2, 12.0, 6.0),
+            custom(0.2, f64::INFINITY, 12.0, 6.0),
+            custom(0.2, 0.2, f64::NAN, 6.0),
+            custom(0.2, 0.2, 12.0, f64::NAN),
+            custom(-0.5, 0.2, 12.0, 6.0),
+            custom(0.2, -0.1, 12.0, 6.0),
+            custom(0.5, 0.6, 12.0, 6.0),
+            custom(0.2, 0.2, 12.0, 0.0),
+            custom(0.2, 0.2, 12.0, -3.0),
+            custom(0.2, 0.2, -1.0, 6.0),
+            custom(0.2, 0.2, 24.5, 6.0),
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

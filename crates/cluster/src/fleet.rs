@@ -77,6 +77,19 @@
 //! default 10k-server, 125-rack `fleet` run peaks at about 22 MB RSS at
 //! `--days 1` and at `--days 3` alike.
 //!
+//! [`TailAccumulation::Exact`] holds each measured sojourn once, 8 bytes
+//! apiece. A shard keeps one sojourn log, reserved up front for all of its
+//! sojourns: interval-major, the servers in index order inside each
+//! interval, with each server-interval's run marked by where it ends. A
+//! server's day p99 gathers its runs into one reused scratch buffer before
+//! anything reorders the log. The merge appends each shard's log to one log
+//! reserved up front for the run and drops the shard's (a flat fleet's lone
+//! log moves in whole). An interval's fleet p99 selects in place on its
+//! slice of the log, or, when several racks hold it, on a gather of their
+//! slices; the day's p50/p95/p99 select in place over the whole log. The
+//! default `fleet` day with exact tails (19.2M sojourns, 8 bytes each)
+//! peaks at about 155 MB.
+//!
 //! Dispatch does each piece of work once per request. A shard's
 //! [`sim_qos::ServerQueues`] stores worker-availability times worker-major,
 //! so [`LoadBalancer::LeastLoaded`] sums every server's backlog in one
@@ -85,11 +98,12 @@
 //! its per-server *skip-ahead watermark* lets an idle server — one whose
 //! last worker completion is not after the incoming arrival — answer a
 //! power-of-two probe in O(1), reading no worker. Each sojourn is recorded
-//! once, into its server's sample buffer; the shard's interval tail and
-//! each server's day tail are filled from those buffers. The buffers and
-//! the percentile scratch copy live in the shard's dispatch state and are
-//! reused every interval, and every tail goes through the linear-time
-//! selection of [`sim_stats::percentile`](mod@sim_stats::percentile).
+//! into its server's interval buffer, which the shard's dispatch state
+//! reuses every interval; from there it is copied once, into the shard's
+//! sojourn log or into its day and interval histograms. The server's
+//! interval tail, which its monitor reads, selects in place on that buffer,
+//! and every exact tail goes through the linear-time selection of
+//! [`sim_stats::percentile`](mod@sim_stats::percentile).
 
 use crate::diurnal::DiurnalPattern;
 use crate::topology::{FleetTopology, TailAccumulation};
@@ -99,8 +113,9 @@ use sim_qos::{
     bisect_peak_rps, ArrivalClock, ArrivalDraw, ArrivalDraws, ArrivalGenerator, ArrivalProcess,
     ServerQueues, ServiceSpec,
 };
-use sim_stats::percentile::percentiles_in;
-use sim_stats::{det_merge, det_sum, percentile, LatencyHistogram, Percentiles};
+use sim_stats::percentile::percentiles_in_place;
+use sim_stats::{det_merge, det_sum, percentile, LatencyHistogram};
+use std::ops::Range;
 use stretch::{MonitorConfig, PerformanceTable, SoftwareMonitor, StretchConfig};
 
 /// How the fleet's front end spreads arriving requests over the servers.
@@ -248,6 +263,7 @@ impl FleetConfig {
         // The day accounting (hours_engaged, hour-of-day wrap) assumes the
         // control interval tiles the 24-hour day exactly.
         crate::diurnal::validate_interval(self.interval_hours)?;
+        self.pattern.validate()?;
         if self.requests_per_server < 20 {
             return Err(format!(
                 "{} requests per server-interval cannot resolve a tail percentile (need >= 20)",
@@ -449,11 +465,9 @@ struct DispatchState {
     rr_next: usize,
     balancer_rng: SimRng,
     clock_ms: f64,
-    /// Each server's sojourn times (always exact) over the last interval
-    /// [`run_interval`] simulated; cleared as the next one starts.
-    samples: Vec<Percentiles>,
-    /// The copy a per-server percentile selects in.
-    scratch: Vec<f64>,
+    /// Each server's sojourn times (always exact, never NaN) over the last
+    /// interval [`run_interval`] simulated; cleared as the next one starts.
+    samples: Vec<Vec<f64>>,
 }
 
 impl DispatchState {
@@ -466,15 +480,16 @@ impl DispatchState {
             rr_next: 0,
             balancer_rng,
             clock_ms: 0.0,
-            samples: vec![Percentiles::new(); servers],
-            scratch: Vec::new(),
+            samples: vec![Vec::new(); servers],
         }
     }
 
     /// Server `s`'s `p`-th percentile sojourn over the last interval, or
     /// `None` when it measured no request (a starved server-interval).
+    /// Selects in the server's interval buffer, which the next interval
+    /// clears anyway.
     fn server_tail(&mut self, s: usize, p: f64) -> Option<f64> {
-        percentiles_in(&mut self.scratch, self.samples[s].samples(), [p]).map(|[tail]| tail)
+        percentiles_in_place(&mut self.samples[s], [p]).map(|[tail]| tail)
     }
 }
 
@@ -632,57 +647,218 @@ impl RequestSource for TapeInterval<'_> {
     }
 }
 
-/// A day- or fleet-level sojourn collection under either
-/// [`TailAccumulation`] policy. Merging two accumulators is bit-exact for
-/// both variants — exact accumulators concatenate their raw samples in
-/// shard-index order (and their percentiles depend only on the samples'
-/// values, not their order), binned accumulators add integer bin counts —
-/// which is what lets the sharded merge produce identical reports for every
-/// worker count.
-#[derive(Debug, Clone, PartialEq)]
-enum TailAcc {
-    Exact(Percentiles),
-    Binned(LatencyHistogram),
+/// Sojourn times stored once, as consecutive runs: run `i` is
+/// `values[ends[i - 1]..ends[i]]`, the first starting at 0. A shard's log
+/// holds one run per server-interval, interval-major with the servers in
+/// index order inside each interval; the merged log of a run holds one run
+/// per shard-interval, shard-major. Every exact tail is a percentile over
+/// whole runs, and a percentile depends only on which values it covers, so
+/// selecting in place inside one run moves no other tail; only the day's
+/// selection over the whole log, read last, mixes runs.
+#[derive(Debug, Default)]
+struct SojournLog {
+    values: Vec<f64>,
+    ends: Vec<usize>,
 }
 
-impl TailAcc {
-    fn new(tails: &TailAccumulation) -> TailAcc {
-        match *tails {
-            TailAccumulation::Exact => TailAcc::Exact(Percentiles::new()),
+impl SojournLog {
+    /// An empty log with room for `values` sojourns in `runs` runs.
+    fn with_capacity(values: usize, runs: usize) -> SojournLog {
+        SojournLog { values: Vec::with_capacity(values), ends: Vec::with_capacity(runs) }
+    }
+
+    /// Appends `values` as the next run.
+    fn push_run(&mut self, values: &[f64]) {
+        self.values.extend_from_slice(values);
+        self.ends.push(self.values.len());
+    }
+
+    /// Where run `i` sits in `values`.
+    fn run(&self, i: usize) -> Range<usize> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        start..self.ends[i]
+    }
+
+    /// Copies runs `first`, `first + stride`, … into `into`, replacing what
+    /// it held.
+    fn gather(&self, first: usize, stride: usize, into: &mut Vec<f64>) {
+        into.clear();
+        for i in (first..self.ends.len()).step_by(stride) {
+            into.extend_from_slice(&self.values[self.run(i)]);
+        }
+    }
+
+    /// The same values with every `k` consecutive runs joined into one.
+    fn join_runs(self, k: usize) -> SojournLog {
+        let ends = self.ends.iter().skip(k - 1).step_by(k).copied().collect();
+        SojournLog { values: self.values, ends }
+    }
+
+    /// Appends `other`'s runs after this log's. An empty log with no room
+    /// reserved takes `other` whole, copying nothing.
+    fn append(&mut self, other: SojournLog) {
+        if self.ends.is_empty() && self.values.capacity() == 0 {
+            *self = other;
+            return;
+        }
+        let base = self.values.len();
+        self.values.extend_from_slice(&other.values);
+        self.ends.extend(other.ends.iter().map(|end| base + end));
+    }
+}
+
+/// A shard's sojourns over its whole run, kept as the run's
+/// [`TailAccumulation`] says.
+enum ShardTails {
+    /// Every sojourn once, in a log reserved up front for all of them: run
+    /// `t · n + s` holds server `s`'s sojourns of interval `t`.
+    Exact(SojournLog),
+    /// Each server's day histogram and each interval's histogram.
+    Binned { servers: Vec<LatencyHistogram>, intervals: Vec<LatencyHistogram> },
+}
+
+impl ShardTails {
+    /// Empty tails for a shard of `servers` machines.
+    fn new(cfg: &FleetConfig, servers: usize) -> ShardTails {
+        let steps = cfg.total_intervals();
+        match cfg.tails {
+            TailAccumulation::Exact => ShardTails::Exact(SojournLog::with_capacity(
+                servers * cfg.requests_per_server * steps,
+                servers * steps,
+            )),
             TailAccumulation::Binned { resolution_ms, max_ms } => {
-                TailAcc::Binned(LatencyHistogram::new(resolution_ms, max_ms))
+                let empty = LatencyHistogram::new(resolution_ms, max_ms);
+                ShardTails::Binned {
+                    servers: vec![empty.clone(); servers],
+                    intervals: vec![empty; steps],
+                }
             }
         }
     }
 
-    fn record(&mut self, value_ms: f64) {
+    /// Records interval `t`'s sojourns, `samples[s]` holding server `s`'s.
+    /// Intervals are recorded in order, starting from 0.
+    fn record_interval(&mut self, t: usize, samples: &[Vec<f64>]) {
         match self {
-            TailAcc::Exact(p) => p.record(value_ms),
-            TailAcc::Binned(h) => h.record(value_ms),
+            ShardTails::Exact(log) => samples.iter().for_each(|run| log.push_run(run)),
+            ShardTails::Binned { servers, intervals } => {
+                for (day, run) in servers.iter_mut().zip(samples) {
+                    for &v in run {
+                        day.record(v);
+                        intervals[t].record(v);
+                    }
+                }
+            }
         }
     }
 
-    fn absorb(&mut self, other: &TailAcc) {
-        match (self, other) {
-            (TailAcc::Exact(a), TailAcc::Exact(b)) => a.extend(b.samples().iter().copied()),
-            (TailAcc::Binned(a), TailAcc::Binned(b)) => a.merge(b),
+    /// Server `s`'s day p99 (0.0 when it measured nothing) and request
+    /// count, for a shard of `servers` machines; an exact p99 selects in its
+    /// runs, gathered into `scratch`.
+    fn server_day(&self, s: usize, servers: usize, scratch: &mut Vec<f64>) -> (f64, usize) {
+        match self {
+            ShardTails::Exact(log) => {
+                log.gather(s, servers, scratch);
+                (percentiles_in_place(scratch, [99.0]).map_or(0.0, |[p99]| p99), scratch.len())
+            }
+            ShardTails::Binned { servers, .. } => {
+                let day = &servers[s];
+                (day.percentile(99.0).unwrap_or(0.0), day.len())
+            }
+        }
+    }
+
+    /// What the merge takes from a shard of `servers` machines: its
+    /// interval tails, an exact log's runs joined one per interval.
+    fn into_day_tails(self, servers: usize) -> DayTails {
+        match self {
+            ShardTails::Exact(log) => DayTails::Exact(log.join_runs(servers)),
+            ShardTails::Binned { intervals, .. } => DayTails::Binned(intervals),
+        }
+    }
+}
+
+/// The interval tails of one shard or of the running merge, which together
+/// make up the day's fleet tail.
+enum DayTails {
+    /// Every sojourn once: run `k · T + t` holds shard `k`'s sojourns of
+    /// interval `t`, for `T` intervals.
+    Exact(SojournLog),
+    /// One histogram per interval.
+    Binned(Vec<LatencyHistogram>),
+}
+
+impl DayTails {
+    /// Nothing merged yet, for a run of `shards` shards. Several shards'
+    /// exact logs append to one log reserved up front for every sojourn of
+    /// the run, each log dropped once appended; a lone shard's log moves in.
+    fn new(cfg: &FleetConfig, shards: usize) -> DayTails {
+        match cfg.tails {
+            TailAccumulation::Exact if shards > 1 => {
+                let steps = cfg.total_intervals();
+                DayTails::Exact(SojournLog::with_capacity(
+                    cfg.servers * cfg.requests_per_server * steps,
+                    shards * steps,
+                ))
+            }
+            TailAccumulation::Exact => DayTails::Exact(SojournLog::default()),
+            TailAccumulation::Binned { .. } => DayTails::Binned(Vec::new()),
+        }
+    }
+
+    /// Folds in the next shard's interval tails. Exact logs concatenate;
+    /// histograms add integer bin counts, and the first shard's move in.
+    fn absorb(&mut self, shard: DayTails) {
+        match (self, shard) {
+            (DayTails::Exact(log), DayTails::Exact(part)) => log.append(part),
+            (DayTails::Binned(merged), DayTails::Binned(part)) if merged.is_empty() => {
+                *merged = part;
+            }
+            (DayTails::Binned(merged), DayTails::Binned(part)) => {
+                merged.iter_mut().zip(&part).for_each(|(a, b)| a.merge(b));
+            }
             _ => panic!("mismatched tail accumulation variants"),
         }
     }
 
-    /// The `ps`-th percentiles (each 0.0 when nothing was recorded); exact
-    /// ones select in `scratch`.
-    fn percentiles<const N: usize>(&self, scratch: &mut Vec<f64>, ps: [f64; N]) -> [f64; N] {
+    /// Interval `t`'s p99 out of `steps` intervals, 0.0 when empty. An exact
+    /// p99 selects in the log itself when one shard holds the interval, and
+    /// otherwise in `scratch`, which gathers every shard's run of it.
+    fn interval_p99(&mut self, t: usize, steps: usize, scratch: &mut Vec<f64>) -> f64 {
         match self {
-            TailAcc::Exact(s) => percentiles_in(scratch, s.samples(), ps).unwrap_or([0.0; N]),
-            TailAcc::Binned(h) => ps.map(|p| h.percentile(p).unwrap_or(0.0)),
+            DayTails::Exact(log) => {
+                let values = if log.ends.len() == steps {
+                    let run = log.run(t);
+                    &mut log.values[run]
+                } else {
+                    log.gather(t, steps, scratch);
+                    &mut scratch[..]
+                };
+                percentiles_in_place(values, [99.0]).map_or(0.0, |[p99]| p99)
+            }
+            DayTails::Binned(intervals) => intervals[t].percentile(99.0).unwrap_or(0.0),
         }
     }
 
-    fn len(&self) -> usize {
+    /// The day's p50, p95 and p99 (0.0 each when nothing was measured) and
+    /// its sojourn count. An exact day selects in place over the whole log.
+    fn day(self) -> ([f64; 3], usize) {
+        const PS: [f64; 3] = [50.0, 95.0, 99.0];
         match self {
-            TailAcc::Exact(s) => s.len(),
-            TailAcc::Binned(h) => h.len(),
+            DayTails::Exact(mut log) => {
+                let requests = log.values.len();
+                (percentiles_in_place(&mut log.values, PS).unwrap_or([0.0; 3]), requests)
+            }
+            DayTails::Binned(intervals) => {
+                let day = intervals
+                    .into_iter()
+                    .reduce(|mut day, interval| {
+                        day.merge(&interval);
+                        day
+                    })
+                    .expect("a run has at least one interval");
+                (PS.map(|p| day.percentile(p).unwrap_or(0.0)), day.len())
+            }
         }
     }
 }
@@ -693,7 +869,8 @@ impl TailAcc {
 /// queues, where server `s` serves a request in `medians_ms[s]` times the
 /// request's service factor. Leaves each server's sojourn times in
 /// `state.samples` (always exact: the monitor path needs exact
-/// per-interval tails and they are transient).
+/// per-interval tails and they are transient). A NaN sojourn, which only a
+/// non-finite service time could produce, is dropped, so no tail counts it.
 ///
 /// Per-server sample counts are surfaced through `state.samples` (`len()`):
 /// under a queue-aware balancer the per-server interval count is random and
@@ -707,7 +884,7 @@ fn run_interval(
     requests: &mut impl RequestSource,
 ) {
     let n = state.samples.len();
-    state.samples.iter_mut().for_each(Percentiles::clear);
+    state.samples.iter_mut().for_each(Vec::clear);
     let mut last_arrival = state.clock_ms;
     for _ in 0..n * cfg.requests_per_server {
         let arrival = state.clock_ms + requests.next_arrival_ms();
@@ -739,7 +916,9 @@ fn run_interval(
         };
         let service_ms = medians_ms[s] * requests.service_factor(s);
         let sojourn = state.queues.admit(s, arrival, service_ms);
-        state.samples[s].record(sojourn);
+        if !sojourn.is_nan() {
+            state.samples[s].push(sojourn);
+        }
     }
     state.clock_ms = last_arrival;
 }
@@ -1043,15 +1222,15 @@ struct ShardInterval {
     /// Left-to-right sum of the shard's per-server batch speedups — a
     /// per-shard partial for [`det_merge`].
     speedup_sum: f64,
-    tail: TailAcc,
 }
 
-/// Everything one shard contributes to the run: its intervals and its
+/// Everything one shard contributes to the run: its intervals, its
 /// servers' summaries, in shard-local order (which is global order, shards
-/// being contiguous).
+/// being contiguous), and its interval tails.
 struct ShardDay {
     intervals: Vec<ShardInterval>,
     servers: Vec<ServerSummary>,
+    tails: DayTails,
 }
 
 /// Simulates one shard's whole run. Only ever called from inside the
@@ -1059,7 +1238,8 @@ struct ShardDay {
 /// accumulation here is shard-sequential by construction, and every
 /// cross-shard combination happens in [`FleetMerge`] through the canonical
 /// reducers. Each server's day tail is reduced to its [`ServerSummary`]
-/// before the shard returns.
+/// before the shard returns; an exact one is read before anything reorders
+/// the shard's log.
 fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay {
     let n = plan.servers;
     let spec = &cfg.service;
@@ -1071,7 +1251,7 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
     let mut monitors: Vec<SoftwareMonitor> =
         (0..n).map(|_| SoftwareMonitor::new(cfg.stretch, cfg.monitor)).collect();
 
-    let mut day_tails: Vec<TailAcc> = (0..n).map(|_| TailAcc::new(&cfg.tails)).collect();
+    let mut tails = ShardTails::new(cfg, n);
     let mut engaged_counts = vec![0usize; n];
     let mut starved_counts = vec![0usize; n];
     let mut intervals = Vec::with_capacity(steps);
@@ -1103,22 +1283,16 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
 
         let mut requests = streams.interval(cfg, t as u64, rate);
         run_interval(cfg, &mut state, plan.balancer, &medians_ms, &mut requests);
+        tails.record_interval(t, &state.samples);
 
         // Every server observes its own tail from its own requests and
         // feeds its monitor — *if* it measured any. A server-interval with
         // zero requests is unmeasured: no tail, no violation, no
         // observation (the monitor holds its mode), rather than a
-        // fabricated perfect 0 ms tail. The interval's shard tail takes
-        // every sojourn in server order: exact percentiles select by value
-        // and binned counts add, so the order is immaterial.
-        let mut interval_tail = TailAcc::new(&cfg.tails);
+        // fabricated perfect 0 ms tail.
         let mut violations = 0usize;
         let mut measured_servers = 0usize;
         for (s, monitor) in monitors.iter_mut().enumerate() {
-            for &v in state.samples[s].samples() {
-                day_tails[s].record(v);
-                interval_tail.record(v);
-            }
             match state.server_tail(s, metric_percentile) {
                 Some(tail) => {
                     measured_servers += 1;
@@ -1131,26 +1305,24 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
             }
         }
 
-        intervals.push(ShardInterval {
-            engaged,
-            measured_servers,
-            violations,
-            speedup_sum,
-            tail: interval_tail,
-        });
+        intervals.push(ShardInterval { engaged, measured_servers, violations, speedup_sum });
     }
 
+    let mut scratch = Vec::new();
     let servers = (0..n)
-        .map(|s| ServerSummary {
-            engaged_intervals: engaged_counts[s],
-            starved_intervals: starved_counts[s],
-            p99_ms: day_tails[s].percentiles(&mut state.scratch, [99.0])[0],
-            requests: day_tails[s].len(),
-            mode_changes: monitors[s].mode_changes(),
-            throttle_events: monitors[s].throttle_events(),
+        .map(|s| {
+            let (p99_ms, requests) = tails.server_day(s, n, &mut scratch);
+            ServerSummary {
+                engaged_intervals: engaged_counts[s],
+                starved_intervals: starved_counts[s],
+                p99_ms,
+                requests,
+                mode_changes: monitors[s].mode_changes(),
+                throttle_events: monitors[s].throttle_events(),
+            }
         })
         .collect();
-    ShardDay { intervals, servers }
+    ShardDay { intervals, servers, tails: tails.into_day_tails(n) }
 }
 
 /// One control interval of the running merge.
@@ -1160,18 +1332,18 @@ struct IntervalMerge {
     violations: usize,
     /// The folded shards' speedup partials, in shard-index order.
     speedup_partials: Vec<f64>,
-    tail: TailAcc,
 }
 
 /// The running merge of [`Fleet::run_with_workers`]: shards fold in as
 /// soon as every earlier shard has, in shard-index order, and are dropped.
 /// Integer counters add, float partials wait for [`det_merge`] (one `f64`
-/// per shard-interval), and tail accumulators merge bit-exactly — so the
+/// per shard-interval), and interval tails merge bit-exactly — so the
 /// report never depends on worker count or completion order, and nothing
-/// here holds a histogram per shard.
+/// here holds a histogram or a sojourn log per shard.
 struct FleetMerge {
     intervals: Vec<IntervalMerge>,
     servers: Vec<ServerSummary>,
+    tails: DayTails,
 }
 
 impl FleetMerge {
@@ -1182,34 +1354,33 @@ impl FleetMerge {
                 measured_servers: 0,
                 violations: 0,
                 speedup_partials: Vec::with_capacity(shards),
-                tail: TailAcc::new(&cfg.tails),
             })
             .collect();
-        FleetMerge { intervals, servers: Vec::with_capacity(cfg.servers) }
+        FleetMerge {
+            intervals,
+            servers: Vec::with_capacity(cfg.servers),
+            tails: DayTails::new(cfg, shards),
+        }
     }
 
     /// Folds in the next shard. It comes by value, so where nothing is
-    /// merged yet (always, for the first shard) its tails move in instead
-    /// of being copied.
+    /// merged yet (always, for the first shard) its histograms move in
+    /// instead of being copied, and so does a lone shard's sojourn log.
     fn fold_shard(&mut self, shard: ShardDay) {
         for (merged, part) in self.intervals.iter_mut().zip(shard.intervals) {
             merged.engaged += part.engaged;
             merged.measured_servers += part.measured_servers;
             merged.violations += part.violations;
             merged.speedup_partials.push(part.speedup_sum);
-            if merged.tail.len() == 0 {
-                merged.tail = part.tail;
-            } else {
-                merged.tail.absorb(&part.tail);
-            }
         }
         self.servers.extend(shard.servers);
+        self.tails.absorb(shard.tails);
     }
 
     /// The fleet report once every shard is folded in: float partials go
     /// through the canonical reducers ([`det_merge`] across shards,
-    /// [`det_sum`] across intervals), and the fleet tail is the union of
-    /// the interval tails, each absorbed (and freed) once its p99 is read.
+    /// [`det_sum`] across intervals), each interval's p99 is read, and then
+    /// the fleet tail over every interval's sojourns.
     fn into_report(self, cfg: &FleetConfig) -> FleetReport {
         let n = cfg.servers;
         let steps = cfg.total_intervals();
@@ -1219,7 +1390,7 @@ impl FleetMerge {
         let mut violations_total = 0usize;
         let mut measured_total = 0usize;
         let mut scratch = Vec::new();
-        let mut fleet_tail = TailAcc::new(&cfg.tails);
+        let mut tails = self.tails;
         for (t, merged) in self.intervals.into_iter().enumerate() {
             let hour = (t as f64 * cfg.interval_hours) % 24.0;
             let batch_throughput = det_merge(&merged.speedup_partials) / n as f64;
@@ -1227,7 +1398,7 @@ impl FleetMerge {
             engaged_total += merged.engaged;
             violations_total += merged.violations;
             measured_total += merged.measured_servers;
-            let [p99_ms] = merged.tail.percentiles(&mut scratch, [99.0]);
+            let p99_ms = tails.interval_p99(t, steps, &mut scratch);
             intervals.push(FleetIntervalReport {
                 hour,
                 load: cfg.pattern.load_at(hour),
@@ -1236,11 +1407,10 @@ impl FleetMerge {
                 p99_ms,
                 batch_throughput,
             });
-            fleet_tail.absorb(&merged.tail);
         }
 
         let server_intervals = (n * steps) as f64;
-        let [p50_ms, p95_ms, p99_ms] = fleet_tail.percentiles(&mut scratch, [50.0, 95.0, 99.0]);
+        let ([p50_ms, p95_ms, p99_ms], requests) = tails.day();
         FleetReport {
             intervals,
             servers: self.servers,
@@ -1255,7 +1425,7 @@ impl FleetMerge {
             p50_ms,
             p95_ms,
             p99_ms,
-            requests: fleet_tail.len(),
+            requests,
         }
     }
 }

@@ -115,8 +115,10 @@ impl CanonicalKey for FleetTopology {
 /// How day- and fleet-level sojourn collections are retained.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum TailAccumulation {
-    /// Retain every raw sojourn sample (exact percentiles; memory grows with
-    /// the request count — the historical behaviour, fine at test scale).
+    /// Retain every raw sojourn sample (exact percentiles): 8 bytes per
+    /// measured request, held once, in one sojourn log per shard that the
+    /// merge appends to one log for the run. Memory grows with the request
+    /// count — the historical behaviour, fine at test scale.
     Exact,
     /// Fixed-resolution latency bins ([`sim_stats::LatencyHistogram`]):
     /// each accumulator stores one count per bin between the lowest and

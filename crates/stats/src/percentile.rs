@@ -9,7 +9,10 @@
 //! and takes the minimum above it as the upper rank, so a fleet's 10⁶-sample
 //! tail costs one linear pass per percentile instead of an O(n log n) sort.
 //! [`percentiles_in`] answers several percentiles from one NaN-filtered copy
-//! made in a caller's buffer, so repeated calls reuse one allocation.
+//! made in a caller's buffer, so repeated calls reuse one allocation;
+//! [`percentiles_in_place`] answers them from a caller's NaN-free slice
+//! itself, copying nothing, for callers that own samples they no longer
+//! need in order.
 //!
 //! Selection returns the same bits as sorting for every input: order
 //! statistics are unique as values, the only distinct bit patterns that
@@ -54,15 +57,30 @@ pub fn percentiles_in<const N: usize>(
     samples: &[f64],
     ps: [f64; N],
 ) -> Option<[f64; N]> {
-    if !ps.iter().all(|p| (0.0..=100.0).contains(p)) {
-        return None;
-    }
     scratch.clear();
     scratch.extend(samples.iter().copied().filter(|x| !x.is_nan()));
-    if scratch.is_empty() {
+    percentiles_in_place(scratch, ps)
+}
+
+/// Several percentiles of `values`, as [`percentile`] computes each, selected
+/// in the slice itself: no copy is made, and the slice is left reordered.
+/// `values` must hold no NaN; since every percentile depends only on the
+/// multiset of values, any order of the same values gives the same bits.
+///
+/// Returns `None` when `values` is empty or any `p` is outside `[0, 100]`.
+///
+/// ```
+/// use sim_stats::percentile::percentiles_in_place;
+/// let mut xs = [4.0, 1.0, 3.0, 2.0];
+/// assert_eq!(percentiles_in_place(&mut xs, [0.0, 50.0, 100.0]), Some([1.0, 2.5, 4.0]));
+/// assert_eq!(percentiles_in_place(&mut [], [50.0]), None);
+/// ```
+pub fn percentiles_in_place<const N: usize>(values: &mut [f64], ps: [f64; N]) -> Option<[f64; N]> {
+    debug_assert!(!values.iter().any(|x| x.is_nan()), "percentiles_in_place over a NaN");
+    if values.is_empty() || !ps.iter().all(|p| (0.0..=100.0).contains(p)) {
         return None;
     }
-    Some(select_percentiles(scratch, ps))
+    Some(select_percentiles(values, ps))
 }
 
 /// The `ps`-th percentiles of a non-empty, NaN-free slice, which they

@@ -146,6 +146,37 @@ fn every_report_field_is_pinned_for_each_balancer_and_shape() {
 }
 
 #[test]
+fn multi_shard_exact_reports_are_pinned_for_each_balancer() {
+    // Two racks with exact tails: every percentile of the report, the
+    // per-interval fleet p99 included, reads sojourns from both shards, so a
+    // merge that loses, repeats or misplaces one shard's sojourns moves a
+    // digest here even when it does so identically at every worker count.
+    const PINNED: [(LoadBalancer, u64); 3] = [
+        (LoadBalancer::RoundRobin, 0x0b11_2f60_a1d5_7571),
+        (LoadBalancer::LeastLoaded, 0xc7d6_aba1_a4cf_87aa),
+        (LoadBalancer::PowerOfTwoChoices, 0x335c_1179_1ddb_6ac4),
+    ];
+    let study = CaseStudy::web_search();
+    let digests: Vec<(LoadBalancer, u64)> = LoadBalancer::ALL
+        .into_iter()
+        .map(|balancer| {
+            let report = study
+                .fleet_with(
+                    balancer,
+                    FleetScale::quick(42),
+                    FleetTopology::racked(2, balancer),
+                    TailAccumulation::Exact,
+                    1,
+                )
+                .run();
+            (balancer, report_digest(&report))
+        })
+        .collect();
+    let shown: Vec<String> = digests.iter().map(|(b, d)| format!("{b:?}: {d:#018x}")).collect();
+    assert_eq!(digests, PINNED, "racked exact report digests drifted: {shown:#?}");
+}
+
+#[test]
 fn per_server_streams_are_independent() {
     // Seed derivation: pairwise distinct, stable, and a function of (fleet
     // seed, server index) only — growing the fleet never re-seeds the
@@ -222,10 +253,16 @@ fn sharded_runs_are_bit_identical_across_worker_counts() {
     // exact-tail merge. Two days, so every shard folds in 192 intervals, and
     // 3 workers, which do not divide the 8 racks, so shards can finish out
     // of index order and wait for the fold.
+    // Each shape's 1-worker report is also pinned by digest, so a merge that
+    // is wrong the same way at every worker count fails too.
     let scale = FleetScale { servers: 64, requests_per_server: 50, seed: 7 };
-    for (balancer, tails) in [
-        (LoadBalancer::PowerOfTwoChoices, TailAccumulation::binned_default()),
-        (LoadBalancer::LeastLoaded, TailAccumulation::Exact),
+    for (balancer, tails, pinned) in [
+        (
+            LoadBalancer::PowerOfTwoChoices,
+            TailAccumulation::binned_default(),
+            0xa79c_0c2a_65b2_cd8a,
+        ),
+        (LoadBalancer::LeastLoaded, TailAccumulation::Exact, 0xf6e1_0624_eab0_6373),
     ] {
         let fleet = CaseStudy::web_search().fleet_with(
             balancer,
@@ -236,6 +273,8 @@ fn sharded_runs_are_bit_identical_across_worker_counts() {
         );
         let one = fleet.run_with_workers(1);
         assert_eq!(one.intervals.len(), 192);
+        let digest = report_digest(&one);
+        assert_eq!(digest, pinned, "{balancer} {tails:?}: digest {digest:#018x} drifted");
         for workers in [2, 3, 8] {
             let other = fleet.run_with_workers(workers);
             assert_eq!(one, other, "1 and {workers} workers must produce the identical report");
@@ -364,13 +403,18 @@ fn starved_server_intervals_are_skipped_not_counted_as_perfect_tails() {
         assert!(i.p99_ms > 0.0, "interval p99 must come from real samples");
     }
     // A server that was starved all day never got an observation, so its
-    // controller can never have acted.
+    // controller can never have acted, and its day tail reads 0.0.
+    let idle = report.servers.iter().filter(|s| s.requests == 0).count();
+    assert!(idle > 0, "some server must be starved all day");
     for s in &report.servers {
         if s.requests == 0 {
             assert_eq!(s.mode_changes, 0, "an unobserved controller must hold its mode");
             assert_eq!(s.engaged_intervals, 0);
+            assert_eq!(s.p99_ms.to_bits(), 0.0f64.to_bits());
         }
     }
+    let digest = report_digest(&report);
+    assert_eq!(digest, 0x75e0_167b_4652_1266, "digest {digest:#018x} drifted");
 }
 
 /// The full acceptance-scale run: a 10 000-server day (19.2M requests),

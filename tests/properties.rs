@@ -8,7 +8,9 @@ use stretch_repro::qos::{
     ArrivalClock, ArrivalDraws, ArrivalGenerator, ArrivalProcess, LatencySummary, ServerQueues,
     ServerSim, ServiceSpec, SimParams,
 };
-use stretch_repro::stats::percentile::{percentile, percentile_of_sorted, percentiles_in};
+use stretch_repro::stats::percentile::{
+    percentile, percentile_of_sorted, percentiles_in, percentiles_in_place,
+};
 use stretch_repro::stats::{DistributionSummary, Histogram, LatencyHistogram, Percentiles};
 use stretch_repro::stretch::{RobSkew, StretchMode};
 use stretch_repro::workloads::WorkloadProfile;
@@ -289,6 +291,49 @@ proptest! {
             let reused = percentiles_in(&mut scratch, xs, ps)
                 .map(|values| values.map(|v| Some(v.to_bits())));
             prop_assert_eq!(reused, multi);
+        }
+    }
+
+    #[test]
+    fn in_place_selection_equals_percentile_on_any_order_and_any_gather(
+        picks in prop::collection::vec(0usize..40, 1..3001),
+        seed in any::<u64>(),
+        random_p in 0.0f64..100.0,
+    ) {
+        // Few distinct values keep duplicates common; signed zeros and
+        // infinities included, NaN excluded (the in-place contract).
+        let special = [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
+        let xs: Vec<f64> = picks
+            .iter()
+            .map(|&i| special.get(i).copied().unwrap_or((i as f64 - 20.0) * 0.25))
+            .collect();
+        let ps = [0.0, 50.0, 95.0, 99.0, 100.0, random_p];
+        let bits = |values: Option<[f64; 6]>| values.map(|v| v.map(f64::to_bits));
+        prop_assert_eq!(percentiles_in_place(&mut [], ps), None);
+        let mut rng = SimRng::new(seed);
+        // The whole multiset, and its first value alone.
+        for xs in [&xs[..], &xs[..1]] {
+            let reference = ps.map(|p| percentile(xs, p).map(f64::to_bits).expect("non-empty"));
+            // A random permutation (Fisher-Yates).
+            let mut shuffled = xs.to_vec();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            prop_assert_eq!(bits(percentiles_in_place(&mut shuffled, ps)), Some(reference));
+            // A random split into runs, empty runs included (a starved
+            // server-interval), gathered back in a random run order.
+            let mut runs = vec![Vec::new()];
+            for &x in xs {
+                while rng.below(8) == 0 {
+                    runs.push(Vec::new());
+                }
+                runs.last_mut().expect("one run at least").push(x);
+            }
+            for i in (1..runs.len()).rev() {
+                runs.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let mut gathered = runs.concat();
+            prop_assert_eq!(bits(percentiles_in_place(&mut gathered, ps)), Some(reference));
         }
     }
 
