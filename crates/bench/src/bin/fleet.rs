@@ -18,11 +18,11 @@
 //!   `web-search`);
 //! * `--servers N` — fleet size (default 10000);
 //! * `--racks N` — rack count; servers must split evenly (default 125).
-//!   `--flat` instead dispatches through one global balancer;
+//!   `--racks 1` is a flat fleet: one global balancer over every server;
 //! * `--requests N` — measured requests per server-interval (default 20);
 //! * `--days N` — simulated days (default 1);
 //! * `--balancer NAME` — `least-loaded`, `p2c` or `round-robin` (default
-//!   `p2c`); racked fleets dispatch through it inside each rack;
+//!   `p2c`); it dispatches inside each rack;
 //! * `--exact-tails` — retain raw sojourns instead of the default 2 ms
 //!   fixed-bin histograms: exact percentiles for 8 bytes per measured
 //!   request, each held once (the default day's 19.2M requests peak at
@@ -48,7 +48,7 @@ struct Options {
     study: CaseStudy,
     study_name: String,
     servers: usize,
-    racks: Option<usize>,
+    racks: usize,
     requests: usize,
     days: usize,
     balancer: LoadBalancer,
@@ -62,7 +62,7 @@ struct Options {
 }
 
 fn usage() -> String {
-    "usage: fleet [--study web-search|youtube] [--servers N] [--racks N | --flat] \
+    "usage: fleet [--study web-search|youtube] [--servers N] [--racks N] \
      [--requests N] [--days N] [--balancer NAME] [--exact-tails] [--workers N] [--seed N] \
      [--cache-dir PATH] [--wipe-cache] [--assert-warm] [--out PATH]\n"
         .to_string()
@@ -73,7 +73,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         study: CaseStudy::web_search(),
         study_name: "web-search".to_string(),
         servers: 10_000,
-        racks: Some(125),
+        racks: 125,
         requests: 20,
         days: 1,
         balancer: LoadBalancer::PowerOfTwoChoices,
@@ -106,8 +106,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 };
             }
             "--servers" => opts.servers = count_of("--servers", &mut i)?,
-            "--racks" => opts.racks = Some(count_of("--racks", &mut i)?),
-            "--flat" => opts.racks = None,
+            "--racks" => opts.racks = count_of("--racks", &mut i)?,
             "--requests" => opts.requests = count_of("--requests", &mut i)?,
             "--days" => opts.days = count_of("--days", &mut i)?,
             "--balancer" => {
@@ -158,16 +157,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let topology = match opts.racks {
-        Some(racks) => FleetTopology::racked(racks, opts.balancer),
-        None => FleetTopology::Flat,
-    };
+    let topology = FleetTopology::racked(opts.racks, opts.balancer);
     let tails =
         if opts.exact_tails { TailAccumulation::Exact } else { TailAccumulation::binned_default() };
     let scale =
         FleetScale { servers: opts.servers, requests_per_server: opts.requests, seed: opts.seed };
-    // Calibration (peak bisection + threshold fit on the topology's dispatch
-    // unit) runs outside the cached cell and on every invocation; it is
+    // Calibration (peak bisection + threshold fit on one rack) runs outside
+    // the cached cell and on every invocation; it is
     // deterministic and cheap next to the day itself.
     let fleet = match opts.study.try_fleet_with(opts.balancer, scale, topology, tails, opts.days) {
         Ok(fleet) => fleet,
@@ -201,12 +197,12 @@ fn main() -> ExitCode {
     let report = engine.fleet(&fleet);
     let stats = engine.stats();
     println!(
-        "fleet {} x{} {} ({}), {} day(s), {} worker(s): gain {:+.4}%, p99 {:.2} ms, \
+        "fleet {} x{} {} ({} rack(s)), {} day(s), {} worker(s): gain {:+.4}%, p99 {:.2} ms, \
          {:.2} h engaged, {} requests, violation fraction {:.2e}",
         opts.study_name,
         opts.servers,
         opts.balancer,
-        fleet.cfg().topology,
+        fleet.cfg().racks,
         opts.days,
         opts.workers,
         report.gain() * 100.0,

@@ -114,7 +114,7 @@ impl Default for ExperimentConfig {
 }
 
 /// Outcome of one latency-sensitive × batch colocation run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairOutcome {
     /// Latency-sensitive workload name (thread 0).
     pub ls: String,
@@ -129,7 +129,7 @@ pub struct PairOutcome {
 /// Outcome of one latency-sensitive × N-batch SMT colocation run: per-slot
 /// workload names and UIPCs, with the latency-sensitive service in slot 0
 /// and the batch co-runners following in offer order.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmtOutcome {
     /// Workload names in hardware-thread slot order (LS service first).
     pub names: Vec<String>,
@@ -153,7 +153,7 @@ impl SmtOutcome {
 /// chose plus every offered thread's UIPC. Thread 0 is the latency-sensitive
 /// service, the batch jobs follow in offer order (the [`Engine::server`]
 /// cell convention).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerOutcome {
     /// Offered workload names (index = thread index, LS service first).
     pub names: Vec<String>,
@@ -679,8 +679,8 @@ impl Engine {
     /// A multi-day run of an already-calibrated [`Fleet`] (the measured
     /// §VI-D datacenter run). The cell's digest is the complete canonical
     /// config identity plus the bits of the fleet's measured per-server
-    /// peak, so any knob change — balancer, scale, topology, tail
-    /// retention, day count, thresholds, table, seed — recomputes, and two
+    /// peak, so any knob change — balancer, scale, racks, tail retention,
+    /// day count, thresholds, table, seed — recomputes, and two
     /// fleets calibrated to different peaks never share a cell. The run
     /// shards over the configuration's worker count; the worker count is
     /// deliberately *not* part of the digest because the sharded merge is
@@ -688,12 +688,12 @@ impl Engine {
     pub fn fleet(&self, fleet: &Fleet) -> FleetReport {
         let cfg = fleet.cfg();
         let mut key = KeyEncoder::new();
-        key.str("fleet/v3").field(cfg).f64(fleet.peak_rps());
+        key.str("fleet/v4").field(cfg).f64(fleet.peak_rps());
         self.run_cached(
             &key,
             &format!(
-                "fleet {} x{} {} ({})",
-                cfg.service.name, cfg.servers, cfg.balancer, cfg.topology
+                "fleet {} x{} {} ({} rack(s))",
+                cfg.service.name, cfg.servers, cfg.balancer, cfg.racks
             ),
             || fleet.run_with_workers(self.cfg.workers()),
         )
@@ -711,7 +711,7 @@ impl Engine {
         scale: FleetScale,
     ) -> FleetReport {
         let mut key = KeyEncoder::new();
-        key.str("fleet-study/v2").field(study).field(&balancer).field(&scale);
+        key.str("fleet-study/v3").field(study).field(&balancer).field(&scale);
         self.run_cached(&key, &format!("fleet study {} {}", study.service().name, balancer), || {
             study.run_fleet_with_workers(balancer, scale, self.cfg.workers())
         })

@@ -15,9 +15,9 @@
 //! and recomputed. Wipe the cache by deleting the directory (or via
 //! [`ResultStore::wipe`]).
 //!
-//! The vendored `serde` derives are markers only (see `vendor/README.md`),
-//! so persistence goes through the explicit [`JsonCodec`] conversion trait
-//! rather than `Serialize`. Round-trips are bit-exact for `f64` because the
+//! Persistence goes through the explicit [`JsonCodec`] conversion trait,
+//! one `to_json`/`from_json` pair per stored type, on the vendored
+//! `serde_json` value tree. Round-trips are bit-exact for `f64` because the
 //! serialiser prints shortest-representation floats and the parser restores
 //! the identical bits — a warm-cache figure run renders byte-identical
 //! tables. That includes `-0.0`, `±∞` and NaN, which the shim writes as
@@ -35,8 +35,8 @@ use std::path::{Path, PathBuf};
 
 use crate::engine::{ServerOutcome, SmtOutcome};
 
-/// Explicit JSON conversion for store payloads (the vendored serde derives
-/// are no-op markers, so each payload type spells out its encoding).
+/// Explicit JSON conversion for store payloads: each payload type spells
+/// out its encoding.
 pub trait JsonCodec: Sized {
     /// Encodes `self` as a JSON value.
     fn to_json(&self) -> Value;

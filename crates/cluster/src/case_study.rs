@@ -6,18 +6,16 @@
 //! 24-hour period — the "+5% for a Web Search cluster, +11% for a YouTube
 //! cluster" numbers.
 
-use crate::diurnal::DiurnalPattern;
+use crate::diurnal::{DiurnalPattern, INTERVAL_HOURS};
 use crate::fleet::{self, Fleet, FleetConfig, FleetReport, FleetScale, LoadBalancer};
 use crate::topology::{FleetTopology, TailAccumulation};
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
-use sim_qos::{ArrivalProcess, ServiceSpec};
-use stretch::{
-    ModePerformance, MonitorConfig, PerformanceTable, RobSkew, StretchConfig, StretchMode,
-};
+use sim_qos::ServiceSpec;
+use stretch::{ModePerformance, MonitorConfig, PerformanceTable, RobSkew, StretchMode};
 
-/// One cluster case study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// One cluster case study. Its control interval is
+/// [`INTERVAL_HOURS`], like every fleet's.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaseStudy {
     /// The diurnal load pattern of the latency-sensitive service.
     pub pattern: DiurnalPattern,
@@ -25,8 +23,6 @@ pub struct CaseStudy {
     pub engage_below: f64,
     /// Batch speedup delivered while B-mode is engaged (e.g. 1.11 for +11%).
     pub b_mode_batch_speedup: f64,
-    /// Control interval in hours (how often the monitor reconsiders).
-    pub interval_hours: f64,
 }
 
 impl CaseStudy {
@@ -38,7 +34,6 @@ impl CaseStudy {
             pattern: DiurnalPattern::WebSearch,
             engage_below: 0.85,
             b_mode_batch_speedup: 1.11,
-            interval_hours: 0.25,
         }
     }
 
@@ -48,17 +43,41 @@ impl CaseStudy {
             pattern: DiurnalPattern::YouTube,
             engage_below: 0.85,
             b_mode_batch_speedup: 1.155,
-            interval_hours: 0.25,
         }
     }
 
     /// A case study over a *measured* B-mode batch speedup instead of the
     /// paper's headline number — the bridge from cycle-level policy
     /// measurements (a `Scenario` run of Stretch's B-mode vs the baseline)
-    /// to cluster-level accounting. The engagement threshold and control
-    /// interval keep the paper's values.
+    /// to cluster-level accounting. The engagement threshold keeps the
+    /// paper's value.
     pub fn with_measured_speedup(pattern: DiurnalPattern, b_mode_batch_speedup: f64) -> CaseStudy {
-        CaseStudy { pattern, engage_below: 0.85, b_mode_batch_speedup, interval_hours: 0.25 }
+        CaseStudy { pattern, engage_below: 0.85, b_mode_batch_speedup }
+    }
+
+    /// Checks the study's parameters: an engagement threshold in (0, 1], a
+    /// positive, finite B-mode batch speedup and a pattern that passes
+    /// [`DiurnalPattern::validate`]. Both routes check this first:
+    /// [`CaseStudy::run`] panics with the message, and
+    /// [`CaseStudy::try_fleet_with`] returns it before any calibration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first rule the study breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        let CaseStudy { pattern, engage_below, b_mode_batch_speedup } = *self;
+        if !(engage_below > 0.0 && engage_below <= 1.0) {
+            return Err(format!(
+                "engagement threshold out of range: {engage_below} must be a fraction of peak \
+                 load in (0, 1]"
+            ));
+        }
+        if !(b_mode_batch_speedup > 0.0 && b_mode_batch_speedup.is_finite()) {
+            return Err(format!(
+                "B-mode batch speedup must be positive and finite, not {b_mode_batch_speedup}"
+            ));
+        }
+        pattern.validate()
     }
 
     /// Runs the 24-hour accounting — the *analytical* route: count sampled
@@ -68,19 +87,11 @@ impl CaseStudy {
     ///
     /// # Panics
     ///
-    /// Panics if the parameters are out of range: threshold or speedup not
-    /// positive, an interval that fails
-    /// [`validate_interval`](crate::diurnal::validate_interval) (outside
-    /// (0, 24] or not dividing the day), which would credit other than 24
-    /// hours to the day, or a pattern that fails
-    /// [`DiurnalPattern::validate`].
+    /// Panics with the [`CaseStudy::validate`] message if the parameters
+    /// are out of range.
     pub fn run(&self) -> CaseStudyReport {
-        assert!(self.engage_below > 0.0 && self.engage_below <= 1.0, "threshold out of range");
-        assert!(self.b_mode_batch_speedup > 0.0, "speedup must be positive");
-        crate::diurnal::validate_interval(self.interval_hours).unwrap_or_else(|e| panic!("{e}"));
-        self.pattern.validate().unwrap_or_else(|e| panic!("{e}"));
-        // `sample` guarantees at least one point, so the division is safe.
-        let samples = self.pattern.sample(self.interval_hours);
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
+        let samples = self.pattern.sample();
         let mut engaged = 0usize;
         let mut throughput_sum = 0.0;
         for s in &samples {
@@ -93,7 +104,7 @@ impl CaseStudy {
         }
         let total = samples.len();
         CaseStudyReport {
-            hours_engaged: engaged as f64 * self.interval_hours,
+            hours_engaged: engaged as f64 * INTERVAL_HOURS,
             fraction_engaged: engaged as f64 / total as f64,
             average_batch_throughput: throughput_sum / total as f64,
         }
@@ -164,18 +175,18 @@ impl CaseStudy {
 
     /// [`CaseStudy::fleet`] generalised to a datacenter shape: cluster →
     /// rack → server `topology`, a tail-retention policy and a run length
-    /// in days. Peak measurement and threshold calibration run on the
-    /// topology's dispatch unit (one rack when racked), so building a
-    /// 10k-server fleet stays cheap: one peak bisection, one threshold
-    /// calibration. The global `balancer` only matters for a `Flat`
-    /// topology; racked fleets dispatch through the topology's rack
-    /// balancer.
+    /// in days. `FleetTopology::Flat` lowers to one rack under `balancer`,
+    /// and `FleetTopology::racked(r, b)` to `r` racks under `b` (`balancer`
+    /// is then unused), so `Flat` and `racked(1, balancer)` build the same
+    /// fleet. Peak measurement and threshold calibration run on one rack,
+    /// so building a 10k-server fleet stays cheap: one peak bisection, one
+    /// threshold calibration.
     ///
     /// # Errors
     ///
-    /// Returns the [`FleetConfig::validate`] message when the shape is
-    /// invalid (say, servers that do not split evenly over the racks),
-    /// before any calibration runs.
+    /// Returns the [`CaseStudy::validate`] or [`FleetConfig::validate`]
+    /// message when the study or the shape is invalid (say, servers that do
+    /// not split evenly over the racks), before any calibration runs.
     pub fn try_fleet_with(
         &self,
         balancer: LoadBalancer,
@@ -184,6 +195,11 @@ impl CaseStudy {
         tails: TailAccumulation,
         days: usize,
     ) -> Result<Fleet, String> {
+        self.validate()?;
+        let (racks, balancer) = match topology {
+            FleetTopology::Flat => (1, balancer),
+            FleetTopology::Racked { racks, balancer } => (racks, balancer),
+        };
         let table = PerformanceTable {
             baseline: ModePerformance::paper_defaults(StretchMode::Baseline),
             b_mode: ModePerformance {
@@ -200,15 +216,12 @@ impl CaseStudy {
         let mut cfg = FleetConfig {
             servers: scale.servers,
             service: self.service(),
-            arrivals: ArrivalProcess::bursty(100.0),
             pattern: self.pattern,
+            racks,
             balancer,
-            topology,
             tails,
             days,
-            interval_hours: self.interval_hours,
             requests_per_server: scale.requests_per_server,
-            stretch: StretchConfig::b_mode_only(RobSkew::recommended_b_mode()),
             // A placeholder: the thresholds are calibrated below.
             monitor: MonitorConfig::default(),
             table,
@@ -223,15 +236,12 @@ impl CaseStudy {
 
 impl CanonicalKey for CaseStudy {
     fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.field(&self.pattern)
-            .f64(self.engage_below)
-            .f64(self.b_mode_batch_speedup)
-            .f64(self.interval_hours);
+        enc.field(&self.pattern).f64(self.engage_below).f64(self.b_mode_batch_speedup);
     }
 }
 
 /// Result of a case study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaseStudyReport {
     /// Hours per day during which B-mode was engaged.
     pub hours_engaged: f64,
@@ -293,7 +303,6 @@ mod tests {
             },
             engage_below: 0.85,
             b_mode_batch_speedup: 1.13,
-            interval_hours: 1.0,
         };
         let report = study.run();
         assert!((report.fraction_engaged - 1.0).abs() < 1e-9);
@@ -311,7 +320,6 @@ mod tests {
             },
             engage_below: 0.85,
             b_mode_batch_speedup: 1.13,
-            interval_hours: 1.0,
         };
         let report = study.run();
         assert_eq!(report.gain(), 0.0);
@@ -320,7 +328,7 @@ mod tests {
 
     #[test]
     fn an_always_engaged_day_credits_exactly_24_hours() {
-        let flat = |interval_hours| CaseStudy {
+        let flat = CaseStudy {
             pattern: DiurnalPattern::Custom {
                 base: 0.2,
                 amplitude: 0.0,
@@ -329,17 +337,8 @@ mod tests {
             },
             engage_below: 0.85,
             b_mode_batch_speedup: 1.13,
-            interval_hours,
         };
-        assert_eq!(flat(8.0).run().hours_engaged, 24.0);
-        // Crediting each of round(24 / h) samples with h hours would report
-        // 25, 21 and 48 engaged hours for these intervals.
-        for interval_hours in [5.0, 7.0, 48.0] {
-            let study = flat(interval_hours);
-            let panic = std::panic::catch_unwind(|| study.run()).expect_err("interval accepted");
-            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
-            assert!(message.starts_with("control interval"), "{message}");
-        }
+        assert_eq!(flat.run().hours_engaged, 24.0);
     }
 
     #[test]
@@ -358,8 +357,6 @@ mod tests {
         // the shape was checked first.
         let racked = |racks| FleetTopology::racked(racks, LoadBalancer::RoundRobin);
         let binned = TailAccumulation::binned_default();
-        // 10^18 bins once aborted the process inside the peak bisection.
-        let unallocatable = TailAccumulation::Binned { resolution_ms: 1e-9, max_ms: 1e9 };
         for (servers, requests_per_server, topology, tails, message) in [
             (100, 20, racked(7), binned, "100 servers do not split evenly over 7 racks"),
             (
@@ -370,14 +367,6 @@ mod tests {
                 "5 requests per server-interval cannot resolve a tail percentile (need >= 20)",
             ),
             (0, 20, FleetTopology::Flat, binned, "a fleet needs at least one server"),
-            (
-                16,
-                20,
-                racked(2),
-                unallocatable,
-                "1000000000000000000 tail bins of 0.000000001 ms up to 1000000000 ms exceed the \
-                 1048576-bin limit",
-            ),
         ] {
             let scale = FleetScale { servers, requests_per_server, seed: 1 };
             let result = CaseStudy::web_search().try_fleet_with(
@@ -426,6 +415,45 @@ mod tests {
             );
             assert_eq!(fleet.map(|fleet| fleet.peak_rps()), Err(message.to_string()));
         }
+    }
+
+    #[test]
+    fn an_out_of_range_study_is_rejected_by_both_routes() {
+        // Both routes refuse each study with one message before any work.
+        // The fleet route's calibration panics on an out-of-range
+        // threshold, so an `Err` proves the check ran first; the analytical
+        // route would credit an infinite speedup as an infinite gain.
+        let threshold = |engage_below| CaseStudy { engage_below, ..CaseStudy::web_search() };
+        let speedup =
+            |b_mode_batch_speedup| CaseStudy { b_mode_batch_speedup, ..CaseStudy::web_search() };
+        let out_of_range = |t: &str| {
+            format!(
+                "engagement threshold out of range: {t} must be a fraction of peak load in (0, 1]"
+            )
+        };
+        let not_positive =
+            |s: &str| format!("B-mode batch speedup must be positive and finite, not {s}");
+        for (study, message) in [
+            (threshold(0.0), out_of_range("0")),
+            (threshold(f64::NAN), out_of_range("NaN")),
+            (threshold(1.5), out_of_range("1.5")),
+            (speedup(f64::INFINITY), not_positive("inf")),
+            (speedup(f64::NAN), not_positive("NaN")),
+            (speedup(-1.0), not_positive("-1")),
+        ] {
+            assert_eq!(study.validate(), Err(message.clone()));
+            let panic = std::panic::catch_unwind(|| study.run()).expect_err("study accepted");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&message));
+            let fleet = study.try_fleet_with(
+                LoadBalancer::RoundRobin,
+                FleetScale::quick(1),
+                FleetTopology::Flat,
+                TailAccumulation::Exact,
+                1,
+            );
+            assert_eq!(fleet.map(|fleet| fleet.peak_rps()), Err(message));
+        }
+        assert_eq!(threshold(1.0).validate(), Ok(()));
     }
 
     #[test]

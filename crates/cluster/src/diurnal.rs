@@ -6,12 +6,11 @@
 //! their peak, with the Web Search cluster spending ≈11 hours and the video
 //! cluster ≈17 hours of the day below 85% of peak load.
 
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
 use std::f64::consts::PI;
 
 /// One sampled point of a diurnal curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadSample {
     /// Hour of day, `0.0 ..= 24.0`.
     pub hour: f64,
@@ -20,7 +19,7 @@ pub struct LoadSample {
 }
 
 /// A parametric diurnal load pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DiurnalPattern {
     /// Web Search query rate: a broad daytime plateau peaking in the early
     /// afternoon, with a deep overnight trough (Figure 14a).
@@ -42,34 +41,17 @@ pub enum DiurnalPattern {
     },
 }
 
-/// Number of `interval_hours`-sized control intervals in a 24-hour day, as
-/// used by both the analytical sampling ([`DiurnalPattern::sample`]) and the
-/// fleet simulation — one shared formula, so the two routes always count
-/// the same number of intervals. Never returns zero.
-pub fn day_steps(interval_hours: f64) -> usize {
-    assert!(interval_hours > 0.0, "interval must be positive");
-    (24.0 / interval_hours).round().max(1.0) as usize
-}
+/// The control interval, in hours: how often every fleet server's monitor
+/// acts, and the step at which the analytical case study samples its curve.
+/// It tiles the 24-hour day exactly ([`day_steps`] intervals).
+pub const INTERVAL_HOURS: f64 = 0.25;
 
-/// Checks that `interval_hours` can be the control interval of a simulated
-/// day: it lies in (0, 24] and divides the day evenly, so the
-/// [`day_steps`] intervals of a day add up to exactly 24 hours. The fleet
-/// and the analytical case study both account a day this way.
-///
-/// # Errors
-///
-/// Returns a description of the first rule the interval breaks.
-pub fn validate_interval(interval_hours: f64) -> Result<(), String> {
-    if !(interval_hours > 0.0 && interval_hours <= 24.0) {
-        return Err(format!("control interval {interval_hours} h must be in (0, 24]"));
-    }
-    let day_fraction = 24.0 / interval_hours;
-    if (day_fraction - day_fraction.round()).abs() > 1e-9 {
-        return Err(format!(
-            "control interval {interval_hours} h must divide the 24-hour day evenly"
-        ));
-    }
-    Ok(())
+/// Number of [`INTERVAL_HOURS`] control intervals in a 24-hour day (96), as
+/// used by both the analytical sampling ([`DiurnalPattern::sample`]) and the
+/// fleet simulation — one shared count, so the two routes always account
+/// the same intervals.
+pub const fn day_steps() -> usize {
+    (24.0 / INTERVAL_HOURS) as usize
 }
 
 impl DiurnalPattern {
@@ -148,18 +130,12 @@ impl DiurnalPattern {
         }
     }
 
-    /// Samples the curve once per `interval_hours` over 24 hours. Always
-    /// returns at least one sample (the midnight point), even when the
-    /// interval exceeds the day — so callers never divide by zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_hours` is not positive.
-    pub fn sample(&self, interval_hours: f64) -> Vec<LoadSample> {
-        let steps = day_steps(interval_hours);
-        (0..steps)
+    /// Samples the curve once per [`INTERVAL_HOURS`] over 24 hours:
+    /// [`day_steps`] points, starting at midnight.
+    pub fn sample(&self) -> Vec<LoadSample> {
+        (0..day_steps())
             .map(|i| {
-                let hour = i as f64 * interval_hours;
+                let hour = i as f64 * INTERVAL_HOURS;
                 LoadSample { hour, load: self.load_at(hour) }
             })
             .collect()
@@ -189,7 +165,7 @@ mod tests {
     #[test]
     fn loads_are_normalised_fractions() {
         for pattern in [DiurnalPattern::WebSearch, DiurnalPattern::YouTube] {
-            for s in pattern.sample(0.5) {
+            for s in pattern.sample() {
                 assert!((0.0..=1.0).contains(&s.load), "{pattern:?} at {} -> {}", s.hour, s.load);
             }
         }
@@ -199,22 +175,6 @@ mod tests {
     fn peaks_reach_full_load() {
         assert!(DiurnalPattern::WebSearch.load_at(14.0) > 0.98);
         assert!(DiurnalPattern::YouTube.load_at(15.0) > 0.98);
-    }
-
-    #[test]
-    fn sampling_interval_controls_resolution() {
-        assert_eq!(DiurnalPattern::WebSearch.sample(1.0).len(), 24);
-        assert_eq!(DiurnalPattern::WebSearch.sample(0.5).len(), 48);
-    }
-
-    #[test]
-    fn an_interval_must_tile_the_day() {
-        for ok in [0.25, 1.0, 8.0, 24.0] {
-            assert!(validate_interval(ok).is_ok(), "{ok} h");
-        }
-        for bad in [0.0, -1.0, 0.9, 5.0, 7.0, 48.0, f64::NAN] {
-            assert!(validate_interval(bad).is_err(), "{bad} h");
-        }
     }
 
     #[test]

@@ -45,32 +45,34 @@
 //! generic over where its requests come from, so no request pays a dynamic
 //! call.
 //!
+//! A [`FleetConfig`] holds what a run varies: size, service, diurnal
+//! pattern, racks and balancer, tail retention, days, measurement budget,
+//! monitor thresholds, performance table and seed. Everything else is one
+//! value for every fleet: the [`INTERVAL_HOURS`] control interval, bursty
+//! arrivals, B-mode-only 56-136 provisioning and 2 ms tail bins up to 2 s.
+//!
 //! # Fleet at scale: sharding, racks, skip-ahead
 //!
-//! Under a [`FleetTopology::Racked`] topology the fleet is a cluster of
-//! racks: the cluster tier splits the offered load evenly across racks (by
-//! server count) and the configured rack balancer dispatches *within* each
-//! rack, so racks never exchange queue state. Each rack is then one shard
-//! of [`Fleet::run_with_workers`]: shards simulate concurrently on a
-//! [`sim_model::parallel_fold`] pool, each from its own
+//! A fleet is a cluster of `racks` racks: the cluster tier splits the
+//! offered load evenly across racks (by server count) and the balancer
+//! dispatches *within* each rack, so racks never exchange queue state. Each
+//! rack is then one shard of [`Fleet::run_with_workers`]: shards simulate
+//! concurrently on a [`sim_model::parallel_fold`] pool, each from its own
 //! [`rack_seed`]-derived RNG streams, and each finished shard folds into the
 //! running report in shard-index order, through the canonical reducers
 //! ([`sim_stats::det_merge`]) and bit-exact integer histogram merges — so
-//! the report is bit-identical for every worker count, including 1. A
-//! `Flat` fleet is exactly the historical
-//! single-shard run (shard 0 reuses the fleet seed unchanged), and a
-//! 1-rack `Racked` fleet is bit-identical to `Flat` under the same
-//! balancer. Peak measurement and threshold calibration run on a single
-//! rack (the fleet's dispatch unit) rather than the whole cluster, which
-//! keeps 10k-server construction cheap and is identical to the historical
-//! behaviour for flat fleets.
+//! the report is bit-identical for every worker count, including 1. A flat
+//! fleet is one rack: exactly the historical single-shard run (shard 0
+//! reuses the fleet seed unchanged). Peak measurement and threshold
+//! calibration run on a single rack (the fleet's dispatch unit) rather than
+//! the whole cluster, which keeps 10k-server construction cheap.
 //!
 //! [`TailAccumulation::Binned`] keeps day- and fleet-level tails in
 //! fixed-resolution [`sim_stats::LatencyHistogram`] bins instead of
 //! raw-sample vectors, so memory does not grow with the request count, and
 //! fleet memory is what a run records, not bin range × shards × intervals.
 //! A histogram stores counts only over the bins it has recorded (a
-//! web-search tail touches about 25 of the default 1,001). A shard reduces
+//! web-search tail touches about 25 of the 1,001). A shard reduces
 //! each server's day tail to its [`ServerSummary`] before it returns, and
 //! the running report absorbs the shard and drops it, so at most the
 //! shards in flight (about one per worker) hold per-interval tails. The
@@ -83,8 +85,8 @@
 //! interval, with each server-interval's run marked by where it ends. A
 //! server's day p99 gathers its runs into one reused scratch buffer before
 //! anything reorders the log. The merge appends each shard's log to one log
-//! reserved up front for the run and drops the shard's (a flat fleet's lone
-//! log moves in whole). An interval's fleet p99 selects in place on its
+//! reserved up front for the run and drops the shard's (a one-rack fleet's
+//! lone log moves in whole). An interval's fleet p99 selects in place on its
 //! slice of the log, or, when several racks hold it, on a gather of their
 //! slices; the day's p50/p95/p99 select in place over the whole log. The
 //! default `fleet` day with exact tails (19.2M sojourns, 8 bytes each)
@@ -105,9 +107,8 @@
 //! and every exact tail goes through the linear-time selection of
 //! [`sim_stats::percentile`](mod@sim_stats::percentile).
 
-use crate::diurnal::DiurnalPattern;
-use crate::topology::{FleetTopology, TailAccumulation};
-use serde::{Deserialize, Serialize};
+use crate::diurnal::{day_steps, DiurnalPattern, INTERVAL_HOURS};
+use crate::topology::TailAccumulation;
 use sim_model::{parallel_fold, CanonicalKey, KeyEncoder, SimRng};
 use sim_qos::{
     bisect_peak_rps, ArrivalClock, ArrivalDraw, ArrivalDraws, ArrivalGenerator, ArrivalProcess,
@@ -116,10 +117,10 @@ use sim_qos::{
 use sim_stats::percentile::percentiles_in_place;
 use sim_stats::{det_merge, det_sum, percentile, LatencyHistogram};
 use std::ops::Range;
-use stretch::{MonitorConfig, PerformanceTable, SoftwareMonitor, StretchConfig};
+use stretch::{MonitorConfig, PerformanceTable, RobSkew, SoftwareMonitor, StretchConfig};
 
 /// How the fleet's front end spreads arriving requests over the servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadBalancer {
     /// Cycle through the servers in order, ignoring their state.
     RoundRobin,
@@ -169,7 +170,7 @@ impl CanonicalKey for LoadBalancer {
 /// requests per server per control interval (the measurement budget — the
 /// simulated slice of each interval, exactly as [`sim_qos::SimParams::quick`] is a
 /// slice of a single-server run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetScale {
     /// Number of servers in the fleet.
     pub servers: usize,
@@ -191,9 +192,8 @@ impl FleetScale {
     }
 
     /// Datacenter scale: 10 000 servers, 20 requests per server-interval.
-    /// Meant to be paired with a [`FleetTopology::Racked`] topology (so the
-    /// run shards) and [`TailAccumulation::Binned`] (so memory stays
-    /// bounded).
+    /// Meant to be paired with many racks (so the run shards) and
+    /// [`TailAccumulation::Binned`] (so memory stays bounded).
     pub fn datacenter(seed: u64) -> FleetScale {
         FleetScale { servers: 10_000, requests_per_server: 20, seed }
     }
@@ -205,35 +205,33 @@ impl CanonicalKey for FleetScale {
     }
 }
 
-/// Full configuration of a fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Full configuration of a fleet run: what a run varies. The rest is fixed
+/// for every fleet: each server's monitor acts once per
+/// [`INTERVAL_HOURS`] control interval, arrivals come in
+/// [`ArrivalProcess::bursty`] bursts at the rate the diurnal pattern sets
+/// for the interval, every core provisions B-mode 56-136 and no Q-mode
+/// ([`StretchConfig::b_mode_only`]), and binned tails use 2 ms bins up to
+/// 2 s.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Number of servers.
     pub servers: usize,
     /// The latency-sensitive service every server runs.
     pub service: ServiceSpec,
-    /// Shape of the open-loop arrival stream; its rate is overridden each
-    /// interval by the diurnal pattern.
-    pub arrivals: ArrivalProcess,
     /// Diurnal load pattern modulating the fleet-wide arrival rate.
     pub pattern: DiurnalPattern,
-    /// Dispatcher spreading requests over the servers (the *global*
-    /// balancer; ignored inside racks under a racked topology, where the
-    /// rack balancer dispatches instead).
+    /// Number of racks; must divide `servers` evenly. The cluster tier
+    /// splits the offered load evenly across the racks, and each rack is
+    /// one shard of [`Fleet::run_with_workers`]. A flat fleet is one rack.
+    pub racks: usize,
+    /// Dispatcher spreading each rack's requests over its servers.
     pub balancer: LoadBalancer,
-    /// Cluster → rack → server organisation; also the sharding unit for
-    /// [`Fleet::run_with_workers`].
-    pub topology: FleetTopology,
     /// How day- and fleet-level sojourn tails are retained.
     pub tails: TailAccumulation,
     /// Number of simulated days (each day replays the diurnal pattern).
     pub days: usize,
-    /// Control interval in hours (how often each server's monitor acts).
-    pub interval_hours: f64,
     /// Measured requests per server per interval.
     pub requests_per_server: usize,
-    /// Provisioned Stretch configurations on every core.
-    pub stretch: StretchConfig,
     /// Per-server software-monitor tuning.
     pub monitor: MonitorConfig,
     /// Per-mode delivered performance and batch speedup.
@@ -252,17 +250,26 @@ impl FleetConfig {
         if self.servers == 0 {
             return Err("a fleet needs at least one server".into());
         }
-        self.topology.validate(self.servers)?;
-        self.tails.validate()?;
+        if self.racks == 0 {
+            return Err("a racked topology needs at least one rack".into());
+        }
+        if self.racks > self.servers {
+            return Err(format!(
+                "{} racks cannot be populated from {} servers",
+                self.racks, self.servers
+            ));
+        }
+        if !self.servers.is_multiple_of(self.racks) {
+            return Err(format!(
+                "{} servers do not split evenly over {} racks",
+                self.servers, self.racks
+            ));
+        }
         if self.days == 0 {
             return Err("a fleet run covers at least one day".into());
         }
         self.service.validate()?;
-        self.arrivals.validate()?;
         self.monitor.validate()?;
-        // The day accounting (hours_engaged, hour-of-day wrap) assumes the
-        // control interval tiles the 24-hour day exactly.
-        crate::diurnal::validate_interval(self.interval_hours)?;
         self.pattern.validate()?;
         if self.requests_per_server < 20 {
             return Err(format!(
@@ -291,14 +298,10 @@ impl FleetConfig {
         Ok(())
     }
 
-    /// Number of control intervals per 24-hour day.
-    pub fn intervals(&self) -> usize {
-        crate::diurnal::day_steps(self.interval_hours)
-    }
-
-    /// Number of control intervals over the whole run (`days` × per-day).
+    /// Number of control intervals over the whole run: `days` ×
+    /// [`day_steps`].
     pub fn total_intervals(&self) -> usize {
-        self.days * self.intervals()
+        self.days * day_steps()
     }
 }
 
@@ -306,15 +309,12 @@ impl CanonicalKey for FleetConfig {
     fn encode_key(&self, enc: &mut KeyEncoder) {
         enc.usize(self.servers)
             .field(&self.service)
-            .field(&self.arrivals)
             .field(&self.pattern)
+            .usize(self.racks)
             .field(&self.balancer)
-            .field(&self.topology)
             .field(&self.tails)
             .usize(self.days)
-            .f64(self.interval_hours)
             .usize(self.requests_per_server)
-            .field(&self.stretch)
             .field(&self.monitor)
             .field(&self.table)
             .u64(self.seed);
@@ -333,10 +333,9 @@ pub fn server_seed(fleet_seed: u64, server: usize) -> u64 {
 
 /// The seed of one rack's (= one shard's) private RNG root — arrival
 /// stream, balancer draws and the [`server_seed`] roots of its servers all
-/// derive from it. Rack 0 reuses the fleet seed *unchanged*: a flat fleet
-/// is a single rack, so this choice makes `Flat` and a 1-rack `Racked`
-/// topology bit-identical to the historical single-shard run. Further
-/// racks fork from a dedicated tagged root, so their streams are
+/// derive from it. Rack 0 reuses the fleet seed *unchanged*, so a one-rack
+/// (flat) fleet is bit-identical to the historical single-shard run.
+/// Further racks fork from a dedicated tagged root, so their streams are
 /// independent of rack 0's and of each other.
 pub fn rack_seed(fleet_seed: u64, rack: usize) -> u64 {
     if rack == 0 {
@@ -381,12 +380,11 @@ pub fn rack_seed(fleet_seed: u64, rack: usize) -> u64 {
 /// sit well above `servers ×` the single-server peak), and the capacity is
 /// that of the colocated baseline mode, not of a dedicated core.
 ///
-/// Under a [`FleetTopology::Racked`] topology the measurement runs on *one
-/// rack* (the fleet's actual dispatch unit — the cluster tier only ever
-/// offers a rack its even share of the load), which keeps 10k-server
-/// construction cheap; for a flat fleet it is the whole fleet, exactly as
-/// before. Server-intervals that measured zero requests are skipped — a
-/// starved server has no tail, not a perfect 0 ms one. When even 5% of a
+/// The measurement runs on *one rack* (the fleet's actual dispatch unit —
+/// the cluster tier only ever offers a rack its even share of the load),
+/// which keeps 10k-server construction cheap; for a one-rack fleet it is
+/// the whole fleet. Server-intervals that measured zero requests are
+/// skipped — a starved server has no tail, not a perfect 0 ms one. When even 5% of a
 /// server's capacity misses the target, the result is that 5% floor: the
 /// day's run still needs a positive rate.
 ///
@@ -438,21 +436,11 @@ fn settled_verdict(tails: &[f64], target_ms: f64, remaining: usize) -> Option<bo
 }
 
 /// The configuration peak measurement and threshold calibration run on:
-/// the fleet's dispatch unit. Flat fleets calibrate on themselves (the
-/// historical behaviour, bit-exactly); racked fleets calibrate on one rack
-/// flattened out — same per-server load, same balancer, same measurement
-/// budget as any rack of the real run sees.
+/// the fleet's dispatch unit, one rack of it — same per-server load, same
+/// balancer, same measurement budget as any rack of the real run sees. A
+/// one-rack fleet calibrates on itself.
 fn calibration_config(cfg: &FleetConfig) -> FleetConfig {
-    match cfg.topology {
-        FleetTopology::Flat => cfg.clone(),
-        FleetTopology::Racked(rt) => {
-            let mut sub = cfg.clone();
-            sub.servers = cfg.servers / rt.racks;
-            sub.balancer = rt.rack_balancer;
-            sub.topology = FleetTopology::Flat;
-            sub
-        }
-    }
+    FleetConfig { servers: cfg.servers / cfg.racks, racks: 1, ..cfg.clone() }
 }
 
 /// Dispatch state shared by every interval of one shard of one fleet run:
@@ -492,6 +480,10 @@ impl DispatchState {
         percentiles_in_place(&mut self.samples[s], [p]).map(|[tail]| tail)
     }
 }
+
+/// The shape of every fleet's arrival stream. Each interval runs it at the
+/// rate the diurnal pattern sets (see [`RequestStreams::interval`]).
+const ARRIVALS: ArrivalProcess = ArrivalProcess::bursty(100.0);
 
 /// The arrival-stream root and the balancer RNG of the shard seeded `seed`.
 fn shard_roots(seed: u64) -> (SimRng, SimRng) {
@@ -541,7 +533,7 @@ impl RequestStreams for LiveStreams {
     fn interval(&mut self, cfg: &FleetConfig, t: u64, rate_rps: f64) -> impl RequestSource + '_ {
         LiveInterval {
             arrivals: ArrivalGenerator::new(
-                cfg.arrivals.with_rate(rate_rps),
+                ARRIVALS.with_rate(rate_rps),
                 self.arrival_root.fork(t),
             ),
             service_rngs: &mut self.service_rngs,
@@ -602,12 +594,12 @@ impl RequestStreams for ProbeTape {
         }
         let index = t as usize;
         if index == self.arrivals.len() {
-            let mut draws = ArrivalDraws::new(cfg.arrivals, self.streams.arrival_root.fork(t));
+            let mut draws = ArrivalDraws::new(ARRIVALS, self.streams.arrival_root.fork(t));
             let requests = cfg.servers * cfg.requests_per_server;
             self.arrivals.push((0..requests).map(|_| draws.next_draw()).collect());
         }
         TapeInterval {
-            clock: ArrivalClock::new(cfg.arrivals.with_rate(rate_rps)),
+            clock: ArrivalClock::new(ARRIVALS.with_rate(rate_rps)),
             arrivals: self.arrivals[index].iter(),
             service_rngs: &mut self.streams.service_rngs,
             factors: &mut self.factors,
@@ -707,6 +699,13 @@ impl SojournLog {
     }
 }
 
+/// Bin width of a binned tail, in ms.
+const TAIL_BIN_MS: f64 = 2.0;
+
+/// Upper edge of a binned tail's regular bins, in ms: 1,000 bins of
+/// [`TAIL_BIN_MS`], with longer sojourns in one catch-all bin above it.
+const TAIL_MAX_MS: f64 = 2000.0;
+
 /// A shard's sojourns over its whole run, kept as the run's
 /// [`TailAccumulation`] says.
 enum ShardTails {
@@ -726,8 +725,8 @@ impl ShardTails {
                 servers * cfg.requests_per_server * steps,
                 servers * steps,
             )),
-            TailAccumulation::Binned { resolution_ms, max_ms } => {
-                let empty = LatencyHistogram::new(resolution_ms, max_ms);
+            TailAccumulation::Binned => {
+                let empty = LatencyHistogram::new(TAIL_BIN_MS, TAIL_MAX_MS);
                 ShardTails::Binned {
                     servers: vec![empty.clone(); servers],
                     intervals: vec![empty; steps],
@@ -802,7 +801,7 @@ impl DayTails {
                 ))
             }
             TailAccumulation::Exact => DayTails::Exact(SojournLog::default()),
-            TailAccumulation::Binned { .. } => DayTails::Binned(Vec::new()),
+            TailAccumulation::Binned => DayTails::Binned(Vec::new()),
         }
     }
 
@@ -865,9 +864,9 @@ impl DayTails {
 
 /// Simulates one control interval's measurement slice for one shard:
 /// `shard servers × requests_per_server` arrivals from `requests`,
-/// dispatched through `balancer` onto the shard's persistent per-server
-/// queues, where server `s` serves a request in `medians_ms[s]` times the
-/// request's service factor. Leaves each server's sojourn times in
+/// dispatched through the fleet's balancer onto the shard's persistent
+/// per-server queues, where server `s` serves a request in `medians_ms[s]`
+/// times the request's service factor. Leaves each server's sojourn times in
 /// `state.samples` (always exact: the monitor path needs exact
 /// per-interval tails and they are transient). A NaN sojourn, which only a
 /// non-finite service time could produce, is dropped, so no tail counts it.
@@ -879,11 +878,11 @@ impl DayTails {
 fn run_interval(
     cfg: &FleetConfig,
     state: &mut DispatchState,
-    balancer: LoadBalancer,
     medians_ms: &[f64],
     requests: &mut impl RequestSource,
 ) {
     let n = state.samples.len();
+    let balancer = cfg.balancer;
     state.samples.iter_mut().for_each(Vec::clear);
     let mut last_arrival = state.clock_ms;
     for _ in 0..n * cfg.requests_per_server {
@@ -949,7 +948,7 @@ fn pinned_tails(
     let mut tails = Vec::new();
     for t in 0..intervals {
         let mut requests = streams.interval(cfg, t, rate_rps);
-        run_interval(cfg, &mut state, cfg.balancer, &medians_ms, &mut requests);
+        run_interval(cfg, &mut state, &medians_ms, &mut requests);
         if t >= 2 {
             tails.extend((0..n).filter_map(|s| state.server_tail(s, metric)));
             if settled(&tails, n * (intervals - 1 - t) as usize) {
@@ -1000,7 +999,7 @@ pub fn calibrated_monitor_with_peak(
     assert!(peak_rps > 0.0, "peak rate must be positive");
     cfg.validate().expect("invalid fleet configuration");
     // Like the peak bisection, calibration runs on the fleet's dispatch
-    // unit: the whole fleet when flat, one rack when racked.
+    // unit, one rack.
     let cfg = &calibration_config(cfg);
     let rate = engage_below_load * cfg.servers as f64 * peak_rps;
     let ratios_for = |perf: f64, tag: u64| -> Vec<f64> {
@@ -1027,7 +1026,7 @@ pub fn calibrated_monitor_with_peak(
 /// `measured_servers` counts the servers whose interval actually resolved
 /// a tail; the remaining `servers - measured_servers` were starved
 /// (unmeasured), contributed no tail sample and fed their monitor nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetIntervalReport {
     /// Hour of day at the interval start.
     pub hour: f64,
@@ -1052,7 +1051,7 @@ pub struct FleetIntervalReport {
 /// A server can sit idle for whole intervals (`starved_intervals` counts
 /// them); those intervals produce no tail sample, no QoS violation and no
 /// monitor observation — the monitor simply holds its previous mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSummary {
     /// Intervals this server spent in B-mode.
     pub engaged_intervals: usize,
@@ -1071,7 +1070,7 @@ pub struct ServerSummary {
 }
 
 /// Result of a fleet run (`days` × 24 hours).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Per-interval telemetry, in time order.
     pub intervals: Vec<FleetIntervalReport>,
@@ -1187,31 +1186,17 @@ impl Fleet {
     }
 }
 
-/// One contiguous shard (rack) of a fleet run: its size, the balancer
-/// dispatching inside it, and the seed its RNG streams derive from.
+/// One contiguous shard (rack) of a fleet run: its size and the seed its
+/// RNG streams derive from.
 struct ShardPlan {
     servers: usize,
-    balancer: LoadBalancer,
     seed: u64,
 }
 
 /// The shards of a fleet run, in shard-index (= rack, = server) order.
 fn shard_plans(cfg: &FleetConfig) -> Vec<ShardPlan> {
-    match cfg.topology {
-        FleetTopology::Flat => {
-            vec![ShardPlan { servers: cfg.servers, balancer: cfg.balancer, seed: cfg.seed }]
-        }
-        FleetTopology::Racked(rt) => {
-            let per_rack = cfg.servers / rt.racks;
-            (0..rt.racks)
-                .map(|r| ShardPlan {
-                    servers: per_rack,
-                    balancer: rt.rack_balancer,
-                    seed: rack_seed(cfg.seed, r),
-                })
-                .collect()
-        }
-    }
+    let servers = cfg.servers / cfg.racks;
+    (0..cfg.racks).map(|r| ShardPlan { servers, seed: rack_seed(cfg.seed, r) }).collect()
 }
 
 /// One shard's partial results for one control interval.
@@ -1248,8 +1233,9 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
 
     let mut state = DispatchState::new(cfg, plan.seed, n);
     let mut streams = LiveStreams::new(plan.seed, n);
+    let stretch = StretchConfig::b_mode_only(RobSkew::recommended_b_mode());
     let mut monitors: Vec<SoftwareMonitor> =
-        (0..n).map(|_| SoftwareMonitor::new(cfg.stretch, cfg.monitor)).collect();
+        (0..n).map(|_| SoftwareMonitor::new(stretch, cfg.monitor)).collect();
 
     let mut tails = ShardTails::new(cfg, n);
     let mut engaged_counts = vec![0usize; n];
@@ -1259,7 +1245,7 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
     let mut medians_ms = Vec::with_capacity(n);
 
     for t in 0..steps {
-        let hour = (t as f64 * cfg.interval_hours) % 24.0;
+        let hour = (t as f64 * INTERVAL_HOURS) % 24.0;
         let load = cfg.pattern.load_at(hour);
         let rate = (load * n as f64 * peak_rps).max(1e-3);
 
@@ -1282,7 +1268,7 @@ fn run_shard_day(cfg: &FleetConfig, peak_rps: f64, plan: &ShardPlan) -> ShardDay
         let speedup_sum = modes.iter().map(|m| cfg.table.for_mode(*m).batch_speedup).sum::<f64>();
 
         let mut requests = streams.interval(cfg, t as u64, rate);
-        run_interval(cfg, &mut state, plan.balancer, &medians_ms, &mut requests);
+        run_interval(cfg, &mut state, &medians_ms, &mut requests);
         tails.record_interval(t, &state.samples);
 
         // Every server observes its own tail from its own requests and
@@ -1392,7 +1378,7 @@ impl FleetMerge {
         let mut scratch = Vec::new();
         let mut tails = self.tails;
         for (t, merged) in self.intervals.into_iter().enumerate() {
-            let hour = (t as f64 * cfg.interval_hours) % 24.0;
+            let hour = (t as f64 * INTERVAL_HOURS) % 24.0;
             let batch_throughput = det_merge(&merged.speedup_partials) / n as f64;
             throughputs.push(batch_throughput);
             engaged_total += merged.engaged;
@@ -1416,7 +1402,7 @@ impl FleetMerge {
             servers: self.servers,
             average_batch_throughput: det_sum(&throughputs) / steps as f64,
             fraction_engaged: engaged_total as f64 / server_intervals,
-            hours_engaged: engaged_total as f64 / n as f64 * cfg.interval_hours / cfg.days as f64,
+            hours_engaged: engaged_total as f64 / n as f64 * INTERVAL_HOURS / cfg.days as f64,
             violation_fraction: if measured_total == 0 {
                 0.0
             } else {
@@ -1433,7 +1419,7 @@ impl FleetMerge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CaseStudy;
+    use crate::{CaseStudy, FleetTopology};
 
     fn quick_fleet(balancer: LoadBalancer) -> FleetConfig {
         CaseStudy::web_search().fleet_config(balancer, FleetScale::quick(7))
@@ -1639,8 +1625,9 @@ mod tests {
             CaseStudy::youtube().fleet_config(LoadBalancer::RoundRobin, FleetScale::quick(42));
         let cfg = FleetConfig {
             seed: 10,
-            topology: FleetTopology::racked(2, LoadBalancer::LeastLoaded),
-            tails: TailAccumulation::binned_default(),
+            racks: 2,
+            balancer: LoadBalancer::LeastLoaded,
+            tails: TailAccumulation::Binned,
             ..base
         };
         assert_eq!(measured_peak_rps(&cfg).to_bits(), live_full_length_peak_rps(&cfg).to_bits());
@@ -1671,12 +1658,14 @@ mod tests {
     }
 
     #[test]
-    fn non_divisor_control_interval_rejected() {
-        let mut cfg = quick_fleet(LoadBalancer::RoundRobin);
-        cfg.interval_hours = 0.9; // 26.67 intervals would overrun the day
-        assert!(cfg.validate().is_err());
-        cfg.interval_hours = 0.5;
-        assert!(cfg.validate().is_ok());
+    fn rack_validation_requires_even_split() {
+        let base = quick_fleet(LoadBalancer::PowerOfTwoChoices);
+        let validate = |servers, racks| FleetConfig { servers, racks, ..base.clone() }.validate();
+        assert_eq!(validate(1, 1), Ok(()));
+        assert_eq!(validate(8, 4), Ok(()));
+        assert_eq!(validate(6, 4), Err("6 servers do not split evenly over 4 racks".into()));
+        assert_eq!(validate(2, 4), Err("4 racks cannot be populated from 2 servers".into()));
+        assert_eq!(validate(8, 0), Err("a racked topology needs at least one rack".into()));
     }
 
     #[test]
@@ -1696,27 +1685,56 @@ mod tests {
         assert!(disengage_above <= 1.45);
     }
 
+    fn digest(cfg: &FleetConfig) -> String {
+        let mut enc = KeyEncoder::new();
+        cfg.encode_key(&mut enc);
+        enc.digest()
+    }
+
     #[test]
     fn fleet_config_canonical_keys_separate_every_knob() {
-        let digest = |cfg: &FleetConfig| {
-            let mut enc = KeyEncoder::new();
-            cfg.encode_key(&mut enc);
-            enc.digest()
-        };
         let base = quick_fleet(LoadBalancer::LeastLoaded);
-        let mut variants = vec![base.clone()];
-        let mut v = base.clone();
-        v.balancer = LoadBalancer::RoundRobin;
-        variants.push(v);
-        let mut v = base.clone();
-        v.servers += 1;
-        variants.push(v);
-        let mut v = base.clone();
-        v.seed ^= 1;
-        variants.push(v);
-        let mut v = base.clone();
-        v.table.b_mode.batch_speedup += 0.01;
-        variants.push(v);
+        // The destructuring is exhaustive and every binding is used below,
+        // so a new field fails to build here until it has a variant.
+        let FleetConfig {
+            servers,
+            service,
+            pattern,
+            racks,
+            balancer,
+            tails,
+            days,
+            requests_per_server,
+            monitor,
+            table,
+            seed,
+        } = base.clone();
+        assert_eq!(
+            (pattern, balancer, tails),
+            (DiurnalPattern::WebSearch, LoadBalancer::LeastLoaded, TailAccumulation::Exact)
+        );
+        let mut b_mode_speedup = table;
+        b_mode_speedup.b_mode.batch_speedup += 0.01;
+        let variants = [
+            base.clone(),
+            FleetConfig { servers: servers + 1, ..base.clone() },
+            FleetConfig {
+                service: ServiceSpec { workers: service.workers + 1, ..service },
+                ..base.clone()
+            },
+            FleetConfig { pattern: DiurnalPattern::YouTube, ..base.clone() },
+            FleetConfig { racks: racks + 1, ..base.clone() },
+            FleetConfig { balancer: LoadBalancer::RoundRobin, ..base.clone() },
+            FleetConfig { tails: TailAccumulation::Binned, ..base.clone() },
+            FleetConfig { days: days + 1, ..base.clone() },
+            FleetConfig { requests_per_server: requests_per_server + 1, ..base.clone() },
+            FleetConfig {
+                monitor: MonitorConfig { engage_after: monitor.engage_after + 1, ..monitor },
+                ..base.clone()
+            },
+            FleetConfig { table: b_mode_speedup, ..base.clone() },
+            FleetConfig { seed: seed ^ 1, ..base.clone() },
+        ];
         let digests: Vec<String> = variants.iter().map(digest).collect();
         for (i, a) in digests.iter().enumerate() {
             for (j, b) in digests.iter().enumerate().skip(i + 1) {
@@ -1724,5 +1742,28 @@ mod tests {
             }
         }
         assert_eq!(digest(&base), digests[0], "identity must be stable");
+    }
+
+    #[test]
+    fn a_flat_fleet_and_its_one_rack_twin_are_one_config() {
+        let study = CaseStudy::web_search();
+        for balancer in LoadBalancer::ALL {
+            let lower = |topology| {
+                study
+                    .fleet_with(
+                        balancer,
+                        FleetScale::quick(7),
+                        topology,
+                        TailAccumulation::Exact,
+                        1,
+                    )
+                    .cfg()
+                    .clone()
+            };
+            let flat = lower(FleetTopology::Flat);
+            let one_rack = lower(FleetTopology::racked(1, balancer));
+            assert_eq!(flat, one_rack, "{balancer}");
+            assert_eq!(digest(&flat), digest(&one_rack), "{balancer}");
+        }
     }
 }

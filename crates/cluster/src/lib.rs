@@ -25,13 +25,15 @@
 //!   reports measured tail percentiles, and the resulting 24-hour batch
 //!   gain lands within two percentage points of the accounting
 //!   (`tests/fleet.rs` pins this).
-//! * [`topology`] — the cluster → rack → server organisation
-//!   ([`FleetTopology`], [`RackTopology`]) and tail-retention policy
-//!   ([`TailAccumulation`]) that let a fleet scale to 10k servers: racks
-//!   dispatch independently, so they shard across worker threads
-//!   ([`Fleet::run_with_workers`]) with a bit-exact deterministic merge.
+//! * [`topology`] — the shape arguments of [`CaseStudy::fleet_with`]: the
+//!   cluster → rack → server organisation ([`FleetTopology`], a flat fleet
+//!   being one rack) and the tail-retention policy ([`TailAccumulation`])
+//!   that let a fleet scale to 10k servers: racks dispatch independently,
+//!   so they shard across worker threads ([`Fleet::run_with_workers`])
+//!   with a bit-exact deterministic merge.
 //! * [`diurnal`] — the parametric diurnal load curves of Figure 14 shared
-//!   by both routes (shapes from Meisner et al. and Gill et al.).
+//!   by both routes (shapes from Meisner et al. and Gill et al.), and the
+//!   15-minute control interval ([`INTERVAL_HOURS`]) both routes step by.
 //!
 //! The fleet is the repository's one closed-loop day simulator: every
 //! route from the Stretch monitor to a simulated day — the measured
@@ -49,9 +51,9 @@ pub mod fleet;
 pub mod topology;
 
 pub use case_study::{CaseStudy, CaseStudyReport};
-pub use diurnal::{day_steps, validate_interval, DiurnalPattern, LoadSample};
+pub use diurnal::{day_steps, DiurnalPattern, LoadSample, INTERVAL_HOURS};
 pub use fleet::{
     calibrated_monitor_with_peak, measured_peak_rps, rack_seed, server_seed, Fleet, FleetConfig,
     FleetIntervalReport, FleetReport, FleetScale, LoadBalancer, ServerSummary,
 };
-pub use topology::{FleetTopology, RackTopology, TailAccumulation};
+pub use topology::{FleetTopology, TailAccumulation};

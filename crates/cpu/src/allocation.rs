@@ -30,11 +30,10 @@
 use crate::policy::{ColocationPolicy, ColocationTopology};
 use crate::runner::{ColocationResult, SimLength, ThreadRunResult};
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId, TraceSource, WorkloadClass};
 
 /// What the allocator knows about one schedulable thread.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreadSpec {
     /// Workload name (used for labels and seed derivation).
     pub name: String,
@@ -69,7 +68,7 @@ impl ThreadSpec {
 
 /// The hardware shape of one server: `cores` SMT cores of `threads_per_core`
 /// hardware threads each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerSpec {
     /// Number of cores.
     pub cores: usize,
@@ -106,7 +105,7 @@ impl CanonicalKey for ServerSpec {
 ///
 /// Construction validates the placement, so a `Placement` in hand is always
 /// well-formed: every thread placed exactly once, no core over its SMT width.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     cores: Vec<Vec<usize>>,
 }

@@ -8,7 +8,6 @@
 //! register and the RAS are always private, as in the paper (§V-A).
 
 use mem_sim::Sharing;
-use serde::{Deserialize, Serialize};
 use sim_model::{BranchPredictorConfig, ThreadId};
 
 /// Saturating 2-bit counter helpers.
@@ -26,7 +25,7 @@ fn counter_update(c: u8, taken: bool) -> u8 {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct PredictorTables {
     gshare: Vec<u8>,
     bimodal: Vec<u8>,
@@ -55,7 +54,7 @@ pub struct Prediction {
 }
 
 /// Per-branch statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchStats {
     /// Branches predicted.
     pub predictions: u64,
@@ -64,7 +63,7 @@ pub struct BranchStats {
 }
 
 /// The hybrid branch predictor plus BTB and RAS.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BranchPredictor {
     cfg: BranchPredictorConfig,
     sharing: Sharing,

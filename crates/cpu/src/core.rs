@@ -281,7 +281,7 @@ pub struct SmtCore {
     commit_preference: usize,
     total_cycles_run: u64,
     /// Cycles skipped by [`SmtCore::skip_quiescent`], counted like
-    /// `total_cycles_run` (both reset together).
+    /// `total_cycles_run`, since the core was built.
     warped_cycles: u64,
     /// The subset of `warped_cycles` skipped while a thread was parked on a
     /// steady load retry.
@@ -522,7 +522,7 @@ impl SmtCore {
     /// How many of [`SmtCore::warped_cycles`] were skipped while at least
     /// one thread was parked on a steady load retry (its only action was
     /// retrying a load that found every MSHR busy). Deterministic, like
-    /// `warped_cycles`, and reset with it.
+    /// `warped_cycles`, and counted since the core was built.
     pub fn retry_warped_cycles(&self) -> u64 {
         self.retry_warped_cycles
     }

@@ -7,11 +7,10 @@
 //! baseline) instead grants the co-runner `M` fetch cycles for every cycle
 //! granted to the latency-sensitive thread.
 
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder, ThreadId};
 
 /// Thread-selection policy for the shared front end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchPolicy {
     /// Select the thread with the fewest in-flight instructions (ICOUNT).
     ICount,
@@ -61,7 +60,7 @@ impl CanonicalKey for FetchPolicy {
 
 /// Runtime state of the fetch policy (cycle counters for round-robin and
 /// throttling schedules).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FetchScheduler {
     cycle: u64,
     /// Rotation counter for the non-throttled group under

@@ -14,11 +14,10 @@
 //! partitioning must cover at least one thread, and explicit splits must fit
 //! the physical capacity.
 
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
 
 /// How the ROB and LSQ are divided between the core's hardware threads.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartitionPolicy {
     /// Static partitioning with explicit per-thread limits.
     ///

@@ -25,7 +25,6 @@
 //! each is a one-file implementation of this trait.
 
 use crate::runner::CoreSetup;
-use serde::{Deserialize, Serialize};
 use sim_model::{CoreConfig, ThreadId};
 
 /// The thread layout of one colocated core: how many hardware threads it has
@@ -35,7 +34,7 @@ use sim_model::{CoreConfig, ThreadId};
 ///
 /// The classic paper configuration is [`ColocationTopology::pair`]: two
 /// threads with the LS service on T0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColocationTopology {
     threads: usize,
     ls_thread: ThreadId,

@@ -12,12 +12,11 @@ use crate::fetch::FetchPolicy;
 use crate::partition::PartitionPolicy;
 use crate::runner::CoreSetup;
 use mem_sim::Sharing;
-use serde::{Deserialize, Serialize};
 use sim_model::CoreConfig;
 use std::fmt;
 
 /// The four core resources whose sharing the paper studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StudiedResource {
     /// The reorder buffer (and, proportionally, the LSQ): under study it is
     /// equally partitioned (96 entries per thread); otherwise each thread has

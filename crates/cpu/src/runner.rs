@@ -9,7 +9,6 @@ use crate::core::{SmtCore, SmtCoreBuilder};
 use crate::fetch::FetchPolicy;
 use crate::partition::PartitionPolicy;
 use mem_sim::Sharing;
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
 use sim_stats::Histogram;
 
@@ -24,7 +23,7 @@ use sim_stats::Histogram;
 /// to scattered samples, and the reproduction uses scaled-down lengths
 /// ([`SimLength::quick`], [`SimLength::standard`]). It has no functional
 /// warm-up yet: the detailed warm-up starts from cold structures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimLength {
     /// Instructions committed per thread before measurement starts.
     pub warmup_instructions: u64,
@@ -72,7 +71,7 @@ impl CanonicalKey for SimLength {
 }
 
 /// Result for one hardware thread of a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThreadRunResult {
     /// Workload name.
     pub name: String,
@@ -82,13 +81,14 @@ pub struct ThreadRunResult {
     pub committed: u64,
     /// Cycles spanned by the measurement window.
     pub cycles: u64,
-    /// MLP census over the measurement window (outstanding demand misses per
-    /// cycle).
+    /// MLP census (outstanding demand misses per cycle) from cycle 0 to the
+    /// end of the measurement window, warm-up included; from cycle 0 to the
+    /// end of the run when the window never closes.
     pub mlp: Histogram,
 }
 
 /// Result of a (possibly colocated) run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ColocationResult {
     /// Per-thread results, one slot per hardware thread; `None` for an
     /// inactive thread.
@@ -121,7 +121,7 @@ impl ColocationResult {
 /// Describes one complete core setup for a run: sharing modes, partitioning
 /// and fetch policy. Used by the experiment harnesses to express the paper's
 /// configurations declaratively.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreSetup {
     /// ROB/LSQ partitioning.
     pub partition: PartitionPolicy,
@@ -214,7 +214,6 @@ pub fn run_core(
 
     let mut start_cycle: Vec<Option<u64>> = vec![None; width];
     let mut start_committed: Vec<u64> = vec![0; width];
-    let mut start_mlp_total: Vec<u64> = vec![0; width];
     let mut end_cycle: Vec<Option<u64>> = vec![None; width];
     let mut end_committed: Vec<u64> = vec![0; width];
     let mut end_mlp: Vec<Option<Histogram>> = vec![None; width];
@@ -230,7 +229,6 @@ pub fn run_core(
             if start_cycle[idx].is_none() && committed >= warm_target {
                 start_cycle[idx] = Some(cycles);
                 start_committed[idx] = committed;
-                start_mlp_total[idx] = core.mlp_census(t).total();
             }
             if end_cycle[idx].is_none() && committed >= meas_target {
                 end_cycle[idx] = Some(cycles);

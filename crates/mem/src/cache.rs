@@ -1,11 +1,10 @@
 //! Set-associative caches with LRU replacement and optional per-thread
 //! privatisation.
 
-use serde::{Deserialize, Serialize};
 use sim_model::{CacheConfig, CanonicalKey, KeyEncoder, ThreadId};
 
 /// How a cache structure is shared between the two SMT threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sharing {
     /// One physical structure, dynamically shared: either thread can allocate
     /// into any entry (the baseline SMT core of §V-A).
@@ -27,7 +26,7 @@ impl CanonicalKey for Sharing {
 }
 
 /// Hit/miss counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of accesses that hit.
     pub hits: u64,
@@ -40,7 +39,7 @@ pub struct CacheStats {
 /// Tags are full block addresses; capacity and associativity come from a
 /// [`CacheConfig`]. Banking is modelled only as a port constraint in the core
 /// front-end, not here.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: usize,
     ways: usize,
@@ -218,7 +217,7 @@ impl SetAssocCache {
 ///
 /// In `Shared` mode both threads access the same underlying cache (index 0);
 /// in `PrivatePerThread` mode each thread gets its own full-size copy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThreadedCache {
     sharing: Sharing,
     caches: Vec<SetAssocCache>,

@@ -32,11 +32,10 @@
 use crate::cache::{SetAssocCache, Sharing, ThreadedCache};
 use crate::mshr::{MshrFile, MshrOutcome};
 use crate::prefetch::StridePrefetcher;
-use serde::{Deserialize, Serialize};
 use sim_model::{CacheConfig, CoreConfig, Cycle, ThreadId};
 
 /// Configuration of the full hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchyConfig {
     /// Number of SMT hardware threads sharing the hierarchy (T >= 1).
     pub threads: usize,
@@ -110,7 +109,7 @@ pub enum LoadResult {
 ///
 /// The load counters count *attempts*: a load the core retries because no
 /// MSHR was free counts again on every retry (see [`MemoryHierarchy::load`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
     /// Demand load attempts observed, retries after an MSHR rejection
     /// included.
@@ -135,7 +134,7 @@ pub struct HierarchyStats {
     pub mshr_rejections: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingPrefetch {
     block: u64,
     completion: Cycle,

@@ -5,11 +5,10 @@
 //! can have in flight and therefore bound its memory-level parallelism — the
 //! property Figure 7 measures.
 
-use serde::{Deserialize, Serialize};
 use sim_model::{Cycle, ThreadId};
 
 /// One outstanding miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     block: u64,
     completion: Cycle,
@@ -21,7 +20,7 @@ struct Entry {
 /// coalesced onto the existing entry (they complete at the same time and do
 /// not consume an additional register), mirroring real hardware behaviour and
 /// the paper's note that accesses to the same cache block are coalesced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MshrFile {
     per_thread_capacity: usize,
     entries: Vec<Vec<Entry>>,

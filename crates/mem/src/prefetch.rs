@@ -6,17 +6,16 @@
 //! two consecutive accesses with the same non-zero stride the entry enters a
 //! steady state and issues a prefetch for the next predicted block.
 
-use serde::{Deserialize, Serialize};
 use sim_model::ThreadId;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryState {
     Initial,
     Transient,
     Steady,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     pc: u64,
     last_addr: u64,
@@ -26,7 +25,7 @@ struct Entry {
 }
 
 /// A per-thread stride prefetcher (reference prediction table).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StridePrefetcher {
     slots: usize,
     tables: Vec<Vec<Entry>>,

@@ -5,10 +5,8 @@
 //! caches, a hybrid branch predictor, a stride prefetcher, an 8 MB NUCA LLC
 //! and 75 ns memory.
 
-use serde::{Deserialize, Serialize};
-
 /// L1 cache geometry and behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
@@ -45,7 +43,7 @@ impl CacheConfig {
 }
 
 /// Branch prediction structures (Table II front-end).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchPredictorConfig {
     /// gShare table entries (16 K in Table II).
     pub gshare_entries: usize,
@@ -75,7 +73,7 @@ impl Default for BranchPredictorConfig {
 }
 
 /// Functional unit mix (Table II back-end).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuConfig {
     /// Simple integer ALUs.
     pub int_alu: usize,
@@ -94,7 +92,7 @@ impl Default for FuConfig {
 }
 
 /// Uncore (LLC + NoC + memory) timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UncoreConfig {
     /// LLC capacity in bytes (8 MB NUCA in Table II). Partitioned equally
     /// between the two hardware threads to mirror the paper's use of cache
@@ -133,7 +131,7 @@ impl UncoreConfig {
 }
 
 /// Full core configuration. Defaults reproduce Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Instructions fetched per cycle (6 in Table II).
     pub fetch_width: usize,

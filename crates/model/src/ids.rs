@@ -1,6 +1,5 @@
 //! Strongly-typed identifiers used across the simulator crates.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a hardware thread (SMT context) on the simulated core.
@@ -17,7 +16,7 @@ use std::fmt;
 /// assert_eq!(ThreadId::T1.index(), 1);
 /// assert_eq!(ThreadId::from_index(3).index(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(u8);
 
 impl ThreadId {
@@ -90,7 +89,7 @@ impl fmt::Display for ThreadId {
 }
 
 /// Broad class of a workload, mirroring the paper's terminology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// Interactive services with a tail-latency QoS target
     /// (Data Serving, Web Serving, Web Search, Media Streaming).

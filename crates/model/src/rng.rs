@@ -10,10 +10,8 @@
 //!
 //! The generator is `splitmix64` for seeding plus `xoshiro256++` for the
 //! stream; both are tiny, fast and well-studied. We intentionally avoid a
-//! dependency on the `rand` crate here so that the core simulation crates
-//! carry no external dependencies besides `serde`.
-
-use serde::{Deserialize, Serialize};
+//! dependency on the `rand` crate here so that the core simulation crates'
+//! code uses no external crate.
 
 /// A small, fast, deterministic PRNG (xoshiro256++) with convenience samplers.
 ///
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let x = a.uniform_f64();
 /// assert!((0.0..1.0).contains(&x));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     state: [u64; 4],
 }

@@ -7,12 +7,11 @@
 //! functional-unit mix, cache/MSHR behaviour, branch prediction).
 
 use crate::Reg;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Functional class of a micro-op. Determines which functional unit executes
 /// it and its execution latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Simple integer ALU operation (1-cycle latency, 4 units in Table II).
     IntAlu,
@@ -66,7 +65,7 @@ impl fmt::Display for OpKind {
 }
 
 /// Kind of memory access carried by a load or store micro-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemKind {
     /// Read.
     Read,
@@ -75,7 +74,7 @@ pub enum MemKind {
 }
 
 /// A memory access: byte address plus access kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemAccess {
     /// Virtual byte address accessed.
     pub addr: u64,
@@ -91,7 +90,7 @@ impl MemAccess {
 }
 
 /// Branch metadata attached to [`OpKind::Branch`] micro-ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchInfo {
     /// Actual outcome of the branch (taken or not).
     pub taken: bool,
@@ -109,7 +108,7 @@ pub struct BranchInfo {
 /// register file ([`crate::NUM_LOGICAL_REGS`]); the core resolves them to
 /// producing in-flight instructions at dispatch time, which captures true
 /// data dependencies (and hence ILP/MLP) without modelling a full renamer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MicroOp {
     /// Program counter of the instruction (used for I-cache and branch
     /// predictor indexing).

@@ -17,11 +17,10 @@
 //! and replay them at every probed rate through the same arithmetic, with
 //! the same bits as a live generator at that rate.
 
-use serde::{Deserialize, Serialize};
-use sim_model::{CanonicalKey, KeyEncoder, SimRng};
+use sim_model::SimRng;
 
 /// An open-loop arrival process generating inter-arrival gaps (milliseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals at the given average rate (requests per second).
     Poisson {
@@ -48,7 +47,7 @@ impl ArrivalProcess {
     /// A bursty process with the default burstiness used throughout the
     /// reproduction (bursts of ~12 requests arriving 8× faster, starting on
     /// 8% of requests).
-    pub fn bursty(rate_rps: f64) -> ArrivalProcess {
+    pub const fn bursty(rate_rps: f64) -> ArrivalProcess {
         ArrivalProcess::Bursty { rate_rps, burst_prob: 0.08, burst_factor: 8.0, burst_length: 12.0 }
     }
 
@@ -244,19 +243,6 @@ pub struct ArrivalGenerator {
     clock: ArrivalClock,
 }
 
-impl CanonicalKey for ArrivalProcess {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        match *self {
-            ArrivalProcess::Poisson { rate_rps } => {
-                enc.tag(0).f64(rate_rps);
-            }
-            ArrivalProcess::Bursty { rate_rps, burst_prob, burst_factor, burst_length } => {
-                enc.tag(1).f64(rate_rps).f64(burst_prob).f64(burst_factor).f64(burst_length);
-            }
-        }
-    }
-}
-
 impl ArrivalGenerator {
     /// Creates a generator.
     ///
@@ -424,20 +410,5 @@ mod tests {
             .is_err(),
             "burst length below one request must be rejected"
         );
-    }
-
-    #[test]
-    fn canonical_keys_distinguish_shape_and_rate() {
-        use sim_model::KeyEncoder;
-        let digest = |p: &ArrivalProcess| {
-            let mut enc = KeyEncoder::new();
-            p.encode_key(&mut enc);
-            enc.digest()
-        };
-        let poisson = ArrivalProcess::Poisson { rate_rps: 100.0 };
-        let bursty = ArrivalProcess::bursty(100.0);
-        assert_ne!(digest(&poisson), digest(&bursty));
-        assert_ne!(digest(&bursty), digest(&ArrivalProcess::bursty(200.0)));
-        assert_eq!(digest(&bursty), digest(&ArrivalProcess::bursty(100.0)));
     }
 }

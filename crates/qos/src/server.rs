@@ -22,13 +22,12 @@
 use crate::arrival::{ArrivalClock, ArrivalDraw, ArrivalDraws, ArrivalProcess};
 use crate::queue::{bisect_peak_rps, ServerQueues};
 use crate::service::ServiceSpec;
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder, SimRng};
 use sim_stats::percentile::percentiles_in;
 use sim_stats::Percentiles;
 
 /// Parameters of one server simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimParams {
     /// Number of requests to simulate (after warm-up).
     pub requests: usize,
@@ -89,7 +88,7 @@ impl CanonicalKey for SimParams {
 }
 
 /// Latency summary of a run (milliseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Mean sojourn time.
     pub mean_ms: f64,

@@ -1,10 +1,9 @@
 //! Latency-sensitive service specifications (Table I).
 
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
 
 /// Which statistic of the latency distribution the QoS target constrains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TailMetric {
     /// 95th percentile latency.
     P95,
@@ -41,7 +40,7 @@ impl CanonicalKey for TailMetric {
 /// Service times are log-normal (heavy-tailed, as observed for interactive
 /// services); the median scales inversely with the performance fraction the
 /// core delivers to the service's thread.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSpec {
     /// Service name (matches the `workloads` crate naming).
     pub name: String,

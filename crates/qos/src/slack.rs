@@ -10,10 +10,9 @@
 use crate::arrival::ArrivalProcess;
 use crate::server::{RunTape, ServerSim, SimParams};
 use crate::service::ServiceSpec;
-use serde::{Deserialize, Serialize};
 
 /// One point of the slack curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlackPoint {
     /// Load as a fraction of the peak sustainable load.
     pub load: f64,

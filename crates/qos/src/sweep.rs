@@ -3,10 +3,9 @@
 use crate::arrival::ArrivalProcess;
 use crate::server::{LatencySummary, ServerSim, SimParams};
 use crate::service::ServiceSpec;
-use serde::{Deserialize, Serialize};
 
 /// One point of a latency-versus-load curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadPoint {
     /// Load as a fraction of the peak sustainable load (0–1].
     pub load: f64,

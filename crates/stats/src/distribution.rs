@@ -6,11 +6,10 @@
 //! "who wins, by roughly what factor" against the published figures.
 
 use crate::percentile::percentile_of_sorted;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Five-number summary plus mean of a sample population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistributionSummary {
     /// Number of samples.
     pub count: usize,

@@ -3,11 +3,9 @@
 //! Used for the MLP census of Figure 7 (fraction of time with ≥ N in-flight
 //! memory requests); tail latencies use [`crate::LatencyHistogram`].
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over integer-valued observations `0, 1, 2, ..`, with the last
 /// bin collecting everything at or above the configured maximum.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,

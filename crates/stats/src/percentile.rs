@@ -20,8 +20,6 @@
 //! the same bits whichever zero sits at either endpoint (a zero result is
 //! always +0.0).
 
-use serde::{Deserialize, Serialize};
-
 /// Computes the `p`-th percentile (0–100) of `samples` using linear
 /// interpolation between closest ranks. NaN samples are ignored.
 ///
@@ -136,7 +134,7 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 /// A reusable sample tracker: it accumulates samples (NaN dropped) and
 /// answers the mean and maximum; tails come from [`percentile`] or
 /// [`percentiles_in`] over [`Percentiles::samples`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Percentiles {
     samples: Vec<f64>,
 }

@@ -20,8 +20,6 @@
 //! of the bin holding the nearest-rank sample, i.e. it over-estimates the
 //! exact sample percentile by at most one resolution step.
 
-use serde::{Deserialize, Serialize};
-
 /// The most regular bins a [`LatencyHistogram`] may span
 /// (`ceil(max_ms / resolution_ms)`): 2²⁰, 8 MB of counts when every bin is
 /// recorded. Wider shapes are rejected up front rather than aborting on the
@@ -38,7 +36,7 @@ pub const MAX_REGULAR_BINS: usize = 1 << 20;
 /// The stored window is exactly the hull of the recorded bins (empty when
 /// nothing was recorded), so two histograms of one shape compare equal
 /// exactly when they recorded the same multiset of bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     resolution_ms: f64,
     /// Index of the catch-all bin (the number of regular bins).

@@ -12,13 +12,12 @@
 //! partitioned proportionally.
 
 use cpu_sim::PartitionPolicy;
-use serde::{Deserialize, Serialize};
-use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
+use sim_model::{CoreConfig, ThreadId};
 use std::fmt;
 
 /// An asymmetric ROB split: entries for the latency-sensitive thread and for
 /// the batch thread (the paper's `N-M` notation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RobSkew {
     /// ROB entries assigned to the latency-sensitive thread.
     pub ls_entries: usize,
@@ -92,12 +91,6 @@ impl RobSkew {
     }
 }
 
-impl CanonicalKey for RobSkew {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.usize(self.ls_entries).usize(self.batch_entries);
-    }
-}
-
 impl fmt::Display for RobSkew {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}-{}", self.ls_entries, self.batch_entries)
@@ -105,7 +98,7 @@ impl fmt::Display for RobSkew {
 }
 
 /// The partitioning mode currently engaged on the core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StretchMode {
     /// Equal partitioning (Stretch disabled / S-bit clear).
     Baseline,
@@ -152,22 +145,6 @@ impl StretchMode {
     }
 }
 
-impl CanonicalKey for StretchMode {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        match self {
-            StretchMode::Baseline => {
-                enc.tag(0);
-            }
-            StretchMode::BatchBoost(skew) => {
-                enc.tag(1).field(skew);
-            }
-            StretchMode::QosBoost(skew) => {
-                enc.tag(2).field(skew);
-            }
-        }
-    }
-}
-
 impl fmt::Display for StretchMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -179,7 +156,7 @@ impl fmt::Display for StretchMode {
 }
 
 /// The set of configurations provisioned at processor design time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StretchConfig {
     /// The batch-boost skew.
     pub b_mode: RobSkew,
@@ -227,12 +204,6 @@ impl StretchConfig {
     /// The mode to engage when there is QoS slack.
     pub fn low_load_mode(&self) -> StretchMode {
         StretchMode::BatchBoost(self.b_mode)
-    }
-}
-
-impl CanonicalKey for StretchConfig {
-    fn encode_key(&self, enc: &mut KeyEncoder) {
-        enc.field(&self.b_mode).field(&self.q_mode);
     }
 }
 

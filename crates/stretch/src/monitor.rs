@@ -19,14 +19,13 @@
 //! observation that load swings are slow and cyclical.
 
 use crate::config::{StretchConfig, StretchMode};
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
 
 /// Monitor tuning knobs: the tail-latency thresholds each observation is
 /// compared against (the paper's primary QoS signal: "we use tail latency as
 /// a representative and easily-available QoS metric") and the hysteresis
 /// counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Engage B-mode when tail latency is below this fraction of the target
     /// (e.g. 0.6 → engage when the tail is under 60% of target).
@@ -86,7 +85,7 @@ impl Default for MonitorConfig {
 }
 
 /// Action the monitor requests after an observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MonitorAction {
     /// Keep the currently engaged mode.
     Keep,
@@ -98,7 +97,7 @@ pub enum MonitorAction {
 }
 
 /// The Stretch software monitor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftwareMonitor {
     stretch: StretchConfig,
     cfg: MonitorConfig,
@@ -310,7 +309,7 @@ mod tests {
 
     #[test]
     fn default_config_keeps_its_key_bytes() {
-        // Fleet cache keys (`fleet/v3`) encode the monitor config, so these
+        // Fleet cache keys (`fleet/v4`) encode the monitor config, so these
         // bytes may only move with a cell-family bump: otherwise every
         // stored fleet run would silently stop being served.
         let mut enc = KeyEncoder::new();

@@ -7,13 +7,12 @@
 //! performance and credits its batch throughput with the mode's speedup.
 
 use crate::config::StretchMode;
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
 
 /// Performance of one Stretch mode relative to a stand-alone full core (for
 /// the latency-sensitive thread) and to the baseline SMT partitioning (for
 /// the batch thread).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModePerformance {
     /// Fraction of full-core single-thread performance retained by the
     /// latency-sensitive thread under this mode (colocation included).
@@ -49,7 +48,7 @@ impl CanonicalKey for ModePerformance {
 }
 
 /// Per-mode performance table: one [`ModePerformance`] per Stretch mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerformanceTable {
     /// Baseline (equal partitioning) performance.
     pub baseline: ModePerformance,

@@ -15,11 +15,10 @@
 //! * stride-friendliness (prefetcher effectiveness),
 //! * branch predictability.
 
-use serde::{Deserialize, Serialize};
 use sim_model::WorkloadClass;
 
 /// Complete description of a synthetic workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Workload name (e.g. `"web-search"`, `"zeusmp"`).
     pub name: String,

@@ -375,7 +375,6 @@ fn starved_server_intervals_are_skipped_not_counted_as_perfect_tails() {
         },
         engage_below: 0.85,
         b_mode_batch_speedup: 1.11,
-        interval_hours: 0.25,
     };
     let report = study
         .fleet_with(
