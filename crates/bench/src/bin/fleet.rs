@@ -35,6 +35,12 @@
 //! * `--out PATH` — write the full report JSON there (default
 //!   `FLEET_report.json`).
 //!
+//! The binary ends by printing its own peak resident set on stderr
+//! (`peak RSS: N kB (VmHWM)`, from `/proc/self/status`, where the platform
+//! has one): a wrapper's `ru_maxrss` for the child also counts the
+//! wrapper's own resident set at spawn, which can exceed a small fleet's
+//! peak. CI's memory gates read this line.
+//!
 //! Exit status: 0 on success, 1 when `--assert-warm` fails, 2 on usage or
 //! I/O errors.
 
@@ -143,6 +149,14 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(opts))
 }
 
+/// This process's peak resident set in kB: `VmHWM` in `/proc/self/status`,
+/// or `None` where there is no such file.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|line| line.strip_prefix("VmHWM:"))?;
+    line.split_whitespace().next()?.parse().ok()
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -224,6 +238,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     println!("report written to {}", opts.out);
+    if let Some(kb) = peak_rss_kb() {
+        eprintln!("peak RSS: {kb} kB (VmHWM)");
+    }
 
     if opts.assert_warm && stats.misses > 0 {
         eprintln!(

@@ -36,14 +36,17 @@
 //! fleet run is bit-identical across processes and servers never share a
 //! random stream.
 //!
-//! The peak search ([`measured_peak_rps`]) probes 13 rates, each on fresh
-//! queues from the same probe seed, so it draws that seed's randomness
-//! once and replays it at every rate: each interval's arrival draws and
-//! each server's service-time factors, kept as a probe first needs them.
-//! A probe stops as soon as its pass/fail verdict is settled. One dispatch
-//! loop serves the day, the calibration runs and the replayed probes: it is
-//! generic over where its requests come from, so no request pays a dynamic
-//! call.
+//! The peak search ([`measured_peak_rps`]) uses 13 verdicts, each probe on
+//! fresh queues from the same probe seed, so it draws that seed's
+//! randomness once and replays it at every rate: each interval's arrival
+//! draws, drawn up front, and each server's service-time factors, kept as a
+//! probe first needs them. [`bisect_peak_rps`] runs its probes two at a
+//! time on two lanes of the [`sim_model::parallel_map`] pool, and each lane
+//! keeps its own copy of the factors; the threshold calibration's two runs
+//! run side by side on the pool too. A probe stops as soon as its pass/fail
+//! verdict is settled. One dispatch loop serves the day, the calibration
+//! runs and the replayed probes: it is generic over where its requests come
+//! from, so no request pays a dynamic call.
 //!
 //! A [`FleetConfig`] holds what a run varies: size, service, diurnal
 //! pattern, racks and balancer, tail retention, days, measurement budget,
@@ -109,7 +112,7 @@
 
 use crate::diurnal::{day_steps, DiurnalPattern, INTERVAL_HOURS};
 use crate::topology::TailAccumulation;
-use sim_model::{parallel_fold, CanonicalKey, KeyEncoder, SimRng};
+use sim_model::{parallel_fold, parallel_map, CanonicalKey, KeyEncoder, SimRng};
 use sim_qos::{
     bisect_peak_rps, ArrivalClock, ArrivalDraw, ArrivalDraws, ArrivalGenerator, ArrivalProcess,
     ServerQueues, ServiceSpec,
@@ -358,17 +361,21 @@ pub fn rack_seed(fleet_seed: u64, rack: usize) -> u64 {
 /// calibration and the day's run — [`Fleet::with_peak`] accepts it
 /// precomputed.
 ///
-/// Every probe replays one tape of random numbers, drawn lazily from the
-/// probe seed's streams: each interval's arrival draws, the first time a
-/// probe reaches the interval, and each server's service-time factors, in
-/// the order the server takes requests (how many it takes differs from
-/// probe to probe). The arrival clock multiplies each draw by the probed
+/// Every probe replays one tape of random numbers from the probe seed's
+/// streams: all 6 intervals' arrival draws, drawn once before the search
+/// and read by both of its lanes, and each server's service-time factors,
+/// drawn lazily in the order the server takes requests (how many it takes
+/// differs from probe to probe) and replayed from the first by every probe.
+/// Each lane keeps its own copy of the factors, the same values drawn from
+/// the same streams. The arrival clock multiplies each draw by the probed
 /// rate's mean gap and each factor is multiplied by the service median, so
 /// every probe sees the inputs a live run at its rate draws, bit for bit;
-/// the balancer RNG restarts from the same state in every probe. A probe
-/// also stops as soon as its verdict is settled: once more of its measured
-/// tails are at or under the target than over it by more than the
-/// server-intervals still to run, the median passes whatever those add
+/// the balancer RNG restarts from the same state in every probe. The search
+/// uses 13 verdicts, two lanes at a time (see [`bisect_peak_rps`]), and
+/// each is the verdict a one-probe-at-a-time search reaches at the same
+/// rate. A probe also stops as soon as its verdict is settled: once more of
+/// its measured tails are at or under the target than over it by more than
+/// the server-intervals still to run, the median passes whatever those add
 /// (and fails in the mirror case). The median of N tails lies between ranks
 /// ⌊(N−1)/2⌋ and ⌈(N−1)/2⌉, so either bound decides it.
 ///
@@ -397,23 +404,36 @@ pub fn measured_peak_rps(cfg: &FleetConfig) -> f64 {
     let target_ms = cfg.service.qos_target_ms;
     let baseline_perf = cfg.table.baseline.ls_performance.clamp(0.05, 1.0);
     let seed = cfg.seed ^ PEAK_PROBE_TAG;
-    let mut tape = ProbeTape::new(seed, cfg.servers);
-    let peak = bisect_peak_rps(&cfg.service, baseline_perf, |per_server_rps| {
-        let rate = per_server_rps * cfg.servers as f64;
-        let mut verdict = None;
-        let tails =
-            pinned_tails(cfg, seed, &mut tape, baseline_perf, rate, 6, |tails, remaining| {
-                verdict = settled_verdict(tails, target_ms, remaining);
-                verdict.is_some()
-            });
-        verdict.unwrap_or_else(|| {
-            percentile(&tails, 50.0).expect("peak calibration produced samples") <= target_ms
-        })
-    });
+    let arrivals = probe_arrivals(cfg, seed);
+    let mut lanes = std::array::from_fn(|_| FactorTape::new(cfg, seed));
+    let peak =
+        bisect_peak_rps(&cfg.service, baseline_perf, &mut lanes, |factors, per_server_rps| {
+            let rate = per_server_rps * cfg.servers as f64;
+            let mut tape = ProbeTape { arrivals: &arrivals, factors, taken: vec![0; cfg.servers] };
+            let mut verdict = None;
+            let tails = pinned_tails(
+                cfg,
+                seed,
+                &mut tape,
+                baseline_perf,
+                rate,
+                PROBE_INTERVALS,
+                |tails, remaining| {
+                    verdict = settled_verdict(tails, target_ms, remaining);
+                    verdict.is_some()
+                },
+            );
+            verdict.unwrap_or_else(|| {
+                percentile(&tails, 50.0).expect("peak calibration produced samples") <= target_ms
+            })
+        });
     match peak {
         Ok(rps) | Err(rps) => rps,
     }
 }
+
+/// The pinned intervals a peak probe runs: 2 of warm-up, 4 measured.
+const PROBE_INTERVALS: u64 = 6;
 
 /// The tag the peak probes' seed is `cfg.seed` xor'ed with.
 const PEAK_PROBE_TAG: u64 = 0x9ea4;
@@ -561,50 +581,54 @@ impl RequestSource for LiveInterval<'_> {
     }
 }
 
-/// The peak search's common random numbers (see [`measured_peak_rps`]):
-/// the draws of the probe seed's [`LiveStreams`], kept as they are first
-/// needed so that every probe replays them.
-struct ProbeTape {
-    streams: LiveStreams,
-    /// Interval `t`'s arrival draws, drawn when a probe first reaches it.
-    arrivals: Vec<Vec<ArrivalDraw>>,
-    /// Each server's service factors, in the order it takes requests.
-    factors: Vec<Vec<f64>>,
-    /// Requests each server has taken in the current probe.
-    taken: Vec<usize>,
+/// Every peak probe interval's arrival draws under the probe seed `seed`,
+/// drawn once for all probes and both lanes (see [`measured_peak_rps`]).
+fn probe_arrivals(cfg: &FleetConfig, seed: u64) -> Vec<Vec<ArrivalDraw>> {
+    let (mut arrival_root, _) = shard_roots(seed);
+    let requests = cfg.servers * cfg.requests_per_server;
+    (0..PROBE_INTERVALS)
+        .map(|t| {
+            let mut draws = ArrivalDraws::new(ARRIVALS, arrival_root.fork(t));
+            (0..requests).map(|_| draws.next_draw()).collect()
+        })
+        .collect()
 }
 
-impl ProbeTape {
-    fn new(seed: u64, servers: usize) -> ProbeTape {
-        ProbeTape {
-            streams: LiveStreams::new(seed, servers),
-            arrivals: Vec::new(),
-            factors: vec![Vec::new(); servers],
-            taken: vec![0; servers],
+/// One peak-search lane's service-time factors: each server's, in the
+/// order it takes requests, drawn from the probe seed's service streams
+/// the first time a probe needs them and replayed by every later probe.
+struct FactorTape {
+    service_rngs: Vec<SimRng>,
+    factors: Vec<Vec<f64>>,
+    sigma: f64,
+}
+
+impl FactorTape {
+    fn new(cfg: &FleetConfig, seed: u64) -> FactorTape {
+        FactorTape {
+            service_rngs: LiveStreams::new(seed, cfg.servers).service_rngs,
+            factors: vec![Vec::new(); cfg.servers],
+            sigma: cfg.service.service_sigma,
         }
     }
 }
 
-impl RequestStreams for ProbeTape {
-    /// Interval 0 starts a probe, so every server's factors replay from
-    /// their first again.
-    fn interval(&mut self, cfg: &FleetConfig, t: u64, rate_rps: f64) -> impl RequestSource + '_ {
-        if t == 0 {
-            self.taken.fill(0);
-        }
-        let index = t as usize;
-        if index == self.arrivals.len() {
-            let mut draws = ArrivalDraws::new(ARRIVALS, self.streams.arrival_root.fork(t));
-            let requests = cfg.servers * cfg.requests_per_server;
-            self.arrivals.push((0..requests).map(|_| draws.next_draw()).collect());
-        }
+/// One probe's replay of the peak search's common random numbers: the
+/// arrival draws every lane shares, its lane's [`FactorTape`] and how many
+/// requests each server has taken so far in the probe.
+struct ProbeTape<'a> {
+    arrivals: &'a [Vec<ArrivalDraw>],
+    factors: &'a mut FactorTape,
+    taken: Vec<usize>,
+}
+
+impl RequestStreams for ProbeTape<'_> {
+    fn interval(&mut self, _: &FleetConfig, t: u64, rate_rps: f64) -> impl RequestSource + '_ {
         TapeInterval {
             clock: ArrivalClock::new(ARRIVALS.with_rate(rate_rps)),
-            arrivals: self.arrivals[index].iter(),
-            service_rngs: &mut self.streams.service_rngs,
-            factors: &mut self.factors,
+            arrivals: self.arrivals[t as usize].iter(),
+            factors: &mut *self.factors,
             taken: &mut self.taken,
-            sigma: cfg.service.service_sigma,
         }
     }
 }
@@ -614,10 +638,8 @@ impl RequestStreams for ProbeTape {
 struct TapeInterval<'a> {
     clock: ArrivalClock,
     arrivals: std::slice::Iter<'a, ArrivalDraw>,
-    service_rngs: &'a mut [SimRng],
-    factors: &'a mut [Vec<f64>],
+    factors: &'a mut FactorTape,
     taken: &'a mut [usize],
-    sigma: f64,
 }
 
 impl RequestSource for TapeInterval<'_> {
@@ -629,11 +651,12 @@ impl RequestSource for TapeInterval<'_> {
 
     #[inline]
     fn service_factor(&mut self, server: usize) -> f64 {
-        let factors = &mut self.factors[server];
+        let tape = &mut *self.factors;
+        let factors = &mut tape.factors[server];
         let next = self.taken[server];
         self.taken[server] += 1;
         if next == factors.len() {
-            factors.push(self.service_rngs[server].log_normal_factor(self.sigma));
+            factors.push(tape.service_rngs[server].log_normal_factor(tape.sigma));
         }
         factors[next]
     }
@@ -962,10 +985,11 @@ fn pinned_tails(
 /// Calibrates tail-latency monitor thresholds so the measured control loop
 /// mirrors the paper's load rule "engage B-mode below `engage_below_load` of
 /// peak" — by measurement, on the fleet itself. Two short pinned-mode runs
-/// at exactly that load record the tail-to-target ratio every server shows
-/// per interval: under the baseline mode's delivered performance (its
-/// *median* becomes the engage threshold) and under B-mode performance (the
-/// disengage threshold). Because the calibration runs through the same
+/// at exactly that load, side by side on the [`sim_model::parallel_map`]
+/// pool, record the tail-to-target ratio every server shows per interval:
+/// under the baseline mode's delivered performance (its *median* becomes
+/// the engage threshold) and under B-mode performance (the disengage
+/// threshold). Because the calibration runs through the same
 /// balancer, budget and queues as the real day, the thresholds
 /// automatically absorb the smoothing a queue-aware dispatcher provides.
 ///
@@ -1002,14 +1026,20 @@ pub fn calibrated_monitor_with_peak(
     // unit, one rack.
     let cfg = &calibration_config(cfg);
     let rate = engage_below_load * cfg.servers as f64 * peak_rps;
-    let ratios_for = |perf: f64, tag: u64| -> Vec<f64> {
+    // The baseline and stretched runs are independent, so they run side by
+    // side on the pool, the baseline's result first.
+    let runs = vec![
+        (cfg.table.baseline.ls_performance, 0xca1b_0001),
+        (cfg.table.b_mode.ls_performance, 0xca1b_0002),
+    ];
+    let ratios = parallel_map(runs, 2, |&(perf, tag): &(f64, u64)| {
         let seed = cfg.seed ^ tag;
         let mut streams = LiveStreams::new(seed, cfg.servers);
         let tails = pinned_tails(cfg, seed, &mut streams, perf, rate, 8, |_, _| false);
         tails.iter().map(|tail| tail / cfg.service.qos_target_ms).collect()
-    };
-    let baseline = ratios_for(cfg.table.baseline.ls_performance, 0xca1b_0001);
-    let stretched = ratios_for(cfg.table.b_mode.ls_performance, 0xca1b_0002);
+    });
+    let [baseline, stretched]: [Vec<f64>; 2] =
+        ratios.try_into().expect("two runs map to two results");
     let engage_below =
         percentile(&baseline, 50.0).expect("calibration produced samples").clamp(0.05, 1.40);
     let disengage_above = percentile(&stretched, 90.0)
@@ -1558,7 +1588,8 @@ mod tests {
         let bracket_top = |fleet: &Fleet| {
             let cfg = fleet.cfg();
             let perf = cfg.table.baseline.ls_performance.clamp(0.05, 1.0);
-            bisect_peak_rps(&cfg.service, perf, |_| true).expect("every probe passes")
+            bisect_peak_rps(&cfg.service, perf, &mut [(), ()], |(), _| true)
+                .expect("every probe passes")
         };
         let study = CaseStudy::youtube();
         let rejected = study.fleet(LoadBalancer::LeastLoaded, FleetScale::quick(10));
@@ -1572,21 +1603,34 @@ mod tests {
         assert_eq!(accepted.peak_rps().to_bits(), bracket_top(&accepted).to_bits());
     }
 
-    /// The peak search as it was before the tape: every probe draws live
-    /// streams and runs all 6 intervals before it takes the median.
+    /// The peak search as it was before the tape and the lanes: one probe at
+    /// a time, each drawing live streams and running all 6 intervals before
+    /// it takes the median.
     fn live_full_length_peak_rps(cfg: &FleetConfig) -> f64 {
         let cfg = &calibration_config(cfg);
         let perf = cfg.table.baseline.ls_performance.clamp(0.05, 1.0);
         let seed = cfg.seed ^ PEAK_PROBE_TAG;
-        let peak = bisect_peak_rps(&cfg.service, perf, |per_server_rps| {
+        let meets = |per_server_rps: f64| {
             let rate = per_server_rps * cfg.servers as f64;
             let mut streams = LiveStreams::new(seed, cfg.servers);
-            let tails = pinned_tails(cfg, seed, &mut streams, perf, rate, 6, |_, _| false);
+            let tails =
+                pinned_tails(cfg, seed, &mut streams, perf, rate, PROBE_INTERVALS, |_, _| false);
             percentile(&tails, 50.0).expect("samples") <= cfg.service.qos_target_ms
-        });
-        match peak {
-            Ok(rps) | Err(rps) => rps,
+        };
+        let capacity_rps = cfg.service.workers as f64 * 1000.0 / cfg.service.mean_service_ms(perf);
+        let (mut lo, mut hi) = (capacity_rps * 0.05, capacity_rps);
+        if !meets(lo) {
+            return lo;
         }
+        for _ in 0..12 {
+            let mid = 0.5 * (lo + hi);
+            if meets(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     #[test]
@@ -1597,7 +1641,8 @@ mod tests {
         // config per study serves every seed and balancer.
         let bracket_top = |cfg: &FleetConfig| {
             let perf = cfg.table.baseline.ls_performance.clamp(0.05, 1.0);
-            bisect_peak_rps(&cfg.service, perf, |_| true).expect("every probe passes")
+            bisect_peak_rps(&cfg.service, perf, &mut [(), ()], |(), _| true)
+                .expect("every probe passes")
         };
         let cases = [
             (CaseStudy::web_search(), vec![10, 42]),

@@ -1,8 +1,9 @@
 //! A minimal deterministic worker pool shared by every layer that fans
 //! simulation work out over OS threads.
 //!
-//! [`parallel_fold`] maps every item on a pool of OS threads and folds each
-//! result into one accumulator *in index order*, as soon as every earlier
+//! [`parallel_fold`] maps every item on a pool of OS threads — the calling
+//! thread and up to `workers - 1` threads it starts for the call — and folds
+//! each result into one accumulator *in index order*, as soon as every earlier
 //! result is in. Whatever order the workers finish in, the fold sees results
 //! `0, 1, 2, …`, one at a time, so a caller that combines floats in it
 //! through the canonical reducers in `sim_stats::reduce` gets bit-identical
@@ -39,6 +40,9 @@ struct Folding<A, F, R> {
 /// Maps `map` over `items` on a pool of OS threads and folds the results
 /// into `init` with `fold`, in input order.
 ///
+/// The calling thread is one of the `workers`: the call starts
+/// `min(workers, items) - 1` more threads and joins them before it returns,
+/// so a one-worker call runs inline and a two-item call starts one thread.
 /// Work is distributed by an atomic work-stealing index. A worker that has
 /// mapped item `i` takes the pool's lock, parks the result, and folds every
 /// parked result from the next unfolded index on, stopping at the first
@@ -76,23 +80,25 @@ where
     let next = AtomicUsize::new(0);
     let early = std::iter::repeat_with(|| None).take(n).collect();
     let state = Mutex::new(Folding { acc: init, fold, next: 0, early });
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = map(&items[i]);
-                let mut guard = state.lock().expect("a fold panicked while holding the lock");
-                let s = &mut *guard;
-                s.early[i] = Some(result);
-                while let Some(result) = s.early.get_mut(s.next).and_then(Option::take) {
-                    (s.fold)(&mut s.acc, result);
-                    s.next += 1;
-                }
-            });
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let result = map(&items[i]);
+        let mut guard = state.lock().expect("a fold panicked while holding the lock");
+        let s = &mut *guard;
+        s.early[i] = Some(result);
+        while let Some(result) = s.early.get_mut(s.next).and_then(Option::take) {
+            (s.fold)(&mut s.acc, result);
+            s.next += 1;
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(n) {
+            scope.spawn(worker);
+        }
+        worker();
     });
     let done = state.into_inner().expect("scope joined every worker");
     assert_eq!(done.next, n, "every index was folded");
@@ -194,6 +200,22 @@ mod tests {
             assert_eq!(mapped_order.last(), Some(&0), "{workers} workers: item 0 maps last");
             assert_eq!(folded, (0..n).collect::<Vec<_>>(), "{workers} workers fold in order");
         }
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        let caller = std::thread::current().id();
+        let on_caller = parallel_map(vec![(); 3], 1, |_| std::thread::current().id() == caller);
+        assert_eq!(on_caller, [true; 3], "one worker maps every item on the calling thread");
+        // Two items that each wait for the other must map side by side: one
+        // on the calling thread, one on the one thread the call starts.
+        let barrier = std::sync::Barrier::new(2);
+        let ids = parallel_map(vec![(); 2], 2, |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&caller), "the calling thread mapped one of the items");
     }
 
     #[test]

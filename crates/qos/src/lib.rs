@@ -29,7 +29,8 @@
 //! * [`queue`] — the request model: the FCFS queues of one or more servers
 //!   over their worker threads ([`queue::ServerQueues`], stored worker-major
 //!   so a least-loaded choice is one sweep) and the 12-step bisection that
-//!   finds a peak sustainable load ([`queue::bisect_peak_rps`]).
+//!   finds a peak sustainable load ([`queue::bisect_peak_rps`]), probing two
+//!   steps at a time on two lanes.
 //! * [`server::ServerSim`] — one server's run over a one-server
 //!   [`queue::ServerQueues`], percentile collection.
 //! * [`sweep`] — latency-versus-load curves (Figure 1).
@@ -49,8 +50,9 @@
 //! its fleet simulation dispatches one arrival stream over N servers held in
 //! one [`queue::ServerQueues`] per shard, whose backlogs its load balancers
 //! probe, finds the fleet's peak with [`queue::bisect_peak_rps`] over
-//! probes that replay one tape of the same draws, and calibrates Stretch's
-//! engagement thresholds from the tails the queueing model produces.
+//! probes that replay one tape of the same draws (the arrivals shared, the
+//! service factors one copy per lane), and calibrates Stretch's engagement
+//! thresholds from the tails the queueing model produces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -186,8 +186,10 @@ impl ServerSim {
     }
 
     /// [`ServerSim::find_peak_load_rps`] on a drawn `tape` of `params`.
+    /// Both lanes of the search replay the one shared tape, so they need no
+    /// state of their own.
     pub(crate) fn peak_on(&self, tape: &RunTape, params: SimParams) -> f64 {
-        bisect_peak_rps(&self.spec, params.performance_fraction, |rate| {
+        bisect_peak_rps(&self.spec, params.performance_fraction, &mut [(), ()], |(), rate| {
             self.meets_target(&self.replay(tape, rate, params))
         })
         .unwrap_or(0.0)

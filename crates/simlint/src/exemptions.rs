@@ -46,6 +46,12 @@ pub const EXEMPTIONS: &[Exemption] = &[
         modules: &["reduce"],
         reason: "sim_stats::reduce defines the canonical reducer the rule points everyone at",
     },
+    Exemption {
+        rule: crate::rules::THREAD_POOL,
+        crate_key: "model",
+        modules: &["parallel"],
+        reason: "sim_model::parallel is the worker pool the rule points everyone at",
+    },
 ];
 
 /// The exemption covering `rule` at `module`, if any.
@@ -78,6 +84,15 @@ mod tests {
         assert!(exemption_for(&engine, crate::rules::NONDET_TIME).is_none());
         let figures = ModuleGraph::fallback("crates/bench/src/figures.rs");
         assert!(exemption_for(&figures, crate::rules::NONDET_COLLECTIONS).is_none());
+    }
+
+    #[test]
+    fn the_pool_module_is_exempt_from_thread_pool_only() {
+        let pool = ModuleGraph::fallback("crates/model/src/parallel.rs");
+        let rules: Vec<&str> = exempt_rules(&pool).iter().map(|e| e.rule).collect();
+        assert_eq!(rules, vec![crate::rules::THREAD_POOL]);
+        let rng = ModuleGraph::fallback("crates/model/src/rng.rs");
+        assert!(exemption_for(&rng, crate::rules::THREAD_POOL).is_none());
     }
 
     #[test]

@@ -39,6 +39,9 @@ pub const LINT_HEADER: &str = "lint-header";
 pub const CANON_MANIFEST: &str = "canon-manifest";
 /// Rule id: malformed, unknown-rule or no-op `simlint: allow` directives.
 pub const ALLOW_HYGIENE: &str = "allow-hygiene";
+/// Rule id: OS threads started anywhere but the one worker pool,
+/// `sim_model::parallel`.
+pub const THREAD_POOL: &str = "thread-pool";
 /// Rule id: RNG streams must originate from named seed-derivation functions
 /// and must not be shared across `parallel_map` / `parallel_fold` shards.
 pub const RNG_DISCIPLINE: &str = "rng-discipline";
@@ -109,6 +112,15 @@ pub const RULES: &[RuleInfo] = &[
         scope: "every scanned file",
     },
     RuleInfo {
+        id: THREAD_POOL,
+        summary: "no thread::spawn, thread::scope or thread::Builder: sim_model::parallel is \
+                  the one worker pool, and its index-order fold is what keeps results \
+                  independent of worker count and scheduling; fan work out through \
+                  parallel_map or parallel_fold",
+        scope: "all first-party non-test code; module-scoped exemption: model::parallel (it \
+                is the pool)",
+    },
+    RuleInfo {
         id: RNG_DISCIPLINE,
         summary: "every RNG construction must trace to a named seed-derivation function \
                   (server_seed, pair_seed, Scenario::seed), and an RNG bound outside a \
@@ -138,7 +150,7 @@ pub const RULES: &[RuleInfo] = &[
         summary: "line waivers must not duplicate a module-scoped exemption: if the module is \
                   already exempt from a rule, a simlint: allow for that rule is stale noise",
         scope: "every scanned file; built-in exemptions: bench::engine (nondet-collections), \
-                stats::reduce (reduction-order)",
+                stats::reduce (reduction-order), model::parallel (thread-pool)",
     },
 ];
 
@@ -311,6 +323,9 @@ pub fn scan_source_in(path: &str, module: &ModulePath, source: &str) -> Vec<Find
             nondet_time(path, &toks, &skip, &mut out);
         }
         float_eq(path, &toks, &skip, &mut out);
+        if exemption_for(module, THREAD_POOL).is_none() {
+            thread_pool(path, &toks, &skip, &mut out);
+        }
         if !panic_exempt {
             panic_policy(path, &toks, &skip, &mut out);
         }
@@ -379,6 +394,28 @@ fn nondet_time(path: &str, toks: &[Tok], skip: &dyn Fn(u32) -> bool, out: &mut V
         if let Some(message) = message {
             out.push(finding(NONDET_TIME, path, t, message));
         }
+    }
+}
+
+fn thread_pool(path: &str, toks: &[Tok], skip: &dyn Fn(u32) -> bool, out: &mut Vec<Finding>) {
+    for (i, t) in toks.iter().enumerate() {
+        if skip(t.line) || !t.is_ident("thread") {
+            continue;
+        }
+        let Some(entry) =
+            ["spawn", "scope", "Builder"].into_iter().find(|e| match_path(toks, i, &["thread", e]))
+        else {
+            continue;
+        };
+        out.push(finding(
+            THREAD_POOL,
+            path,
+            t,
+            format!(
+                "thread::{entry} starts OS threads outside sim_model::parallel, the one worker \
+                 pool; fan the work out through parallel_map or parallel_fold"
+            ),
+        ));
     }
 }
 

@@ -69,26 +69,6 @@ impl RobSkew {
     pub fn total(&self) -> usize {
         self.ls_entries + self.batch_entries
     }
-
-    /// Validates the skew against a core's ROB capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either side has no entries or the skew exceeds the
-    /// ROB capacity.
-    pub fn validate(&self, cfg: &CoreConfig) -> Result<(), String> {
-        if self.ls_entries == 0 || self.batch_entries == 0 {
-            return Err(format!("skew {self} leaves one thread without ROB entries"));
-        }
-        if self.total() > cfg.rob_capacity {
-            return Err(format!(
-                "skew {self} needs {} entries but the ROB has {}",
-                self.total(),
-                cfg.rob_capacity
-            ));
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Display for RobSkew {
@@ -179,19 +159,6 @@ impl StretchConfig {
         StretchConfig { b_mode, q_mode: None }
     }
 
-    /// Validates both provisioned skews against the core.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first skew validation error.
-    pub fn validate(&self, cfg: &CoreConfig) -> Result<(), String> {
-        self.b_mode.validate(cfg)?;
-        if let Some(q) = self.q_mode {
-            q.validate(cfg)?;
-        }
-        Ok(())
-    }
-
     /// The mode to engage when the QoS metric indicates high load: Q-mode if
     /// provisioned, otherwise the baseline.
     pub fn high_load_mode(&self) -> StretchMode {
@@ -216,6 +183,8 @@ impl Default for StretchConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpu_sim::SmtCoreBuilder;
+    use sim_model::{MicroOp, OpKind, TraceGenerator};
 
     #[test]
     fn sweeps_match_figure_9_labels() {
@@ -225,21 +194,57 @@ mod tests {
         assert_eq!(q, vec!["128-64", "136-56", "144-48", "152-40", "160-32"]);
     }
 
+    /// An ALU op stream: enough for the core to accept a thread.
+    struct AluLoop(u64);
+
+    impl TraceGenerator for AluLoop {
+        fn next_op(&mut self) -> MicroOp {
+            self.0 += 4;
+            MicroOp::alu(self.0, OpKind::IntAlu, [None, None], Some(1))
+        }
+    }
+
+    /// Engages `skew` in B-mode on a pair core with a workload on both
+    /// threads, as a Stretch core programs its limit registers. The panic
+    /// message when the core or the partition refuses it, else `None`.
+    fn engage_on_a_pair(skew: RobSkew) -> Option<String> {
+        let cfg = CoreConfig::default();
+        std::panic::catch_unwind(|| {
+            let partition = StretchMode::BatchBoost(skew).partition_policy(&cfg, 2, ThreadId::T0);
+            let _core = SmtCoreBuilder::new(cfg)
+                .partition(partition)
+                .thread(ThreadId::T0, Box::new(AluLoop(0x1000)))
+                .thread(ThreadId::T1, Box::new(AluLoop(0x8000)))
+                .build();
+        })
+        .err()
+        .map(|payload| match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => {
+                payload.downcast_ref::<&str>().map_or_else(String::new, |m| m.to_string())
+            }
+        })
+    }
+
     #[test]
     fn all_sweep_points_fit_the_table_ii_rob() {
         let cfg = CoreConfig::default();
         for s in RobSkew::b_mode_sweep().into_iter().chain(RobSkew::q_mode_sweep()) {
-            s.validate(&cfg).unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(s.total(), cfg.rob_capacity);
+            let p = StretchMode::BatchBoost(s).partition_policy(&cfg, 2, ThreadId::T0);
+            assert_eq!(p.rob_limit(&cfg, ThreadId::T0), s.ls_entries);
+            assert_eq!(p.rob_limit(&cfg, ThreadId::T1), s.batch_entries);
         }
     }
 
     #[test]
     fn skew_validation_rejects_nonsense() {
-        let cfg = CoreConfig::default();
-        assert!(RobSkew::new(0, 192).validate(&cfg).is_err());
-        assert!(RobSkew::new(128, 128).validate(&cfg).is_err());
-        assert!(RobSkew::new(56, 136).validate(&cfg).is_ok());
+        // The core boundary refuses both nonsense skews: a side with no ROB
+        // entries for a thread with a workload, and a split beyond the ROB.
+        let refusal = |skew| engage_on_a_pair(skew).unwrap_or_default();
+        assert!(refusal(RobSkew::new(0, 192)).contains("no ROB entries but it has a workload"));
+        assert!(refusal(RobSkew::new(128, 128)).contains("exceeds capacity"));
+        assert_eq!(engage_on_a_pair(RobSkew::new(56, 136)), None);
     }
 
     #[test]
@@ -269,7 +274,6 @@ mod tests {
         assert!(c.high_load_mode().is_qos_boost());
         let b_only = StretchConfig::b_mode_only(RobSkew::new(48, 144));
         assert_eq!(b_only.high_load_mode(), StretchMode::Baseline);
-        assert!(b_only.validate(&CoreConfig::default()).is_ok());
     }
 
     #[test]

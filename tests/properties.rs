@@ -240,7 +240,6 @@ proptest! {
         let cfg = CoreConfig::default();
         let batch = cfg.rob_capacity - ls;
         let skew = RobSkew::new(ls, batch);
-        prop_assert!(skew.validate(&cfg).is_ok());
         for mode in [StretchMode::BatchBoost(skew), StretchMode::QosBoost(skew)] {
             for ls_thread in ThreadId::ALL {
                 let policy = mode.partition_policy(&cfg, 2, ls_thread);

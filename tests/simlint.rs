@@ -277,6 +277,51 @@ fn shared_state_flags_static_mut_and_interior_mutability() {
 }
 
 #[test]
+fn thread_pool_flags_threads_started_outside_the_pool() {
+    let findings = analyze_source_as("crates/x/src/lib.rs", &fixture("thread_pool.rs"));
+    let got: Vec<_> = findings.iter().map(span).collect();
+    assert_eq!(
+        got,
+        vec![
+            ("thread-pool", 7, 18, false),  // thread::spawn
+            ("thread-pool", 8, 10, false),  // std::thread::scope
+            ("thread-pool", 15, 25, false), // std::thread::Builder
+            ("thread-pool", 19, 5, true),   // waived with a reason
+        ]
+    );
+    assert!(findings[0].message.contains("thread::spawn"));
+    assert!(findings[2].message.contains("thread::Builder"));
+    // A scope's own `s.spawn` (line 9), available_parallelism and sleep
+    // (lines 23-24) and the #[cfg(test)] thread (line 30) are clean.
+    // The pool's own module is exempt, so there the waiver duplicates the
+    // exemption.
+    let pool = analyze_source_as("crates/model/src/parallel.rs", &fixture("thread_pool.rs"));
+    assert_eq!(
+        pool.iter().map(span).collect::<Vec<_>>(),
+        vec![("scoped-exemptions", 19, 29, false)]
+    );
+    // Test files start threads freely.
+    assert!(analyze_source_as("tests/anything.rs", &fixture("thread_pool.rs"))
+        .iter()
+        .all(|f| f.rule != "thread-pool"));
+}
+
+#[test]
+fn the_live_tree_starts_threads_only_in_the_pool() {
+    let ws = Workspace::open(env!("CARGO_MANIFEST_DIR")).expect("repo root is a workspace");
+    let filter = RuleFilter::only(&["thread-pool"]).expect("thread-pool is a known rule");
+    let report = ws.analyze(&filter).expect("analysis over the live tree succeeds");
+    let all: Vec<String> = report.findings.iter().map(|f| f.human()).collect();
+    assert!(all.is_empty(), "threads started outside the pool, waived or not:\n{}", all.join("\n"));
+    // The pool does start threads: only its module's exemption keeps it clean.
+    let pool = std::fs::read_to_string(ws.root().join("crates/model/src/parallel.rs"))
+        .expect("the pool's source is readable");
+    assert!(analyze_source_as("crates/x/src/lib.rs", &pool)
+        .iter()
+        .any(|f| f.rule == "thread-pool"));
+}
+
+#[test]
 fn scoped_exemptions_cover_modules_and_flag_redundant_waivers() {
     // In bench::engine the module-scoped exemption silences the rule, so
     // the line waiver is redundant — flagged at the directive's own span.
