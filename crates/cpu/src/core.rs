@@ -17,14 +17,18 @@
 //! ROB/LSQ partition limits, and fetches from the workload trace generators
 //! subject to I-cache misses, branch redirects and fetch-bandwidth limits.
 //!
-//! Most cycles of a memory-bound run do none of that: every thread waits on
-//! a miss, a fetch stall or a branch redirect. Two mechanisms keep those
-//! cycles cheap without changing a single result bit:
+//! In a memory-bound run most in-flight instructions wait on a miss, and in
+//! most cycles every thread waits on a miss, a fetch stall or a branch
+//! redirect. Two mechanisms keep those cycles cheap without changing a
+//! single result bit:
 //!
-//! * The issue and complete stages walk per-thread work lists (the sequence
-//!   numbers of `Dispatched` and of `Issued` entries) instead of the whole
-//!   ROB, and wake-up checks read the producer's ROB status by its
-//!   per-thread sequence number.
+//! * Each thread's ROB is a power-of-two ring indexed by per-thread sequence
+//!   number. The issue stage walks only its ready list (the `Dispatched`
+//!   entries with no pending producer, in age order) and the complete stage
+//!   only its `Issued` entries. A completing producer follows its consumer
+//!   links by sequence number and moves each consumer it was the last
+//!   pending producer of onto the ready list, so no stage re-checks an
+//!   entry that cannot issue yet.
 //! * [`SmtCore::skip_quiescent`] warps over a run of cycles in which no
 //!   stage can act, applying their only effects (clocks, round-robin
 //!   rotations, the MLP census) in bulk; [`crate::run_core`] calls it after
@@ -75,106 +79,215 @@ enum IssueScan {
 /// number, so [`Rob::pending`] reports it as already complete.
 const NO_DEP: u64 = u64::MAX;
 
-/// A reorder buffer in structure-of-arrays layout.
+/// Sentinel ending a consumer list (see [`Slot::consumers`]).
+const NO_LINK: u64 = u64::MAX;
+
+/// One ROB entry.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    id: u64,
+    uop: MicroOp,
+    status: EntryStatus,
+    completion: Cycle,
+    mispredicted: bool,
+    in_lsq: bool,
+    /// Producers this entry still waits on: one per source operand whose
+    /// producer was pending at dispatch and has not completed since.
+    waiting: u8,
+    /// Head of the list of this entry's waiting consumers. A link is
+    /// `consumer_seq << 1 | operand`, and the list continues at the
+    /// consumer's `next[operand]`; [`NO_LINK`] ends it.
+    consumers: u64,
+    /// Per source operand, the next link of the list of the producer that
+    /// operand waits on.
+    next: [u64; 2],
+}
+
+impl Slot {
+    /// The contents of a slot no live entry occupies.
+    const VACANT: Slot = Slot {
+        id: 0,
+        uop: MicroOp {
+            pc: 0,
+            kind: OpKind::IntAlu,
+            srcs: [None, None],
+            dst: None,
+            mem: None,
+            branch: None,
+        },
+        status: EntryStatus::Completed,
+        completion: 0,
+        mispredicted: false,
+        in_lsq: false,
+        waiting: 0,
+        consumers: NO_LINK,
+        next: [NO_LINK; 2],
+    };
+}
+
+/// A reorder buffer: a power-of-two ring of entries indexed by sequence
+/// number.
 ///
-/// Every dispatched instruction gets a per-thread sequence number: the
-/// entry at index `i` has sequence number `head_seq + i`. Sequence numbers
-/// below `head_seq` belong to committed (or flushed) instructions, so a
-/// producer is still pending exactly when its number indexes an entry that
-/// is not yet `Completed` ([`Rob::pending`]) — one indexed load.
+/// Every dispatched instruction gets a per-thread sequence number and lives
+/// in slot `seq & mask`. The live entries are the `len` numbers from
+/// `head_seq` on; numbers below `head_seq` belong to committed (or flushed)
+/// instructions, so a producer is still pending exactly when its number is
+/// in that range and its entry is not yet `Completed` ([`Rob::pending`]):
+/// one range check and one indexed load. The ring doubles when a push finds
+/// it full, since a static share may exceed the core's ROB capacity and a
+/// mode change may enlarge a share mid-run.
 ///
-/// The field queues move in lock-step: entries enter at the back in
-/// dispatch order and leave from the front at commit, so index `i`
-/// addresses one instruction across every field. The issue stage walks only
-/// `dispatched` and the complete stage only `issued`, touching the `MicroOp`
-/// payload only when an instruction actually issues or commits.
+/// Two work lists keep the issue and complete stages off the rest of the
+/// ROB. `ready` holds the `Dispatched` entries with no pending producer, in
+/// age order: exactly the entries the issue stage may issue. An entry joins
+/// it at dispatch when all its producers have completed, and otherwise when
+/// the completion of its last pending producer walks that producer's
+/// consumer list ([`Rob::finish`]). Nothing else makes a `Dispatched` entry
+/// ready: a producer commits only after completing, and a flush empties the
+/// whole thread. `issued` holds the `Issued` entries in issue order.
 #[derive(Debug, Default)]
 struct Rob {
     /// Sequence number of the head entry.
     head_seq: u64,
-    ids: VecDeque<u64>,
-    uops: VecDeque<MicroOp>,
-    status: VecDeque<EntryStatus>,
-    completion: VecDeque<Cycle>,
-    /// Producer sequence numbers per source operand, [`NO_DEP`] when absent.
-    deps: VecDeque<[u64; 2]>,
-    mispredicted: VecDeque<bool>,
-    in_lsq: VecDeque<bool>,
-    /// Sequence numbers of the `Dispatched` entries, in age order.
-    dispatched: Vec<u64>,
+    len: usize,
+    /// `slots.len() - 1`; the ring is empty until the first push.
+    mask: u64,
+    slots: Vec<Slot>,
+    /// Sequence numbers of the `Dispatched` entries with no pending
+    /// producer, in age order.
+    ready: Vec<u64>,
     /// Sequence numbers of the `Issued` entries, in issue order.
     issued: Vec<u64>,
 }
 
 impl Rob {
     fn len(&self) -> usize {
-        self.ids.len()
+        self.len
     }
 
     /// Sequence number the next dispatched entry receives.
     fn next_seq(&self) -> u64 {
-        self.head_seq + self.len() as u64
+        self.head_seq + self.len as u64
     }
 
-    /// ROB index of the entry with sequence number `seq`.
-    fn index(&self, seq: u64) -> usize {
-        (seq - self.head_seq) as usize
+    fn slot(&self, seq: u64) -> &Slot {
+        &self.slots[(seq & self.mask) as usize]
+    }
+
+    fn slot_mut(&mut self, seq: u64) -> &mut Slot {
+        &mut self.slots[(seq & self.mask) as usize]
     }
 
     /// Whether the producer with sequence number `seq` has yet to complete.
-    /// Committed and flushed producers (below `head_seq`) wrap to an index
-    /// past the end, as does [`NO_DEP`].
+    /// Committed and flushed producers (below `head_seq`) wrap to an offset
+    /// past the live range, as does [`NO_DEP`].
     fn pending(&self, seq: u64) -> bool {
-        self.status
-            .get(seq.wrapping_sub(self.head_seq) as usize)
-            .is_some_and(|&s| s != EntryStatus::Completed)
+        seq.wrapping_sub(self.head_seq) < self.len as u64
+            && self.slot(seq).status != EntryStatus::Completed
     }
 
+    /// Whether the head entry exists and has completed.
+    fn head_completed(&self) -> bool {
+        self.len > 0 && self.slot(self.head_seq).status == EntryStatus::Completed
+    }
+
+    /// Appends a `Dispatched` entry whose source operands wait on the given
+    /// producers ([`NO_DEP`] for none; every other one must be pending).
     fn push_back(
         &mut self,
         id: u64,
         uop: MicroOp,
-        deps: [u64; 2],
+        producers: [u64; 2],
         mispredicted: bool,
         in_lsq: bool,
     ) {
-        self.dispatched.push(self.next_seq());
-        self.ids.push_back(id);
-        self.uops.push_back(uop);
-        self.status.push_back(EntryStatus::Dispatched);
-        self.completion.push_back(0);
-        self.deps.push_back(deps);
-        self.mispredicted.push_back(mispredicted);
-        self.in_lsq.push_back(in_lsq);
+        if self.len == self.slots.len() {
+            self.grow();
+        }
+        let seq = self.next_seq();
+        self.len += 1;
+        let mut entry =
+            Slot { id, uop, mispredicted, in_lsq, status: EntryStatus::Dispatched, ..Slot::VACANT };
+        for (operand, &producer) in producers.iter().enumerate() {
+            if producer == NO_DEP {
+                continue;
+            }
+            debug_assert!(self.pending(producer), "producer {producer} is not pending");
+            let head = &mut self.slot_mut(producer).consumers;
+            entry.next[operand] = *head;
+            *head = seq << 1 | operand as u64;
+            entry.waiting += 1;
+        }
+        if entry.waiting == 0 {
+            self.ready.push(seq);
+        }
+        *self.slot_mut(seq) = entry;
+    }
+
+    /// Doubles the ring (to 16 slots the first time), moving every live
+    /// entry to its slot under the new mask.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(16);
+        let mut slots = vec![Slot::VACANT; size];
+        let mask = size as u64 - 1;
+        for seq in self.head_seq..self.next_seq() {
+            slots[(seq & mask) as usize] = *self.slot(seq);
+        }
+        self.slots = slots;
+        self.mask = mask;
+    }
+
+    /// Marks an entry `Issued`, executing until `completion`. The caller
+    /// removes it from the ready list.
+    fn issue(&mut self, seq: u64, completion: Cycle) {
+        let slot = self.slot_mut(seq);
+        slot.status = EntryStatus::Issued;
+        slot.completion = completion;
+        self.issued.push(seq);
+    }
+
+    /// Marks an `Issued` entry `Completed` and moves every consumer it was
+    /// the last pending producer of onto the ready list. The caller removes
+    /// it from the issued list. Returns the entry's fetch id and whether it
+    /// is a mispredicted branch.
+    fn finish(&mut self, seq: u64) -> (u64, bool) {
+        let slot = self.slot_mut(seq);
+        slot.status = EntryStatus::Completed;
+        let (id, mispredicted, mut link) = (slot.id, slot.mispredicted, slot.consumers);
+        while link != NO_LINK {
+            let consumer = link >> 1;
+            let waiter = self.slot_mut(consumer);
+            waiter.waiting -= 1;
+            link = waiter.next[(link & 1) as usize];
+            if waiter.waiting == 0 {
+                let at = self.ready.partition_point(|&s| s < consumer);
+                self.ready.insert(at, consumer);
+            }
+        }
+        (id, mispredicted)
     }
 
     /// Pops the head entry (which must be `Completed`), returning the fields
     /// commit needs.
     fn pop_front(&mut self) -> Option<(MicroOp, bool)> {
-        let uop = self.uops.pop_front()?;
+        if self.len == 0 {
+            return None;
+        }
+        let slot = self.slot(self.head_seq);
+        let head = (slot.uop, slot.in_lsq);
         self.head_seq += 1;
-        self.ids.pop_front();
-        self.status.pop_front();
-        self.completion.pop_front();
-        self.deps.pop_front();
-        self.mispredicted.pop_front();
-        let in_lsq = self.in_lsq.pop_front().expect("rob queues move in lock-step");
-        Some((uop, in_lsq))
+        self.len -= 1;
+        Some(head)
     }
 
     /// Squashes every entry, appending the micro-ops to `squashed` in age
     /// order. The sequence numbers of the squashed entries are retired with
     /// them, so no later entry reuses one.
     fn flush_into(&mut self, squashed: &mut Vec<MicroOp>) {
+        squashed.extend((self.head_seq..self.next_seq()).map(|seq| self.slot(seq).uop));
         self.head_seq = self.next_seq();
-        squashed.extend(self.uops.drain(..));
-        self.ids.clear();
-        self.status.clear();
-        self.completion.clear();
-        self.deps.clear();
-        self.mispredicted.clear();
-        self.in_lsq.clear();
-        self.dispatched.clear();
+        self.len = 0;
+        self.ready.clear();
         self.issued.clear();
     }
 }
@@ -277,6 +390,9 @@ pub struct SmtCore {
     now: Cycle,
     next_id: u64,
     threads: Vec<ThreadState>,
+    /// Per thread, whether it has a workload: fixed at build, since a
+    /// thread's trace never changes.
+    active: Vec<bool>,
     /// Round-robin commit preference (rotates each cycle).
     commit_preference: usize,
     total_cycles_run: u64,
@@ -292,8 +408,6 @@ pub struct SmtCore {
     scratch_squashed: Vec<MicroOp>,
     /// Reusable scratch for `fetch`'s per-thread in-flight counts.
     scratch_in_flight: Vec<usize>,
-    /// Reusable scratch for `fetch`'s per-thread activity flags.
-    scratch_active: Vec<bool>,
     /// Reusable scratch for the warp's `(thread, addr, pc)` retry order.
     scratch_retries: Vec<(ThreadId, u64, u64)>,
 }
@@ -411,6 +525,7 @@ impl SmtCoreBuilder {
         for (state, trace) in threads.iter_mut().zip(self.traces) {
             state.trace = trace;
         }
+        let active = threads.iter().map(ThreadState::active).collect();
         SmtCore {
             cfg: self.cfg,
             mem,
@@ -421,6 +536,7 @@ impl SmtCoreBuilder {
             now: 0,
             next_id: 0,
             threads,
+            active,
             commit_preference: 0,
             total_cycles_run: 0,
             warped_cycles: 0,
@@ -428,7 +544,6 @@ impl SmtCoreBuilder {
             scratch_blocks: Vec::new(),
             scratch_squashed: Vec::new(),
             scratch_in_flight: Vec::new(),
-            scratch_active: Vec::new(),
             scratch_retries: Vec::new(),
         }
     }
@@ -648,8 +763,7 @@ impl SmtCore {
         let mut horizon = self.mem.next_event();
         let mut retrying = false;
         for (idx, t) in self.threads.iter().enumerate() {
-            let head_completed = t.rob.status.front() == Some(&EntryStatus::Completed);
-            if head_completed
+            if t.rob.head_completed()
                 || t.scan == IssueScan::Due
                 || self.can_dispatch(idx, total_rob, total_lsq)
             {
@@ -700,11 +814,7 @@ impl SmtCore {
             self.retry_warped_cycles += skip;
         }
         self.commit_preference = ((self.commit_preference as u64 + skip) % threads) as usize;
-        let mut active = std::mem::take(&mut self.scratch_active);
-        active.clear();
-        active.extend(self.threads.iter().map(ThreadState::active));
-        self.scheduler.advance(self.fetch_policy, skip, &active);
-        self.scratch_active = active;
+        self.scheduler.advance(self.fetch_policy, skip, &self.active);
         for (idx, t) in self.threads.iter_mut().enumerate() {
             if t.active() {
                 let outstanding = self.mem.outstanding_misses(ThreadId::from_index(idx));
@@ -750,20 +860,19 @@ impl SmtCore {
             let mut kept = 0;
             for i in 0..t.rob.issued.len() {
                 let seq = t.rob.issued[i];
-                let pos = t.rob.index(seq);
-                let c = t.rob.completion[pos];
+                let c = t.rob.slot(seq).completion;
                 if c > now {
                     next = next.min(c);
                     t.rob.issued[kept] = seq;
                     kept += 1;
                     continue;
                 }
-                t.rob.status[pos] = EntryStatus::Completed;
+                let (id, mispredicted) = t.rob.finish(seq);
                 completed_any = true;
-                if t.rob.mispredicted[pos] {
+                if mispredicted {
                     t.stats.branch_flushes += 1;
                     t.fetch_stall_until = t.fetch_stall_until.max(now + penalty);
-                    if t.waiting_branch == Some(t.rob.ids[pos]) {
+                    if t.waiting_branch == Some(id) {
                         t.waiting_branch = None;
                     }
                 }
@@ -785,12 +894,8 @@ impl SmtCore {
         self.commit_preference = (self.commit_preference + 1) % threads;
         for offset in 0..threads {
             let idx = (first + offset) % threads;
-            while committed < width {
-                let Some(&head) = self.threads[idx].rob.status.front() else { break };
-                if head != EntryStatus::Completed {
-                    break;
-                }
-                let (uop, in_lsq) = self.threads[idx].rob.pop_front().expect("front checked");
+            while committed < width && self.threads[idx].rob.head_completed() {
+                let (uop, in_lsq) = self.threads[idx].rob.pop_front().expect("head checked");
                 let thread = ThreadId::from_index(idx);
                 if in_lsq {
                     self.threads[idx].lsq_occupancy =
@@ -835,27 +940,21 @@ impl SmtCore {
             if t.scan == IssueScan::Idle {
                 continue;
             }
-            // Walk the `Dispatched` entries in age order, compacting the ones
-            // that stay behind; issuing never makes another entry ready, so
-            // readiness can be checked on the way.
+            // Walk the ready entries in age order, compacting the ones that
+            // stay behind; issuing never makes another entry ready. The
+            // budget is positive here, so the walk reaches the first ready
+            // entry if there is one.
             let budget_before = issue_budget;
             let mut rejected = None;
             let mut fu_starved = false;
-            let mut found_ready = false;
+            let found_ready = !t.rob.ready.is_empty();
             let mut kept = 0;
             let mut next = 0;
-            while next < t.rob.dispatched.len() && issue_budget > 0 {
-                let seq = t.rob.dispatched[next];
+            while next < t.rob.ready.len() && issue_budget > 0 {
+                let seq = t.rob.ready[next];
                 next += 1;
-                let pos = t.rob.index(seq);
-                let [a, b] = t.rob.deps[pos];
-                if t.rob.pending(a) || t.rob.pending(b) {
-                    t.rob.dispatched[kept] = seq;
-                    kept += 1;
-                    continue;
-                }
-                found_ready = true;
-                let kind = t.rob.uops[pos].kind;
+                let uop = &t.rob.slot(seq).uop;
+                let kind = uop.kind;
                 let fu = match kind {
                     OpKind::IntAlu | OpKind::Branch => &mut fu_int,
                     OpKind::IntMul => &mut fu_mul,
@@ -867,7 +966,6 @@ impl SmtCore {
                     _ if *fu == 0 => None,
                     OpKind::Load if rejected.is_some() => None,
                     OpKind::Load => {
-                        let uop = &t.rob.uops[pos];
                         let addr = uop.mem.expect("load carries an address").addr;
                         match self.mem.load(thread, addr, uop.pc, now) {
                             LoadResult::Hit { latency } => Some(now + latency),
@@ -884,18 +982,16 @@ impl SmtCore {
                     other => Some(now + other.exec_latency()),
                 };
                 let Some(completion) = completion else {
-                    t.rob.dispatched[kept] = seq;
+                    t.rob.ready[kept] = seq;
                     kept += 1;
                     continue;
                 };
-                t.rob.status[pos] = EntryStatus::Issued;
-                t.rob.completion[pos] = completion;
-                t.rob.issued.push(seq);
+                t.rob.issue(seq, completion);
                 t.next_completion = t.next_completion.min(completion);
                 *fu -= 1;
                 issue_budget -= 1;
             }
-            t.rob.dispatched.drain(kept..next);
+            t.rob.ready.drain(kept..next);
             // Only an empty scan arms the skip; budget- or FU-starved
             // leftovers must be retried next cycle. A scan whose one action
             // was an MSHR rejection records the load for the warp.
@@ -976,14 +1072,10 @@ impl SmtCore {
     fn fetch(&mut self) {
         let threads = self.threads.len();
         let mut in_flight = std::mem::take(&mut self.scratch_in_flight);
-        let mut active = std::mem::take(&mut self.scratch_active);
         in_flight.clear();
         in_flight.extend(self.threads.iter().map(ThreadState::in_flight));
-        active.clear();
-        active.extend(self.threads.iter().map(ThreadState::active));
-        let preferred = self.scheduler.select(self.fetch_policy, &in_flight, &active);
+        let preferred = self.scheduler.select(self.fetch_policy, &in_flight, &self.active);
         self.scratch_in_flight = in_flight;
-        self.scratch_active = active;
         let Some(preferred) = preferred else {
             return;
         };
@@ -1181,7 +1273,11 @@ mod tests {
     }
 
     fn single_thread_core(trace: BoxedTrace) -> SmtCore {
-        SmtCoreBuilder::new(CoreConfig::default()).thread(ThreadId::T0, trace).build()
+        single_thread_core_with(CoreConfig::default(), trace)
+    }
+
+    fn single_thread_core_with(cfg: CoreConfig, trace: BoxedTrace) -> SmtCore {
+        SmtCoreBuilder::new(cfg).thread(ThreadId::T0, trace).build()
     }
 
     /// The §V-A baseline pair: the builder's defaults with two traces.
@@ -1503,5 +1599,167 @@ mod tests {
         }
         assert!(warped.retry_warped_cycles() > 0, "no cycle was skipped over a retry");
         assert_eq!(format!("{:?}", warped.mem), format!("{:?}", plain.mem));
+    }
+
+    #[test]
+    fn an_l1i_hit_stalls_no_fetch_at_any_hit_latency() {
+        // The loop's 256-byte body hits the L1-I after its first pass, so
+        // the L1-I's own hit latency, whatever the L1-D's, must never read as
+        // a miss. Only the four cold misses differ between the runs.
+        let ipc = |latency| {
+            let mut cfg = CoreConfig::default();
+            cfg.l1i.hit_latency = latency;
+            let mut core = single_thread_core_with(cfg, AluLoop::boxed());
+            core.run_instructions(ThreadId::T0, 20_000, 200_000);
+            core.committed(ThreadId::T0) as f64 / core.cycles() as f64
+        };
+        let table_ii = ipc(2);
+        assert!(table_ii > 2.0, "the loop must run at full speed: {table_ii:.3}");
+        for latency in [1, 4] {
+            let other = ipc(latency);
+            assert!(
+                (other - table_ii).abs() < 0.01 * table_ii,
+                "L1-I hit latency {latency}: IPC {other:.3}, at 2 cycles {table_ii:.3}"
+            );
+        }
+    }
+
+    /// The queues the ring replaced, as a model: per entry, its status and
+    /// the producer each operand waits on ([`NO_DEP`] for none), with
+    /// readiness recomputed by scanning every entry.
+    #[derive(Default)]
+    struct RobModel {
+        head_seq: u64,
+        entries: VecDeque<(EntryStatus, [u64; 2])>,
+    }
+
+    impl RobModel {
+        fn next_seq(&self) -> u64 {
+            self.head_seq + self.entries.len() as u64
+        }
+
+        fn pending(&self, seq: u64) -> bool {
+            self.entries
+                .get(seq.wrapping_sub(self.head_seq) as usize)
+                .is_some_and(|e| e.0 != EntryStatus::Completed)
+        }
+
+        fn ready(&self) -> Vec<u64> {
+            (self.head_seq..self.next_seq())
+                .zip(&self.entries)
+                .filter(|(_, (status, deps))| {
+                    *status == EntryStatus::Dispatched && !deps.iter().any(|&d| self.pending(d))
+                })
+                .map(|(seq, _)| seq)
+                .collect()
+        }
+
+        fn status_mut(&mut self, seq: u64) -> &mut EntryStatus {
+            &mut self.entries[(seq - self.head_seq) as usize].0
+        }
+    }
+
+    #[test]
+    fn ready_list_equals_a_rescan_of_the_dispatched_entries() {
+        let mut rng = sim_model::SimRng::new(0x20b_7ead);
+        let mut squashed = Vec::new();
+        let (mut woken, mut grown) = (0, 0);
+        for case in 0..160 {
+            // Shares from 1 entry to well past the ring's first 16 slots.
+            let share = 1 + rng.below(300) as usize;
+            let mut rob = Rob::default();
+            let mut model = RobModel::default();
+            for step in 0..1500 {
+                let what = format!("case {case} (share {share}), step {step}");
+                match rng.below(100) {
+                    // Dispatch with producers drawn around the live range:
+                    // pending ones link, as dispatch links only those.
+                    0..=39 if rob.len() < share => {
+                        let seq = rob.next_seq();
+                        let draw = |rng: &mut sim_model::SimRng| match rng.below(3) {
+                            0 => NO_DEP,
+                            _ => seq.saturating_sub(1 + rng.below(24)),
+                        };
+                        let producers =
+                            [draw(&mut rng), draw(&mut rng)].map(|p| match model.pending(p) {
+                                true => p,
+                                false => NO_DEP,
+                            });
+                        let uop = MicroOp::alu(seq * 4, OpKind::IntAlu, [None, None], None);
+                        let before = rob.slots.len();
+                        rob.push_back(seq, uop, producers, false, seq % 3 == 0);
+                        grown += usize::from(rob.slots.len() > before.max(16));
+                        model.entries.push_back((EntryStatus::Dispatched, producers));
+                    }
+                    // Issue a random subset of the ready list, compacting
+                    // the rest in place as the issue stage does.
+                    40..=59 => {
+                        let mut kept = 0;
+                        for i in 0..rob.ready.len() {
+                            let seq = rob.ready[i];
+                            if rng.chance(0.5) {
+                                rob.issue(seq, rng.below(100));
+                                *model.status_mut(seq) = EntryStatus::Issued;
+                            } else {
+                                rob.ready[kept] = seq;
+                                kept += 1;
+                            }
+                        }
+                        rob.ready.truncate(kept);
+                    }
+                    // Complete a random subset of the issued entries.
+                    60..=79 => {
+                        let mut kept = 0;
+                        for i in 0..rob.issued.len() {
+                            let seq = rob.issued[i];
+                            if rng.chance(0.5) {
+                                let before = rob.ready.len();
+                                assert_eq!(rob.finish(seq), (seq, false), "{what}");
+                                woken += rob.ready.len() - before;
+                                *model.status_mut(seq) = EntryStatus::Completed;
+                            } else {
+                                rob.issued[kept] = seq;
+                                kept += 1;
+                            }
+                        }
+                        rob.issued.truncate(kept);
+                    }
+                    // Commit completed heads.
+                    80..=97 => {
+                        while rob.head_completed() && rng.chance(0.8) {
+                            let seq = rob.head_seq;
+                            let (uop, in_lsq) = rob.pop_front().expect("head checked");
+                            assert_eq!((uop.pc, in_lsq), (seq * 4, seq % 3 == 0), "{what}");
+                            model.entries.pop_front();
+                            model.head_seq += 1;
+                        }
+                    }
+                    // Flush.
+                    98 => {
+                        squashed.clear();
+                        rob.flush_into(&mut squashed);
+                        let pcs: Vec<u64> = squashed.iter().map(|u| u.pc).collect();
+                        let expected: Vec<u64> =
+                            (model.head_seq..model.next_seq()).map(|seq| seq * 4).collect();
+                        assert_eq!(pcs, expected, "{what}: squashed in age order");
+                        model.head_seq = model.next_seq();
+                        model.entries.clear();
+                    }
+                    _ => {}
+                }
+                assert_eq!(rob.ready, model.ready(), "{what}: the ready list");
+                assert_eq!((rob.head_seq, rob.len()), (model.head_seq, model.entries.len()));
+                assert_eq!(
+                    rob.head_completed(),
+                    model.entries.front().is_some_and(|e| e.0 == EntryStatus::Completed)
+                );
+                let low = model.head_seq.saturating_sub(3);
+                for seq in (low..model.next_seq() + 3).chain([NO_DEP]) {
+                    assert_eq!(rob.pending(seq), model.pending(seq), "{what}: pending({seq})");
+                }
+            }
+        }
+        assert!(woken > 10_000, "too few wake-ups: {woken}");
+        assert!(grown > 100, "too few ring growths: {grown}");
     }
 }

@@ -1,5 +1,10 @@
 //! Set-associative caches with LRU replacement and optional per-thread
 //! privatisation.
+//!
+//! Every load, store, fetch and fill the core simulates reaches a
+//! [`SetAssocCache`], so its layout is flat: one `u64` tag and one `u64` LRU
+//! stamp per way, with an invalid sentinel no block number reaches, and a
+//! set index taken by mask whenever the set count is a power of two.
 
 use sim_model::{CacheConfig, CanonicalKey, KeyEncoder, ThreadId};
 
@@ -34,18 +39,29 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
+/// Tag of an invalid way. A block number is a byte address shifted right by
+/// the line size (`addr >> 6` for every cache of the hierarchy), so it stays
+/// below 2⁵⁸ and never equals this.
+const INVALID: u64 = u64::MAX;
+
 /// One bank-agnostic set-associative cache with true-LRU replacement.
 ///
-/// Tags are full block addresses; capacity and associativity come from a
-/// [`CacheConfig`]. Banking is modelled only as a port constraint in the core
+/// Tags are full block addresses, one `u64` per way with `u64::MAX` marking
+/// an empty way; capacity and associativity come from a [`CacheConfig`].
+/// When the set count is a power of two (every Table II L1, and every LLC
+/// partition at T = 1, 2 and 4) the set index is the block's low bits;
+/// other geometries (an SMT-3 core's LLC partition has 8,738 sets) take the
+/// remainder. Banking is modelled only as a port constraint in the core
 /// front-end, not here.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: usize,
+    /// `sets - 1` when `sets` is a power of two.
+    set_mask: Option<u64>,
     ways: usize,
     line_shift: u32,
-    /// `tags[set * ways + way]`, `None` when invalid.
-    tags: Vec<Option<u64>>,
+    /// `tags[set * ways + way]`, [`INVALID`] when empty.
+    tags: Vec<u64>,
     /// LRU stamps, larger = more recently used.
     stamps: Vec<u64>,
     clock: u64,
@@ -59,38 +75,45 @@ impl SetAssocCache {
     ///
     /// Panics if the geometry is inconsistent (see [`CacheConfig::sets`]).
     pub fn new(cfg: &CacheConfig) -> SetAssocCache {
-        let sets = cfg.sets();
-        let line_shift = cfg.line_bytes.trailing_zeros();
         assert!(cfg.line_bytes.is_power_of_two(), "line size must be a power of two");
-        SetAssocCache {
-            sets,
-            ways: cfg.ways,
-            line_shift,
-            tags: vec![None; sets * cfg.ways],
-            stamps: vec![0; sets * cfg.ways],
-            clock: 0,
-            stats: CacheStats::default(),
-        }
+        SetAssocCache::build(cfg.sets(), cfg.ways, cfg.line_bytes.trailing_zeros())
     }
 
     /// Builds a cache with an explicit number of sets and ways and a 64-byte
     /// line, used for LLC partitions.
     pub fn with_geometry(sets: usize, ways: usize) -> SetAssocCache {
         assert!(sets > 0 && ways > 0, "cache must have at least one set and one way");
+        SetAssocCache::build(sets, ways, 6)
+    }
+
+    fn build(sets: usize, ways: usize, line_shift: u32) -> SetAssocCache {
         SetAssocCache {
             sets,
+            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
             ways,
-            line_shift: 6,
-            tags: vec![None; sets * ways],
+            line_shift,
+            tags: vec![INVALID; sets * ways],
             stamps: vec![0; sets * ways],
             clock: 0,
             stats: CacheStats::default(),
         }
     }
 
+    /// Index of the first way of `block`'s set.
     #[inline]
-    fn set_index(&self, block: u64) -> usize {
-        (block % self.sets as u64) as usize
+    fn set_base(&self, block: u64) -> usize {
+        let set = match self.set_mask {
+            Some(mask) => block & mask,
+            None => block % self.sets as u64,
+        };
+        set as usize * self.ways
+    }
+
+    /// The way of the set at `base` that holds `block`, if any.
+    #[inline]
+    fn way_of(&self, base: usize, block: u64) -> Option<usize> {
+        debug_assert_ne!(block, INVALID, "block {block:#x} is the invalid tag");
+        self.tags[base..base + self.ways].iter().position(|&tag| tag == block)
     }
 
     /// Accesses byte address `addr`; on a miss the block is allocated
@@ -102,19 +125,9 @@ impl SetAssocCache {
 
     /// Accesses a pre-computed block address.
     pub fn access_block(&mut self, block: u64) -> bool {
-        self.clock += 1;
-        let set = self.set_index(block);
-        let base = set * self.ways;
-        // Hit?
-        for way in 0..self.ways {
-            if self.tags[base + way] == Some(block) {
-                self.stamps[base + way] = self.clock;
-                self.stats.hits += 1;
-                return true;
-            }
+        if self.lookup_block(block) {
+            return true;
         }
-        // Miss: fill into LRU way.
-        self.stats.misses += 1;
         self.fill_block(block);
         false
     }
@@ -124,56 +137,61 @@ impl SetAssocCache {
     /// only lands when the corresponding miss completes (see the MSHR file).
     pub fn lookup(&mut self, addr: u64) -> bool {
         let block = addr >> self.line_shift;
+        self.lookup_block(block)
+    }
+
+    fn lookup_block(&mut self, block: u64) -> bool {
         self.clock += 1;
-        let set = self.set_index(block);
-        let base = set * self.ways;
-        for way in 0..self.ways {
-            if self.tags[base + way] == Some(block) {
+        let base = self.set_base(block);
+        match self.way_of(base, block) {
+            Some(way) => {
                 self.stamps[base + way] = self.clock;
                 self.stats.hits += 1;
-                return true;
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                false
             }
         }
-        self.stats.misses += 1;
-        false
     }
 
     /// Probes for a block without updating LRU state or statistics.
     pub fn probe_block(&self, block: u64) -> bool {
-        let set = self.set_index(block);
-        let base = set * self.ways;
-        (0..self.ways).any(|way| self.tags[base + way] == Some(block))
+        self.way_of(self.set_base(block), block).is_some()
     }
 
     /// Installs a block (e.g. a prefetch fill) without counting an access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is `u64::MAX`, the tag of an empty way; no
+    /// `addr >> line_shift` reaches it.
     pub fn fill_block(&mut self, block: u64) {
+        assert_ne!(block, INVALID, "block {block:#x} is the invalid tag");
         self.clock += 1;
-        let set = self.set_index(block);
-        let base = set * self.ways;
+        let base = self.set_base(block);
         // Already present: refresh.
-        for way in 0..self.ways {
-            if self.tags[base + way] == Some(block) {
-                self.stamps[base + way] = self.clock;
-                return;
-            }
+        if let Some(way) = self.way_of(base, block) {
+            self.stamps[base + way] = self.clock;
+            return;
         }
+        // The first empty way, else the first least recently used one.
+        let tags = &self.tags[base..base + self.ways];
+        let stamps = &self.stamps[base..base + self.ways];
         let mut victim = 0usize;
         let mut oldest = u64::MAX;
-        for way in 0..self.ways {
-            match self.tags[base + way] {
-                None => {
-                    victim = way;
-                    break;
-                }
-                Some(_) => {
-                    if self.stamps[base + way] < oldest {
-                        oldest = self.stamps[base + way];
-                        victim = way;
-                    }
-                }
+        for (way, (&tag, &stamp)) in tags.iter().zip(stamps).enumerate() {
+            if tag == INVALID {
+                victim = way;
+                break;
+            }
+            if stamp < oldest {
+                oldest = stamp;
+                victim = way;
             }
         }
-        self.tags[base + victim] = Some(block);
+        self.tags[base + victim] = block;
         self.stamps[base + victim] = self.clock;
     }
 
@@ -190,10 +208,8 @@ impl SetAssocCache {
     pub(crate) fn repeat_hits(&mut self, block: u64, n: u64) {
         self.clock += n;
         self.stats.hits += n;
-        let base = self.set_index(block) * self.ways;
-        let way = (0..self.ways)
-            .find(|&way| self.tags[base + way] == Some(block))
-            .expect("repeated hits need a resident block");
+        let base = self.set_base(block);
+        let way = self.way_of(base, block).expect("repeated hits need a resident block");
         self.stamps[base + way] = self.clock;
     }
 
@@ -301,7 +317,7 @@ impl ThreadedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_model::CacheConfig;
+    use sim_model::{CacheConfig, SimRng};
 
     fn small_cfg() -> CacheConfig {
         // 4 sets x 2 ways x 64B = 512 B.
@@ -393,5 +409,208 @@ mod tests {
         c.access(ThreadId::T0, 0x0);
         c.access(ThreadId::T1, 0x0);
         assert_eq!(c.stats().misses, 2);
+    }
+
+    /// The previous design of [`SetAssocCache`], kept as the oracle of the
+    /// flat one: a 16-byte `Option` tag per way and a `%` set index.
+    struct ReferenceCache {
+        sets: usize,
+        ways: usize,
+        tags: Vec<Option<u64>>,
+        stamps: Vec<u64>,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl ReferenceCache {
+        fn new(sets: usize, ways: usize) -> ReferenceCache {
+            ReferenceCache {
+                sets,
+                ways,
+                tags: vec![None; sets * ways],
+                stamps: vec![0; sets * ways],
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set_index(&self, block: u64) -> usize {
+            (block % self.sets as u64) as usize
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let block = addr >> 6;
+            self.clock += 1;
+            let base = self.set_index(block) * self.ways;
+            for way in 0..self.ways {
+                if self.tags[base + way] == Some(block) {
+                    self.stamps[base + way] = self.clock;
+                    self.stats.hits += 1;
+                    return true;
+                }
+            }
+            self.stats.misses += 1;
+            self.fill_block(block);
+            false
+        }
+
+        fn lookup(&mut self, addr: u64) -> bool {
+            let block = addr >> 6;
+            self.clock += 1;
+            let base = self.set_index(block) * self.ways;
+            for way in 0..self.ways {
+                if self.tags[base + way] == Some(block) {
+                    self.stamps[base + way] = self.clock;
+                    self.stats.hits += 1;
+                    return true;
+                }
+            }
+            self.stats.misses += 1;
+            false
+        }
+
+        fn probe_block(&self, block: u64) -> bool {
+            let base = self.set_index(block) * self.ways;
+            (0..self.ways).any(|way| self.tags[base + way] == Some(block))
+        }
+
+        fn fill_block(&mut self, block: u64) {
+            self.clock += 1;
+            let base = self.set_index(block) * self.ways;
+            for way in 0..self.ways {
+                if self.tags[base + way] == Some(block) {
+                    self.stamps[base + way] = self.clock;
+                    return;
+                }
+            }
+            let mut victim = 0usize;
+            let mut oldest = u64::MAX;
+            for way in 0..self.ways {
+                match self.tags[base + way] {
+                    None => {
+                        victim = way;
+                        break;
+                    }
+                    Some(_) => {
+                        if self.stamps[base + way] < oldest {
+                            oldest = self.stamps[base + way];
+                            victim = way;
+                        }
+                    }
+                }
+            }
+            self.tags[base + victim] = Some(block);
+            self.stamps[base + victim] = self.clock;
+        }
+
+        fn repeat_misses(&mut self, n: u64) {
+            self.clock += n;
+            self.stats.misses += n;
+        }
+
+        fn repeat_hits(&mut self, block: u64, n: u64) {
+            self.clock += n;
+            self.stats.hits += n;
+            let base = self.set_index(block) * self.ways;
+            let way = (0..self.ways)
+                .find(|&way| self.tags[base + way] == Some(block))
+                .expect("repeated hits need a resident block");
+            self.stamps[base + way] = self.clock;
+        }
+    }
+
+    /// Asserts that ways `range` hold the same blocks with the same stamps.
+    fn assert_ways_match(
+        flat: &SetAssocCache,
+        reference: &ReferenceCache,
+        range: std::ops::Range<usize>,
+        what: &str,
+    ) {
+        for i in range {
+            let tag = (flat.tags[i] != INVALID).then_some(flat.tags[i]);
+            assert_eq!(tag, reference.tags[i], "{what}: tag of way {i}");
+            assert_eq!(flat.stamps[i], reference.stamps[i], "{what}: stamp of way {i}");
+        }
+    }
+
+    #[test]
+    fn flat_tags_match_the_option_tag_reference() {
+        let mut rng = SimRng::new(0xca_c4e);
+        // The SMT-3 LLC partition, a T = 2 LLC partition, a Table II L1,
+        // then random geometries with 1-16 ways and power-of-two and other
+        // set counts.
+        let mut geometries = vec![(8738, 5), (8192, 8), (128, 8), (1, 1)];
+        for _ in 0..96 {
+            let ways = 1 + rng.below(16) as usize;
+            let sets =
+                if rng.chance(0.5) { 1 << rng.below(9) } else { 1 + rng.below(400) as usize };
+            geometries.push((sets, ways));
+        }
+        let mut hits = 0;
+        for (case, &(sets, ways)) in geometries.iter().enumerate() {
+            let mut flat = SetAssocCache::with_geometry(sets, ways);
+            let mut reference = ReferenceCache::new(sets, ways);
+            assert_eq!(flat.set_mask.is_some(), sets.is_power_of_two());
+            // Blocks mostly map to a few hot sets, with up to twice the
+            // ways' worth of distinct tags each, so sets fill and evict;
+            // some lie near the top of the 2^58 block range.
+            let hot: Vec<u64> = (0..4).map(|_| rng.below(sets as u64)).collect();
+            let draw = |rng: &mut SimRng| {
+                let set = match rng.below(4) {
+                    0 => rng.below(sets as u64),
+                    _ => hot[rng.below(4) as usize],
+                };
+                if rng.chance(0.05) {
+                    let top = ((1u64 << 58) - 1 - set) / sets as u64;
+                    set + sets as u64 * (top - rng.below(2 * ways as u64 + 1))
+                } else {
+                    set + sets as u64 * rng.below(2 * ways as u64 + 1)
+                }
+            };
+            for step in 0..1500 {
+                let block = draw(&mut rng);
+                let what = format!("case {case} ({sets} sets x {ways} ways), step {step}");
+                match rng.below(6) {
+                    0 => {
+                        assert_eq!(flat.access(block << 6), reference.access(block << 6), "{what}")
+                    }
+                    1 => {
+                        let hit = flat.lookup(block << 6);
+                        hits += usize::from(hit);
+                        assert_eq!(hit, reference.lookup(block << 6), "{what}");
+                    }
+                    2 => {
+                        flat.fill_block(block);
+                        reference.fill_block(block);
+                    }
+                    3 => {
+                        let n = rng.below(40);
+                        flat.repeat_misses(n);
+                        reference.repeat_misses(n);
+                    }
+                    4 if reference.probe_block(block) => {
+                        let n = rng.below(40);
+                        flat.repeat_hits(block, n);
+                        reference.repeat_hits(block, n);
+                    }
+                    _ => assert_eq!(flat.access_block(block), reference.access(block << 6)),
+                }
+                assert_eq!(flat.stats(), reference.stats, "{what}");
+                assert_eq!(flat.clock, reference.clock, "{what}");
+                let base = reference.set_index(block) * ways;
+                assert_ways_match(&flat, &reference, base..base + ways, &what);
+                for _ in 0..4 {
+                    let probe = draw(&mut rng);
+                    assert_eq!(flat.probe_block(probe), reference.probe_block(probe), "{what}");
+                }
+            }
+            assert_ways_match(
+                &flat,
+                &reference,
+                0..sets * ways,
+                &format!("case {case} at the end"),
+            );
+        }
+        assert!(hits > 5_000, "too few lookups hit: {hits}");
     }
 }

@@ -39,9 +39,9 @@ use sim_model::{CacheConfig, CoreConfig, Cycle, ThreadId};
 pub struct HierarchyConfig {
     /// Number of SMT hardware threads sharing the hierarchy (T >= 1).
     pub threads: usize,
-    /// L1 instruction cache geometry.
+    /// L1 instruction cache geometry and hit latency.
     pub l1i: CacheConfig,
-    /// L1 data cache geometry.
+    /// L1 data cache geometry and hit latency.
     pub l1d: CacheConfig,
     /// Sharing mode of the L1-I between SMT threads.
     pub l1i_sharing: Sharing,
@@ -59,8 +59,6 @@ pub struct HierarchyConfig {
     pub llc_latency: u64,
     /// Main-memory access latency in cycles.
     pub mem_latency: u64,
-    /// L1 hit latency in cycles.
-    pub l1_hit_latency: u64,
     /// Maximum in-flight prefetch fills per thread.
     pub prefetch_queue_depth: usize,
 }
@@ -82,7 +80,6 @@ impl HierarchyConfig {
             llc_ways: core.uncore.llc_ways,
             llc_latency: core.uncore.llc_latency,
             mem_latency: core.uncore.mem_latency_cycles(),
-            l1_hit_latency: core.l1d.hit_latency,
             prefetch_queue_depth: 8,
         }
     }
@@ -212,15 +209,16 @@ impl MemoryHierarchy {
     }
 
     /// Instruction fetch of the block containing `pc`. Returns the latency in
-    /// cycles before the block is available (the front-end stalls the thread
-    /// for that long on a miss).
+    /// cycles before the block is available: the L1-I's own hit latency on a
+    /// hit, plus the LLC or memory latency on a miss (the front-end stalls
+    /// the thread for that long).
     pub fn fetch(&mut self, thread: ThreadId, pc: u64, _now: Cycle) -> u64 {
         let hit = self.l1i.access(thread, pc);
         if hit {
-            self.cfg.l1_hit_latency
+            self.cfg.l1i.hit_latency
         } else {
             self.stats.l1i_misses += 1;
-            self.cfg.l1_hit_latency + self.beyond_l1_latency(thread, pc >> 6)
+            self.cfg.l1i.hit_latency + self.beyond_l1_latency(thread, pc >> 6)
         }
     }
 
@@ -249,7 +247,7 @@ impl MemoryHierarchy {
         let block = addr >> 6;
         if self.l1d.lookup(thread, addr) {
             self.stats.l1d_load_hits += 1;
-            return LoadResult::Hit { latency: self.cfg.l1_hit_latency };
+            return LoadResult::Hit { latency: self.cfg.l1d.hit_latency };
         }
         self.stats.l1d_load_misses += 1;
         // Check for an already-outstanding miss to the same block first so a
@@ -257,7 +255,7 @@ impl MemoryHierarchy {
         if let Some(completion) = self.mshrs.lookup(thread, block) {
             return LoadResult::Miss { completion };
         }
-        let latency = self.cfg.l1_hit_latency + self.beyond_l1_latency(thread, block);
+        let latency = self.cfg.l1d.hit_latency + self.beyond_l1_latency(thread, block);
         match self.mshrs.request(thread, block, now + latency) {
             MshrOutcome::Allocated(c) | MshrOutcome::Coalesced(c) => {
                 self.next_event = self.next_event.min(c);
@@ -521,7 +519,7 @@ mod tests {
         else {
             panic!("expected an L1 miss after eviction");
         };
-        let llc_lat = mem.config().llc_latency + mem.config().l1_hit_latency;
+        let llc_lat = mem.config().llc_latency + mem.config().l1d.hit_latency;
         assert_eq!(c2 - now, llc_lat, "second access should be an LLC hit");
         assert!(c1 > llc_lat, "first access should have paid the memory latency");
     }
@@ -597,7 +595,7 @@ mod tests {
         let cold = mem.fetch(ThreadId::T0, 0x7777_0000, 0);
         let warm = mem.fetch(ThreadId::T0, 0x7777_0000, 1);
         assert!(cold > warm);
-        assert_eq!(warm, mem.config().l1_hit_latency);
+        assert_eq!(warm, mem.config().l1i.hit_latency);
         assert_eq!(mem.stats().l1i_misses, 1);
     }
 

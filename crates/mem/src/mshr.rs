@@ -24,8 +24,6 @@ struct Entry {
 pub struct MshrFile {
     per_thread_capacity: usize,
     entries: Vec<Vec<Entry>>,
-    /// Peak simultaneous occupancy observed per thread (for reporting).
-    peak: Vec<usize>,
 }
 
 /// Result of attempting to allocate an MSHR.
@@ -49,7 +47,7 @@ impl MshrFile {
     /// Panics if `threads` is zero.
     pub fn new(per_thread_capacity: usize, threads: usize) -> MshrFile {
         assert!(threads >= 1, "an MSHR file needs at least one thread");
-        MshrFile { per_thread_capacity, entries: vec![Vec::new(); threads], peak: vec![0; threads] }
+        MshrFile { per_thread_capacity, entries: vec![Vec::new(); threads] }
     }
 
     /// Attempts to track a miss for `block` completing at `completion`.
@@ -62,7 +60,6 @@ impl MshrFile {
             return MshrOutcome::Full;
         }
         list.push(Entry { block, completion });
-        self.peak[thread.index()] = self.peak[thread.index()].max(list.len());
         MshrOutcome::Allocated(completion)
     }
 
@@ -99,11 +96,6 @@ impl MshrFile {
     /// per-cycle tick skip entirely while every MSHR file is quiescent.
     pub fn next_completion(&self, thread: ThreadId) -> Option<Cycle> {
         self.entries[thread.index()].iter().map(|e| e.completion).min()
-    }
-
-    /// Peak simultaneous occupancy seen for `thread`.
-    pub fn peak(&self, thread: ThreadId) -> usize {
-        self.peak[thread.index()]
     }
 
     /// Per-thread capacity.
@@ -153,17 +145,6 @@ mod tests {
         m.drain_completed_into(ThreadId::T0, 25, &mut done);
         assert_eq!(done, vec![2]);
         assert_eq!(m.outstanding(ThreadId::T0), 0);
-    }
-
-    #[test]
-    fn peak_tracks_maximum_occupancy() {
-        let mut m = MshrFile::new(3, 2);
-        m.request(ThreadId::T0, 1, 10);
-        m.request(ThreadId::T0, 2, 10);
-        m.drain_completed_into(ThreadId::T0, 10, &mut Vec::new());
-        m.request(ThreadId::T0, 3, 20);
-        assert_eq!(m.peak(ThreadId::T0), 2);
-        assert_eq!(m.peak(ThreadId::T1), 0);
     }
 
     #[test]

@@ -212,7 +212,8 @@ impl CoreConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency found
-    /// (zero widths, ROB smaller than two entries, cache geometry mismatch).
+    /// (zero widths, ROB smaller than two entries, cache geometry mismatch,
+    /// an L1 line size other than the hierarchy's 64-byte block).
     pub fn validate(&self) -> Result<(), String> {
         if self.fetch_width == 0 || self.dispatch_width == 0 || self.commit_width == 0 {
             return Err("pipeline widths must be non-zero".to_string());
@@ -227,6 +228,15 @@ impl CoreConfig {
             let denom = c.ways * c.line_bytes;
             if denom == 0 || c.capacity_bytes % denom != 0 {
                 return Err(format!("{name} geometry inconsistent: {c:?}"));
+            }
+            // The hierarchy fills both L1s with 64-byte block numbers
+            // (`addr >> 6`) and the fetch stage groups pcs by `pc >> 6`, so
+            // a cache indexing by any other line size would never hit.
+            if c.line_bytes != 64 {
+                return Err(format!(
+                    "{name} line size {} B is unsupported: the memory hierarchy uses 64 B blocks",
+                    c.line_bytes
+                ));
             }
         }
         if self.fus.int_alu == 0 || self.fus.lsu == 0 {
@@ -289,6 +299,22 @@ mod tests {
         let mut c = CoreConfig::default();
         c.fus.lsu = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_l1_lines_other_than_64_bytes() {
+        for line_bytes in [32, 128] {
+            for name in ["l1i", "l1d"] {
+                let mut c = CoreConfig::default();
+                let cache = if name == "l1i" { &mut c.l1i } else { &mut c.l1d };
+                cache.line_bytes = line_bytes;
+                let err = c.validate().expect_err("only 64-byte L1 lines can hit");
+                assert!(
+                    err.starts_with(&format!("{name} line size {line_bytes} B")),
+                    "the message must name the cache: {err}"
+                );
+            }
+        }
     }
 
     #[test]

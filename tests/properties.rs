@@ -468,7 +468,6 @@ fn small_hierarchy(threads: usize, l1d: Sharing, mshrs: usize, slots: usize) -> 
         llc_ways: 8,
         llc_latency: 28,
         mem_latency: 188,
-        l1_hit_latency: 2,
         prefetch_queue_depth: 8,
     })
 }
